@@ -2,64 +2,6 @@
 closed-form SER/outage analysis, symbol-level Monte Carlo cross-validation,
 and constrained power allocation."""
 
-from .analytic import (
-    BestRelayDistribution,
-    ClosedFormSer,
-    QuadratureConvergenceError,
-    SerParams,
-    UnsupportedModulationError,
-    best_cdf,
-    best_cdf_series,
-    best_mgf,
-    best_pdf,
-    best_pdf_series,
-    integral_I,
-    mpsk_g,
-    outage_probability,
-    outage_series,
-    ser_closed_form,
-    ser_quadrature,
-)
-from .discrepancy import DiscrepancyRecord, collect_all
-from .experiment import ExperimentSpec, run_experiment, spec_from_text, spec_to_text, validate_spec
-from .model import (
-    LinkGains,
-    RateParams,
-    Scheme,
-    SystemConfig,
-    anc_relay_snr,
-    bottleneck_rate,
-    compute_rate_params,
-    config_at_snr_db,
-    config_at_total_power,
-    df_relay_snr,
-    sample_channels,
-    select_best_relay,
-)
-from .montecarlo import (
-    SerEstimate,
-    TrialResult,
-    estimate_outage,
-    estimate_ser,
-    modulate,
-    relay_normalization,
-    run_anc_trial,
-    run_df_trial,
-    sample_best_snr,
-    single_link_ser,
-)
-from .power import (
-    FormulaInfeasibleError,
-    MultimodalObjectiveWarning,
-    PowerSplit,
-    closed_form_allocation,
-    closed_form_source_power,
-    make_power_objective,
-    make_split_objective,
-    numeric_allocation,
-    ser_for_powers,
-    ser_power_gradient,
-    stationarity_residual,
-)
-
 __version__ = "0.1.0"
+
+from .montecarlo import estimate_ser

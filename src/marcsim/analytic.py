@@ -20,7 +20,6 @@ __all__ = [
     "SerParams",
     "QuadratureConvergenceError",
     "UnsupportedModulationError",
-    "ClosedFormSer",
     "mpsk_g",
     "best_cdf",
     "best_cdf_series",
@@ -30,7 +29,6 @@ __all__ = [
     "integral_I",
     "ser_quadrature",
     "ser_closed_form",
-    "outage_probability",
     "outage_series",
 ]
 
@@ -226,22 +224,13 @@ def ser_quadrature(
     return value
 
 
-@dataclasses.dataclass(frozen=True)
-class ClosedFormSer:
-    """Additive closed-form SER plus its measured gap to the quadrature truth."""
-
-    value: float
-    quadrature: float
-    discrepancy: float
-
-
-def ser_closed_form(dist: BestRelayDistribution, params: SerParams) -> ClosedFormSer:
+def ser_closed_form(dist: BestRelayDistribution, params: SerParams) -> float:
     """Alternating sum of (I(c1) + I(c2)) terms, evaluated as written.
 
     The additive combination of the two branch integrals is inconsistent with
-    the multiplicative MGF product in the exact integral; the returned
-    discrepancy against ser_quadrature quantifies that.  The quadrature path
-    is the ground truth everywhere in this package.
+    the multiplicative MGF product in the exact integral;
+    discrepancy.additive_ser_discrepancy measures the gap to ser_quadrature,
+    which is the ground truth everywhere in this package.
     """
     if params.mod_order != 2:
         raise UnsupportedModulationError(
@@ -252,13 +241,7 @@ def ser_closed_form(dist: BestRelayDistribution, params: SerParams) -> ClosedFor
     value = 0.0
     for n in range(1, dist.num_relays + 1):
         value += _float_binom(dist.num_relays, n) * (-1.0) ** (n - 1) * term
-    exact = ser_quadrature(dist, params.g / params.c2, params)
-    return ClosedFormSer(value, exact, abs(value - exact))
-
-
-def outage_probability(dist: BestRelayDistribution, gamma_th) -> float:
-    """P(best SNR < gamma_th); the integral of best_pdf in closed form."""
-    return best_cdf(dist, gamma_th)
+    return value
 
 
 def outage_series(dist: BestRelayDistribution, gamma_th):

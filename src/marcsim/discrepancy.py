@@ -19,6 +19,7 @@ from .analytic import (
     SerParams,
     best_mgf,
     ser_closed_form,
+    ser_quadrature,
 )
 from .power import (
     closed_form_source_power,
@@ -83,12 +84,13 @@ def additive_ser_discrepancy(
     """Additive closed-form SER vs the quadrature of the MGF product."""
     dist = BestRelayDistribution(num_relays, eta_relay)
     params = SerParams.from_rates(2, eta_relay, eta_direct)
-    res = ser_closed_form(dist, params)
+    printed = ser_closed_form(dist, params)
+    oracle = ser_quadrature(dist, eta_direct, params)
     return DiscrepancyRecord(
         "ser_additive_closed_form",
-        res.value,
-        res.quadrature,
-        res.discrepancy,
+        printed,
+        oracle,
+        abs(printed - oracle),
         f"N={num_relays}, eta_relay={eta_relay}, eta_direct={eta_direct}",
     )
 

@@ -21,10 +21,11 @@ import hashlib
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from . import discrepancy
+from . import __version__, discrepancy, montecarlo
 from .analytic import (
     BestRelayDistribution,
     SerParams,
@@ -45,7 +46,6 @@ from .power import PowerSplit, make_split_objective, numeric_allocation
 
 __all__ = [
     "CSV_HEADER",
-    "FIGURES",
     "ExperimentSpec",
     "ValidationResult",
     "SpecValidationError",
@@ -60,22 +60,21 @@ CSV_HEADER = (
     "ser_paper_closed,outage_mc,outage_analytic,p_s,p_r,flags"
 )
 
-FIGURES = ("fig2_ser_vs_snr_mpsk", "fig3_anc_vs_df", "fig4_outage", "fig5_power_alloc", "custom")
 
-# short aliases accepted on the command line
-_FIGURE_ALIASES = {
-    "fig2": "fig2_ser_vs_snr_mpsk",
-    "fig3": "fig3_anc_vs_df",
-    "fig4": "fig4_outage",
-    "fig5": "fig5_power_alloc",
-}
+class _Figure(NamedTuple):
+    alias: str  # short name accepted on the command line
+    kind: str   # columns computed per cell: "ser", "outage", "both" or "power"
+    schemes: list[Scheme]
+    mod_orders: list[int]
+    relay_counts: list[int]
 
-_FIGURE_GRIDS = {
-    "fig2_ser_vs_snr_mpsk": ([Scheme.ANC], [2, 8], [1, 2, 3, 4, 5]),
-    "fig3_anc_vs_df": ([Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
-    "fig4_outage": ([Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
-    "fig5_power_alloc": ([Scheme.ANC], [2], [1, 2, 3, 4]),
-    "custom": ([Scheme.ANC], [2], [1]),
+
+_FIGURES = {
+    "fig2_ser_vs_snr_mpsk": _Figure("fig2", "ser", [Scheme.ANC], [2, 8], [1, 2, 3, 4, 5]),
+    "fig3_anc_vs_df": _Figure("fig3", "ser", [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
+    "fig4_outage": _Figure("fig4", "outage", [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
+    "fig5_power_alloc": _Figure("fig5", "power", [Scheme.ANC], [2], [1, 2, 3, 4]),
+    "custom": _Figure("custom", "both", [Scheme.ANC], [2], [1]),
 }
 
 _DEFAULT_SNR_DB = [2.5 * k for k in range(11)]  # 0..25 dB
@@ -125,18 +124,18 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     warnings: list[str] = []
     s = dataclasses.replace(spec)
 
-    s.figure = _FIGURE_ALIASES.get(s.figure, s.figure)
-    if s.figure not in FIGURES:
-        errors.append(f"figure: unknown value {s.figure!r}, expected one of {FIGURES}")
+    s.figure = next((name for name, f in _FIGURES.items() if f.alias == s.figure), s.figure)
+    if s.figure not in _FIGURES:
+        errors.append(f"figure: unknown value {s.figure!r}, expected one of {tuple(_FIGURES)}")
         return ValidationResult(s, errors, warnings)
 
-    grid_schemes, grid_mods, grid_relays = _FIGURE_GRIDS[s.figure]
+    fig = _FIGURES[s.figure]
     if s.schemes is None:
-        s.schemes = list(grid_schemes)
+        s.schemes = list(fig.schemes)
     if s.mod_orders is None:
-        s.mod_orders = list(grid_mods)
+        s.mod_orders = list(fig.mod_orders)
     if s.relay_counts is None:
-        s.relay_counts = list(grid_relays)
+        s.relay_counts = list(fig.relay_counts)
     if s.trials is None:
         s.trials = _DEFAULT_TRIALS
     if s.seed is None:
@@ -146,8 +145,8 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     if s.output_path is None:
         s.output_path = f"results/{s.figure}.csv"
     if s.p_total is not None:
-        if s.p_total <= 0:
-            errors.append(f"p_total: must be positive, got {s.p_total!r}")
+        if not (math.isfinite(s.p_total) and s.p_total > 0):
+            errors.append(f"p_total: must be positive and finite, got {s.p_total!r}")
         else:
             # a fixed budget replaces the SNR sweep by its single equivalent
             s.snr_points_db = [10.0 * math.log10(s.p_total)]
@@ -156,6 +155,8 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
 
     if not s.snr_points_db:
         errors.append("snr_points_db: must be nonempty")
+    elif not all(math.isfinite(v) for v in s.snr_points_db):
+        errors.append(f"snr_points_db: entries must be finite, got {s.snr_points_db!r}")
     elif any(b <= a for a, b in zip(s.snr_points_db, s.snr_points_db[1:])):
         errors.append("snr_points_db: must be strictly increasing")
     if not s.relay_counts:
@@ -174,14 +175,15 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
                 break
     if not s.schemes:
         errors.append("schemes: must be nonempty")
-    if not isinstance(s.trials, int) or s.trials < 1:
+    # bool is an int subclass; True must not pass as 1
+    if isinstance(s.trials, bool) or not isinstance(s.trials, int) or s.trials < 1:
         errors.append(f"trials: must be an integer >= 1, got {s.trials!r}")
     elif s.trials > _TRIALS_RUNTIME_WARNING:
         warnings.append(f"trials: {s.trials} will take a very long time per cell")
-    if not isinstance(s.seed, int) or s.seed < 0:
+    if isinstance(s.seed, bool) or not isinstance(s.seed, int) or s.seed < 0:
         errors.append(f"seed: must be a nonnegative integer, got {s.seed!r}")
-    if s.gamma_th < 0:
-        errors.append(f"gamma_th: must be nonnegative, got {s.gamma_th!r}")
+    if not (math.isfinite(s.gamma_th) and s.gamma_th >= 0):
+        errors.append(f"gamma_th: must be finite and nonnegative, got {s.gamma_th!r}")
     if not s.output_path:
         errors.append("output_path: must be nonempty")
 
@@ -261,13 +263,7 @@ class _Cell:
 
 
 def _cells(spec: ExperimentSpec) -> list[_Cell]:
-    kind = {
-        "fig2_ser_vs_snr_mpsk": "ser",
-        "fig3_anc_vs_df": "ser",
-        "fig4_outage": "outage",
-        "fig5_power_alloc": "power",
-        "custom": "both",
-    }[spec.figure]
+    kind = _FIGURES[spec.figure].kind
     cells = []
     for scheme in spec.schemes:
         for m in spec.mod_orders:
@@ -324,7 +320,7 @@ def _compute_cell(args) -> tuple[str, str]:
         ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
         ser_quad = ser_quadrature(dist, rates.eta_direct, params)
         try:
-            ser_closed = ser_closed_form(dist, params).value
+            ser_closed = ser_closed_form(dist, params)
         except UnsupportedModulationError:
             ser_closed = None
         # the analytic chain is a single-user bound; the simulated joint
@@ -360,25 +356,36 @@ def _compute_cell(args) -> tuple[str, str]:
 
 
 def _config_hash(spec: ExperimentSpec) -> str:
-    return hashlib.sha256(spec_to_text(spec).encode()).hexdigest()[:16]
+    """Hash of the spec and of the code that turns it into rows: the package
+    version, the batch size that maps trials to random draws, and the
+    early-stop policy."""
+    code = (
+        f"version={__version__}\nbatch_size={montecarlo.BATCH_SIZE}\n"
+        f"max_errors={montecarlo.MAX_ERRORS}\nmin_trials={montecarlo.MIN_TRIALS}\n"
+    )
+    return hashlib.sha256((code + spec_to_text(spec)).encode()).hexdigest()[:16]
 
 
-def _load_journal(path: str, config_hash: str) -> dict[str, str]:
+def _load_journal(path: str, config_hash: str) -> tuple[dict[str, str], int]:
+    """Rows journaled for this config, and the byte length of the journal's
+    intact prefix (0 when the journal is missing or belongs to another
+    sweep)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return {}, 0
+    header = f"#config={config_hash}\n".encode()
+    if not data.startswith(header):
+        return {}, 0  # different sweep; start over
+    # a last line without its newline is a torn write from an interrupted run
+    intact = data.rfind(b"\n") + 1
     done: dict[str, str] = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != f"#config={config_hash}":
-            return done  # different sweep; start over
-        for line in fh:
-            line = line.rstrip("\n")
-            if "\t" not in line:
-                continue  # torn write from an interrupted run
-            key, _, row = line.partition("\t")
-            if row.count(",") == CSV_HEADER.count(","):
-                done[key] = row
-    return done
+    for line in data[len(header) : intact].decode("utf-8").splitlines():
+        key, tab, row = line.partition("\t")
+        if tab and row.count(",") == CSV_HEADER.count(","):
+            done[key] = row
+    return done, intact
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,12 +413,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     chash = _config_hash(spec)
 
     cells = _cells(spec)
-    done = _load_journal(journal_path, chash)
+    done, intact = _load_journal(journal_path, chash)
     pending = [(i, c) for i, c in enumerate(cells) if c.key() not in done]
 
-    mode = "a" if done else "w"
-    with open(journal_path, mode, encoding="utf-8") as journal:
-        if not done:
+    if intact:
+        os.truncate(journal_path, intact)
+    with open(journal_path, "a" if intact else "w", encoding="utf-8") as journal:
+        if not intact:
             journal.write(f"#config={chash}\n")
             journal.flush()
 
@@ -434,13 +442,23 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
                 record(key, row)
 
     rows = [done[c.key()] for c in cells]
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
+    _write_atomic(out_path, "".join(line + "\n" for line in [CSV_HEADER, *rows]))
     _write_meta(meta_path, spec, chash)
     return ExperimentResult(out_path, meta_path, rows, result.warnings)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` by way of a temporary file in the same directory, so
+    an interrupted write leaves the previous file intact."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_meta(path: str, spec: ExperimentSpec, chash: str) -> None:
@@ -464,5 +482,4 @@ def _write_meta(path: str, spec: ExperimentSpec, chash: str) -> None:
     ]
     for rec in discrepancy.collect_all():
         lines.append(rec.as_kv())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")

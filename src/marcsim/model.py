@@ -1,5 +1,5 @@
-"""Scenario configuration, Rayleigh fading realizations, per-relay SNRs and
-best-relay selection for a two-source multiple-access relay channel (MARC).
+"""Scenario configuration, exponential SNR rates and power-axis mapping for a
+two-source multiple-access relay channel (MARC).
 
 Two sources transmit simultaneously to N relays and one destination; a single
 relay is selected (max-min of the two per-source SNRs) to forward in the
@@ -13,19 +13,12 @@ import dataclasses
 import enum
 import math
 
-import numpy as np
-
 __all__ = [
     "Scheme",
     "SystemConfig",
-    "LinkGains",
     "RateParams",
-    "sample_channels",
     "compute_rate_params",
     "bottleneck_rate",
-    "anc_relay_snr",
-    "df_relay_snr",
-    "select_best_relay",
     "config_at_total_power",
     "config_at_snr_db",
 ]
@@ -96,26 +89,6 @@ class SystemConfig:
         return 2.0 * self.p_source + self.p_relay
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class LinkGains:
-    """One joint realization of all complex fading coefficients."""
-
-    h_s1_r: np.ndarray  # source 1 -> relay j, length N
-    h_s2_r: np.ndarray  # source 2 -> relay j, length N
-    h_r_d: np.ndarray   # relay j -> destination, length N
-    h_s1_d: complex     # source 1 -> destination
-    h_s2_d: complex     # source 2 -> destination
-
-    def __post_init__(self):
-        n = len(self.h_s1_r)
-        if not (len(self.h_s2_r) == n and len(self.h_r_d) == n):
-            raise ValueError("relay gain lists must all have the same length")
-
-    @property
-    def num_relays(self) -> int:
-        return len(self.h_s1_r)
-
-
 @dataclasses.dataclass(frozen=True)
 class RateParams:
     """Exponential rate parameters of the link SNR classes.
@@ -141,21 +114,27 @@ def _gammas(config: SystemConfig) -> tuple[float, float]:
     return gamma_s, gamma_r
 
 
-def compute_rate_params(config: SystemConfig) -> RateParams:
-    """Rate parameters implied by the configured powers and variances."""
+def _hop_rates(config: SystemConfig) -> tuple[float, float]:
+    """Exponential rates of one source's relay path: the source-side hop and
+    the relay->destination hop (0.0 under DF-NC, whose per-relay SNR is the
+    source->relay link alone)."""
     gamma_s, gamma_r = _gammas(config)
     if config.scheme is Scheme.ANC:
         if config.variance_s_r == 0 or config.variance_r_d == 0:
             raise ValueError("zero link variance has no exponential rate")
-        eta_relay = 1.0 / (gamma_s * config.variance_s_r) + 1.0 / (gamma_r * config.variance_r_d)
-    else:
-        if config.variance_s_r == 0:
-            raise ValueError("zero link variance has no exponential rate")
-        eta_relay = 1.0 / (gamma_r * config.variance_s_r)
+        return 1.0 / (gamma_s * config.variance_s_r), 1.0 / (gamma_r * config.variance_r_d)
+    if config.variance_s_r == 0:
+        raise ValueError("zero link variance has no exponential rate")
+    return 1.0 / (gamma_r * config.variance_s_r), 0.0
+
+
+def compute_rate_params(config: SystemConfig) -> RateParams:
+    """Rate parameters implied by the configured powers and variances."""
+    source_side, relay_side = _hop_rates(config)
     if config.variance_s_d == 0:
         raise ValueError("zero link variance has no exponential rate")
-    eta_direct = 1.0 / (gamma_s * config.variance_s_d)
-    return RateParams(eta_relay, eta_direct, gamma_s, gamma_r)
+    gamma_s, gamma_r = _gammas(config)
+    return RateParams(source_side + relay_side, 1.0 / (gamma_s * config.variance_s_d), gamma_s, gamma_r)
 
 
 def bottleneck_rate(config: SystemConfig) -> float:
@@ -165,66 +144,8 @@ def bottleneck_rate(config: SystemConfig) -> float:
     relay->destination hop is shared and enters once.  Exact for DF-NC,
     a high-SNR approximation for ANC.
     """
-    gamma_s, gamma_r = _gammas(config)
-    if config.scheme is Scheme.ANC:
-        if config.variance_s_r == 0 or config.variance_r_d == 0:
-            raise ValueError("zero link variance has no exponential rate")
-        return 2.0 / (gamma_s * config.variance_s_r) + 1.0 / (gamma_r * config.variance_r_d)
-    if config.variance_s_r == 0:
-        raise ValueError("zero link variance has no exponential rate")
-    return 2.0 / (gamma_r * config.variance_s_r)
-
-
-def _complex_gaussian(rng: np.random.Generator, variance: float, size) -> np.ndarray:
-    # circularly symmetric, E|h|^2 = variance; real part drawn before imag
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return (re + 1j * im) * math.sqrt(variance / 2.0)
-
-
-def sample_channels(config: SystemConfig, rng: np.random.Generator) -> LinkGains:
-    """Draw one i.i.d. Rayleigh realization of every link."""
-    n = config.num_relays
-    h_s1_r = _complex_gaussian(rng, config.variance_s_r, n)
-    h_s2_r = _complex_gaussian(rng, config.variance_s_r, n)
-    h_r_d = _complex_gaussian(rng, config.variance_r_d, n)
-    h_s1_d = complex(_complex_gaussian(rng, config.variance_s_d, ()))
-    h_s2_d = complex(_complex_gaussian(rng, config.variance_s_d, ()))
-    return LinkGains(h_s1_r, h_s2_r, h_r_d, h_s1_d, h_s2_d)
-
-
-def _anc_snr(gain_sr_sq, gain_rd_sq, gamma_s: float, gamma_r: float):
-    num = gamma_s * gain_sr_sq * gamma_r * gain_rd_sq
-    den = gain_sr_sq * gamma_s + gain_rd_sq * gamma_r + 1.0
-    return num / den
-
-
-def anc_relay_snr(gain_sr_sq, gain_rd_sq, rates: RateParams):
-    """End-to-end SNR of one amplified relay path.
-
-    Accepts scalars or arrays.  The denominator is >= 1, so a zero gain on
-    either hop gives SNR 0 without a division hazard.
-    """
-    return _anc_snr(gain_sr_sq, gain_rd_sq, rates.gamma_s, rates.gamma_r)
-
-
-def df_relay_snr(gain_sq, gamma_r: float):
-    """Receive SNR of one source->relay link under decode-and-forward."""
-    return gain_sq * gamma_r
-
-
-def select_best_relay(per_relay_snrs_s1, per_relay_snrs_s2) -> int:
-    """Index of the relay maximizing min(SNR from source 1, SNR from source 2).
-
-    Ties break toward the lowest index.
-    """
-    s1 = np.asarray(per_relay_snrs_s1, dtype=float)
-    s2 = np.asarray(per_relay_snrs_s2, dtype=float)
-    if s1.size == 0 or s2.size == 0:
-        raise ValueError("per-relay SNR lists must be nonempty")
-    if s1.shape != s2.shape:
-        raise ValueError("per-relay SNR lists must have equal length")
-    return int(np.argmax(np.minimum(s1, s2)))
+    source_side, relay_side = _hop_rates(config)
+    return 2.0 * source_side + relay_side
 
 
 def config_at_total_power(config: SystemConfig, p_total: float) -> SystemConfig:

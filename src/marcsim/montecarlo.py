@@ -18,24 +18,21 @@ import math
 
 import numpy as np
 
-from .model import (
-    Scheme,
-    SystemConfig,
-    LinkGains,
-    _anc_snr,
-    _complex_gaussian,
-    _gammas,
-    config_at_snr_db,
-)
+from .model import Scheme, SystemConfig, _gammas, config_at_snr_db
 
 __all__ = [
     "BATCH_SIZE",
-    "TrialResult",
+    "MAX_ERRORS",
+    "MIN_TRIALS",
+    "GainBatch",
     "SerEstimate",
     "modulate",
     "relay_normalization",
-    "run_anc_trial",
-    "run_df_trial",
+    "sample_gains",
+    "anc_snr",
+    "relay_snrs",
+    "select_relay",
+    "run_batch",
     "estimate_ser",
     "estimate_outage",
     "sample_best_snr",
@@ -45,17 +42,12 @@ __all__ = [
 # Fixed so that the mapping from trial index to random draws never changes.
 BATCH_SIZE = 1 << 14
 
+# Default early stop of estimate_ser: both sources reached MAX_ERRORS errors
+# after at least MIN_TRIALS trials.
+MAX_ERRORS = 400
+MIN_TRIALS = 10_000
+
 _Z95 = 1.959963984540054
-
-
-@dataclasses.dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one protocol round."""
-
-    s1_error: bool
-    s2_error: bool
-    selected_relay: int
-    best_snr: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,22 +88,40 @@ def relay_normalization(config: SystemConfig) -> float:
     return math.sqrt(2.0 * config.p_source * config.variance_s_r + config.noise_psd)
 
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
+def _batches(seed: int, trials: int):
+    """Iterator of (rng, size), one per batch of ``trials``: trial t belongs
+    to batch t // BATCH_SIZE, and batch b draws from Philox(seed) jumped b
+    times."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return (
+        (np.random.Generator(np.random.Philox(key=seed).jumped(b)), min(BATCH_SIZE, trials - start))
+        for b, start in enumerate(range(0, trials, BATCH_SIZE))
+    )
+
+
+def _complex_gaussian(rng: np.random.Generator, variance: float, size) -> np.ndarray:
+    # circularly symmetric, E|h|^2 = variance; real part drawn before imag
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    return (re + 1j * im) * math.sqrt(variance / 2.0)
 
 
 @dataclasses.dataclass(frozen=True)
-class _GainBatch:
-    h_s1_r: np.ndarray  # (B, N)
-    h_s2_r: np.ndarray
-    h_r_d: np.ndarray
-    h_s1_d: np.ndarray  # (B,)
-    h_s2_d: np.ndarray
+class GainBatch:
+    """Fading coefficients of a batch of B independent rounds."""
+
+    h_s1_r: np.ndarray  # source 1 -> relay j, (B, N)
+    h_s2_r: np.ndarray  # source 2 -> relay j, (B, N)
+    h_r_d: np.ndarray   # relay j -> destination, (B, N)
+    h_s1_d: np.ndarray  # source 1 -> destination, (B,)
+    h_s2_d: np.ndarray  # source 2 -> destination, (B,)
 
 
-def _sample_gain_batch(config: SystemConfig, rng: np.random.Generator, size: int) -> _GainBatch:
+def sample_gains(config: SystemConfig, rng: np.random.Generator, size: int) -> GainBatch:
+    """Draw ``size`` i.i.d. Rayleigh realizations of every link."""
     n = config.num_relays
-    return _GainBatch(
+    return GainBatch(
         _complex_gaussian(rng, config.variance_s_r, (size, n)),
         _complex_gaussian(rng, config.variance_s_r, (size, n)),
         _complex_gaussian(rng, config.variance_r_d, (size, n)),
@@ -120,43 +130,52 @@ def _sample_gain_batch(config: SystemConfig, rng: np.random.Generator, size: int
     )
 
 
-def _gains_as_batch(gains: LinkGains) -> _GainBatch:
-    return _GainBatch(
-        np.asarray(gains.h_s1_r)[None, :],
-        np.asarray(gains.h_s2_r)[None, :],
-        np.asarray(gains.h_r_d)[None, :],
-        np.atleast_1d(np.asarray(gains.h_s1_d)),
-        np.atleast_1d(np.asarray(gains.h_s2_d)),
-    )
+def anc_snr(gain_sr_sq, gain_rd_sq, gamma_s: float, gamma_r: float):
+    """End-to-end SNR of one amplified relay path, elementwise.
+
+    The denominator is >= 1, so a zero gain on either hop gives SNR 0
+    without a division hazard.
+    """
+    num = gamma_s * gain_sr_sq * gamma_r * gain_rd_sq
+    den = gain_sr_sq * gamma_s + gain_rd_sq * gamma_r + 1.0
+    return num / den
 
 
-def _pair_grid(mod_order: int):
-    const = np.exp(2j * np.pi * np.arange(mod_order) / mod_order)
-    ii, jj = np.divmod(np.arange(mod_order * mod_order), mod_order)
-    return const, ii, jj
-
-
-def _select(config: SystemConfig, gb: _GainBatch):
-    """Per-trial selection SNRs, selected index and bottleneck SNR."""
+def relay_snrs(config: SystemConfig, gb: GainBatch):
+    """Per-relay SNR of each source's relay path, elementwise over the relay
+    gains: the amplified end-to-end SNR under ANC, the source->relay receive
+    SNR under DF-NC."""
     gamma_s, gamma_r = _gammas(config)
     a1 = np.abs(gb.h_s1_r) ** 2
     a2 = np.abs(gb.h_s2_r) ** 2
     if config.scheme is Scheme.ANC:
         c = np.abs(gb.h_r_d) ** 2
-        snr1 = _anc_snr(a1, c, gamma_s, gamma_r)
-        snr2 = _anc_snr(a2, c, gamma_s, gamma_r)
-    else:
-        snr1 = a1 * gamma_r
-        snr2 = a2 * gamma_r
-    bottleneck = np.minimum(snr1, snr2)
-    sel = np.argmax(bottleneck, axis=1)
-    rows = np.arange(sel.shape[0])
-    return sel, bottleneck[rows, sel]
+        return anc_snr(a1, c, gamma_s, gamma_r), anc_snr(a2, c, gamma_s, gamma_r)
+    return a1 * gamma_r, a2 * gamma_r
 
 
-def _run_batch(config: SystemConfig, gb: _GainBatch, rng: np.random.Generator):
-    """One vectorized batch of protocol rounds; returns error flags, the
-    selected relay index and the selection-bottleneck SNR per trial."""
+def select_relay(snrs_s1, snrs_s2):
+    """Max-min selection over the last (relay) axis: the index maximizing
+    min(SNR from source 1, SNR from source 2), ties toward the lowest index,
+    and that bottleneck SNR."""
+    if np.shape(snrs_s1) != np.shape(snrs_s2):
+        raise ValueError("per-relay SNR arrays must have equal shapes")
+    bottleneck = np.minimum(snrs_s1, snrs_s2)
+    sel = np.argmax(bottleneck, axis=-1)
+    return sel, np.take_along_axis(bottleneck, sel[..., None], axis=-1)[..., 0]
+
+
+def _pair_grid(mod_order: int):
+    const = modulate(np.arange(mod_order), mod_order)
+    ii, jj = np.divmod(np.arange(mod_order * mod_order), mod_order)
+    return const, ii, jj
+
+
+def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
+    """One vectorized batch of protocol rounds on the gains ``gb``; returns
+    per-trial source-1 and source-2 error flags, the selected relay index and
+    the selection-bottleneck SNR.  Under DF-NC relay decoding errors
+    propagate into the forwarded symbol; there is no genie."""
     m = config.mod_order
     const, ii, jj = _pair_grid(m)
     size = gb.h_s1_d.shape[0]
@@ -164,7 +183,7 @@ def _run_batch(config: SystemConfig, gb: _GainBatch, rng: np.random.Generator):
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
 
-    sel, best = _select(config, gb)
+    sel, best = select_relay(*relay_snrs(config, gb))
     rows = np.arange(size)
     h1b = gb.h_s1_r[rows, sel]
     h2b = gb.h_s2_r[rows, sel]
@@ -203,30 +222,13 @@ def _run_batch(config: SystemConfig, gb: _GainBatch, rng: np.random.Generator):
     return ii[k] != i1, jj[k] != i2, sel, best
 
 
-def run_anc_trial(config: SystemConfig, gains: LinkGains, rng: np.random.Generator) -> TrialResult:
-    """One ANC round on a fixed channel realization."""
-    if config.scheme is not Scheme.ANC:
-        raise ValueError("config.scheme must be ANC")
-    e1, e2, sel, best = _run_batch(config, _gains_as_batch(gains), rng)
-    return TrialResult(bool(e1[0]), bool(e2[0]), int(sel[0]), float(best[0]))
-
-
-def run_df_trial(config: SystemConfig, gains: LinkGains, rng: np.random.Generator) -> TrialResult:
-    """One DF-NC round on a fixed channel realization.  Relay decoding errors
-    propagate into the forwarded symbol; there is no genie."""
-    if config.scheme is not Scheme.DF_NC:
-        raise ValueError("config.scheme must be DF_NC")
-    e1, e2, sel, best = _run_batch(config, _gains_as_batch(gains), rng)
-    return TrialResult(bool(e1[0]), bool(e2[0]), int(sel[0]), float(best[0]))
-
-
 def estimate_ser(
     config: SystemConfig,
     snr_db: float,
     trials: int,
     seed: int,
-    max_errors: int | None = 400,
-    min_trials: int = 10_000,
+    max_errors: int | None = MAX_ERRORS,
+    min_trials: int = MIN_TRIALS,
 ) -> tuple[SerEstimate, SerEstimate]:
     """Per-source SER at one SNR point (total power over noise, dB).
 
@@ -235,19 +237,15 @@ def estimate_ser(
     where both sources have accumulated that many errors (and at least
     ``min_trials`` trials ran); pass None to force the full trial count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    batches = _batches(seed, trials)
     cfg = config_at_snr_db(config, snr_db)
-    err1 = err2 = done = batch = 0
-    while done < trials:
-        size = min(BATCH_SIZE, trials - done)
-        rng = _batch_rng(seed, batch)
-        gb = _sample_gain_batch(cfg, rng, size)
-        e1, e2, _, _ = _run_batch(cfg, gb, rng)
+    err1 = err2 = done = 0
+    for rng, size in batches:
+        gb = sample_gains(cfg, rng, size)
+        e1, e2, _, _ = run_batch(cfg, gb, rng)
         err1 += int(e1.sum())
         err2 += int(e2.sum())
         done += size
-        batch += 1
         if max_errors is not None and done >= min_trials and min(err1, err2) >= max_errors:
             break
     return _wilson_estimate(err1, done), _wilson_estimate(err2, done)
@@ -256,18 +254,13 @@ def estimate_ser(
 def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     """Selection-bottleneck SNR of the chosen relay for ``trials`` fading
     draws (no symbols are transmitted)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    batches = _batches(seed, trials)
     out = np.empty(trials)
-    done = batch = 0
-    while done < trials:
-        size = min(BATCH_SIZE, trials - done)
-        rng = _batch_rng(seed, batch)
-        gb = _sample_gain_batch(config, rng, size)
-        _, best = _select(config, gb)
-        out[done : done + size] = best
+    done = 0
+    for rng, size in batches:
+        gb = sample_gains(config, rng, size)
+        out[done : done + size] = select_relay(*relay_snrs(config, gb))[1]
         done += size
-        batch += 1
     return out
 
 
@@ -286,15 +279,11 @@ def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2) -
     """Coherent MPSK over one Rayleigh link (no relays): the end-to-end
     calibration baseline.  For BPSK the exact average SER is
     0.5*(1 - sqrt(gbar/(1+gbar))) with gbar the mean SNR."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    gbar = 10.0 ** (snr_db / 10.0)
-    amp = math.sqrt(gbar)
-    const = np.exp(2j * np.pi * np.arange(mod_order) / mod_order)
-    errors = done = batch = 0
-    while done < trials:
-        size = min(BATCH_SIZE, trials - done)
-        rng = _batch_rng(seed, batch)
+    batches = _batches(seed, trials)
+    amp = math.sqrt(10.0 ** (snr_db / 10.0))
+    const = modulate(np.arange(mod_order), mod_order)
+    errors = done = 0
+    for rng, size in batches:
         h = _complex_gaussian(rng, 1.0, size)
         idx = rng.integers(0, mod_order, size)
         noise = _complex_gaussian(rng, 1.0, size)
@@ -302,5 +291,4 @@ def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2) -
         k = np.argmin(np.abs(y[:, None] - amp * h[:, None] * const[None, :]) ** 2, axis=1)
         errors += int((k != idx).sum())
         done += size
-        batch += 1
     return _wilson_estimate(errors, done)

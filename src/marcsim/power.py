@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import BestRelayDistribution, SerParams, ser_closed_form, ser_quadrature
+from .analytic import BestRelayDistribution, SerParams, ser_quadrature
 from .model import Scheme, SystemConfig, compute_rate_params
 
 __all__ = [
@@ -128,12 +128,10 @@ def ser_for_powers(
     variance_s_r: float = 1.0,
     variance_r_d: float = 1.0,
     variance_s_d: float = 1.0,
-    method: str = "quadrature",
 ) -> float:
-    """SER of the configured scenario at an arbitrary (p_source, p_relay)
-    pair; the rate structure is recomputed per candidate since it depends on
-    both powers.  ``method`` selects the quadrature truth (default) or the
-    additive closed form."""
+    """Quadrature SER of the configured scenario at an arbitrary
+    (p_source, p_relay) pair; the rate structure is recomputed per candidate
+    since it depends on both powers."""
     cfg = SystemConfig(
         num_relays=num_relays,
         p_source=p_source,
@@ -148,11 +146,7 @@ def ser_for_powers(
     rates = compute_rate_params(cfg)
     dist = BestRelayDistribution(num_relays, rates.eta_relay_path)
     params = SerParams.from_rates(mod_order, rates.eta_relay_path, rates.eta_direct)
-    if method == "quadrature":
-        return ser_quadrature(dist, rates.eta_direct, params)
-    if method == "closed_form":
-        return ser_closed_form(dist, params).value
-    raise ValueError(f"unknown method {method!r}")
+    return ser_quadrature(dist, rates.eta_direct, params)
 
 
 def make_power_objective(**scenario) -> Callable[[float, float], float]:

@@ -394,10 +394,10 @@ def test_criterion_9_discrepancy_ledger(tmp_path):
     # the printed forms never stand in for their oracles
     dist = BestRelayDistribution(2, 1.0)
     params = SerParams.from_rates(2, 1.0, 0.5)
-    res = ser_closed_form(dist, params)
-    oracle_ok = res.quadrature == pytest.approx(
+    additive = records["ser_additive_closed_form"]
+    oracle_ok = additive.oracle == pytest.approx(
         ser_quadrature(dist, 0.5, params), abs=1e-12
-    ) and res.value != pytest.approx(res.quadrature, abs=1e-6)
+    ) and ser_closed_form(dist, params) != pytest.approx(additive.oracle, abs=1e-6)
     # every experiment run writes the records into its sidecar
     spec = ExperimentSpec(
         figure="custom",

@@ -17,7 +17,6 @@ from marcsim.analytic import (
     best_pdf_series,
     integral_I,
     mpsk_g,
-    outage_probability,
     outage_series,
     ser_closed_form,
     ser_quadrature,
@@ -280,17 +279,19 @@ def test_unreachable_tolerance_raises_with_achieved_error():
 
 def test_closed_form_single_relay_is_sum_of_branch_integrals():
     params = SerParams(2, 1.0, 1.0, 1.0)
-    res = ser_closed_form(BestRelayDistribution(1, 1.0), params)
-    assert res.value == pytest.approx(2 * integral_I(1.0), abs=1e-12)
-    assert res.value == pytest.approx(0.2928932188134524, abs=1e-12)
+    value = ser_closed_form(BestRelayDistribution(1, 1.0), params)
+    assert value == pytest.approx(2 * integral_I(1.0), abs=1e-12)
+    assert value == pytest.approx(0.2928932188134524, abs=1e-12)
 
 
 def test_closed_form_two_relay_as_written():
     # the alternating binomial sum collapses to a single (I(c1)+I(c2)) term
     params = SerParams(2, 1.0, 1.0, 1.0)
-    res = ser_closed_form(BestRelayDistribution(2, 1.0), params)
-    assert res.value == pytest.approx(0.2928932188134524, abs=1e-12)
-    assert res.discrepancy > 0.01  # never trusted as the oracle
+    dist = BestRelayDistribution(2, 1.0)
+    value = ser_closed_form(dist, params)
+    assert value == pytest.approx(0.2928932188134524, abs=1e-12)
+    exact = ser_quadrature(dist, params.g / params.c2, params)
+    assert abs(value - exact) > 0.01  # never trusted as the oracle
 
 
 def test_closed_form_rejects_non_bpsk():
@@ -302,24 +303,24 @@ def test_closed_form_rejects_non_bpsk():
 
 
 def test_outage_at_zero_threshold():
-    assert outage_probability(BestRelayDistribution(3, 2.0), 0.0) == 0.0
+    assert best_cdf(BestRelayDistribution(3, 2.0), 0.0) == 0.0
 
 
 def test_outage_two_relay_value():
-    assert outage_probability(BestRelayDistribution(2, 1.0), 1.0) == pytest.approx(
+    assert best_cdf(BestRelayDistribution(2, 1.0), 1.0) == pytest.approx(
         0.39957640089372803, abs=1e-12
     )
 
 
 def test_outage_saturates():
-    assert outage_probability(BestRelayDistribution(2, 1.0), 1e6) == pytest.approx(1.0)
+    assert best_cdf(BestRelayDistribution(2, 1.0), 1e6) == pytest.approx(1.0)
 
 
 def test_outage_series_agrees():
     gammas = np.linspace(0.0, 6.0, 25)
     for n in range(1, 21):
         dist = BestRelayDistribution(n, 0.9)
-        diff = np.max(np.abs(outage_probability(dist, gammas) - outage_series(dist, gammas)))
+        diff = np.max(np.abs(best_cdf(dist, gammas) - outage_series(dist, gammas)))
         assert diff < _cancellation_tol(n, 1.0)
         if n <= 10:
             assert diff < 1e-12

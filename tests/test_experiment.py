@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from marcsim import experiment, montecarlo
 from marcsim.analytic import BestRelayDistribution, best_cdf
 from marcsim.experiment import (
     CSV_HEADER,
@@ -55,6 +56,13 @@ def test_all_violations_reported():
     assert "snr_points_db" in joined
     assert "relay_counts" in joined and ">= 1" in joined
     assert "trials" in joined
+
+
+def test_bool_counts_rejected():
+    # bool is an int subclass: True must not validate as one trial
+    res = validate_spec(ExperimentSpec(trials=True, seed=False))
+    joined = " ".join(res.errors)
+    assert "trials" in joined and "seed" in joined
 
 
 def test_huge_trials_warn_but_valid():
@@ -192,6 +200,65 @@ def test_resume_skips_completed_cells(tmp_path):
     assert open(spec.output_path, "rb").read() == csv_first
 
 
+def count_computed_cells(monkeypatch):
+    calls = []
+    compute = experiment._compute_cell
+
+    def counted(job):
+        calls.append(job)
+        return compute(job)
+
+    monkeypatch.setattr(experiment, "_compute_cell", counted)
+    return calls
+
+
+def test_torn_journal_resumes_to_original_bytes(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, schemes=[Scheme.ANC])
+    run_experiment(spec)
+    csv_first = open(spec.output_path, "rb").read()
+    journal = spec.output_path + ".journal"
+    journal_first = open(journal, "rb").read()
+    # an interrupted write leaves the last row without its last five bytes;
+    # its comma count still matches the schema
+    open(journal, "wb").write(journal_first[:-5])
+    os.remove(spec.output_path)
+    run_experiment(spec)
+    assert open(spec.output_path, "rb").read() == csv_first
+    assert open(journal, "rb").read() == journal_first
+    calls = count_computed_cells(monkeypatch)
+    run_experiment(spec)
+    assert calls == []
+    assert open(spec.output_path, "rb").read() == csv_first
+
+
+def test_failed_replace_keeps_previous_csv(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path)
+    run_experiment(spec)
+    csv_first = open(spec.output_path, "rb").read()
+    listing = sorted(os.listdir(tmp_path))
+
+    def failing_replace(src, dst):
+        raise OSError("simulated failure")
+
+    monkeypatch.setattr(experiment.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        run_experiment(spec)
+    assert open(spec.output_path, "rb").read() == csv_first
+    assert sorted(os.listdir(tmp_path)) == listing
+
+
+def test_batch_size_change_invalidates_journal(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path)
+    run_experiment(spec)
+    journal = spec.output_path + ".journal"
+    header = open(journal).readline()
+    monkeypatch.setattr(montecarlo, "BATCH_SIZE", montecarlo.BATCH_SIZE // 2)
+    calls = count_computed_cells(monkeypatch)
+    run_experiment(spec)
+    assert open(journal).readline() != header
+    assert len(calls) == len(spec.snr_points_db)
+
+
 def test_stale_journal_discarded(tmp_path):
     spec = small_spec(tmp_path)
     journal = spec.output_path + ".journal"
@@ -227,10 +294,22 @@ def test_cli_success(tmp_path, capsys):
     assert "wrote 1 rows" in capsys.readouterr().out
 
 
-def test_cli_validation_failure(tmp_path, capsys):
-    code = main(["--figure", "fig3", "--relays", "0", "--out", str(tmp_path / "x.csv")])
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--relays", "0"], "relay_counts"),
+        (["--gamma-th", "nan"], "gamma_th"),
+        (["--snr", "0,nan"], "snr_points_db"),
+        (["--ptotal", "nan"], "p_total"),
+        (["--ptotal", "inf"], "p_total"),
+    ],
+    ids=["relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf"],
+)
+def test_cli_validation_failure(tmp_path, capsys, flags, field):
+    base = ["--figure", "custom", "--scheme", "df", "--relays", "1", "--snr", "10", "--trials", "1000"]
+    code = main([*base, *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 1
-    assert "relay_counts" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
 
 
 def test_cli_unknown_figure(tmp_path, capsys):

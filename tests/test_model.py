@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from marcsim.model import (
-    RateParams,
     Scheme,
     SystemConfig,
-    anc_relay_snr,
     bottleneck_rate,
     compute_rate_params,
     config_at_snr_db,
     config_at_total_power,
-    df_relay_snr,
-    sample_channels,
-    select_best_relay,
 )
+from marcsim.montecarlo import GainBatch, anc_snr, relay_snrs, sample_gains, select_relay
 
 
 def make_config(**kw):
@@ -66,17 +62,17 @@ def test_p_total():
 
 def test_same_seed_same_gains():
     cfg = make_config(num_relays=4)
-    g1 = sample_channels(cfg, np.random.default_rng(123))
-    g2 = sample_channels(cfg, np.random.default_rng(123))
+    g1 = sample_gains(cfg, np.random.default_rng(123), 8)
+    g2 = sample_gains(cfg, np.random.default_rng(123), 8)
     assert np.array_equal(g1.h_s1_r, g2.h_s1_r)
     assert np.array_equal(g1.h_s2_r, g2.h_s2_r)
     assert np.array_equal(g1.h_r_d, g2.h_r_d)
-    assert g1.h_s1_d == g2.h_s1_d and g1.h_s2_d == g2.h_s2_d
+    assert np.array_equal(g1.h_s1_d, g2.h_s1_d) and np.array_equal(g1.h_s2_d, g2.h_s2_d)
 
 
 def test_zero_variance_link_gives_zero_coefficient():
     cfg = make_config(variance_r_d=0.0)
-    g = sample_channels(cfg, np.random.default_rng(0))
+    g = sample_gains(cfg, np.random.default_rng(0), 8)
     assert np.all(g.h_r_d == 0)
     assert np.any(g.h_s1_r != 0)
 
@@ -84,36 +80,29 @@ def test_zero_variance_link_gives_zero_coefficient():
 def test_gain_power_matches_variance():
     # law of large numbers on |h|^2, accumulated independently with fsum
     # rather than through any numpy reduction
-    per_call = 64
-    cfg = make_config(num_relays=per_call, variance_s_r=1.0)
-    rng = np.random.default_rng(2024)
-    calls = 10**6 // per_call
-    total = math.fsum(
-        math.fsum(abs(h) ** 2 for h in sample_channels(cfg, rng).h_s1_r)
-        for _ in range(calls)
-    )
-    assert 0.997 <= total / (calls * per_call) <= 1.003
+    per_row = 64
+    cfg = make_config(num_relays=per_row, variance_s_r=1.0)
+    rows = 10**6 // per_row
+    gains = sample_gains(cfg, np.random.default_rng(2024), rows).h_s1_r
+    total = math.fsum(abs(h) ** 2 for h in gains.ravel().tolist())
+    assert 0.997 <= total / (rows * per_row) <= 1.003
 
 
 # -- per-relay SNR formulas ----------------------------------------------------
 
 
-def rates_for(gamma_s, gamma_r):
-    return RateParams(1.0, 1.0, gamma_s, gamma_r)
-
-
 def test_anc_snr_printed_example():
-    assert anc_relay_snr(1.0, 1.0, rates_for(10.0, 10.0)) == pytest.approx(100.0 / 21.0)
+    assert anc_snr(1.0, 1.0, 10.0, 10.0) == pytest.approx(100.0 / 21.0)
 
 
 def test_anc_snr_zero_gain_kills_path():
-    assert anc_relay_snr(0.0, 5.0, rates_for(10.0, 10.0)) == 0.0
-    assert anc_relay_snr(5.0, 0.0, rates_for(10.0, 10.0)) == 0.0
+    assert anc_snr(0.0, 5.0, 10.0, 10.0) == 0.0
+    assert anc_snr(5.0, 0.0, 10.0, 10.0) == 0.0
 
 
 def test_anc_snr_high_snr_harmonic_mean_limit():
     g = 1e6
-    got = anc_relay_snr(1.0, 1.0, rates_for(g, g))
+    got = anc_snr(1.0, 1.0, g, g)
     harmonic = g * g / (g + g)
     assert abs(got - harmonic) / harmonic < 1e-5
 
@@ -125,7 +114,7 @@ def test_anc_snr_high_snr_harmonic_mean_limit():
     gr=st.floats(1e-3, 1e6),
 )
 def test_anc_snr_bounded_by_either_hop(a, c, gs, gr):
-    snr = anc_relay_snr(a, c, rates_for(gs, gr))
+    snr = anc_snr(a, c, gs, gr)
     assert snr <= min(gs * a, gr * c) + 1e-12
 
 
@@ -136,27 +125,30 @@ def test_anc_snr_bounded_by_either_hop(a, c, gs, gr):
     dc=st.floats(0, 1e3),
 )
 def test_anc_snr_monotone_in_gains(a, da, c, dc):
-    r = rates_for(2.0, 3.0)
-    base = anc_relay_snr(a, c, r)
-    assert anc_relay_snr(a + da, c, r) >= base - 1e-15
-    assert anc_relay_snr(a, c + dc, r) >= base - 1e-15
+    base = anc_snr(a, c, 2.0, 3.0)
+    assert anc_snr(a + da, c, 2.0, 3.0) >= base - 1e-15
+    assert anc_snr(a, c + dc, 2.0, 3.0) >= base - 1e-15
+
+
+def df_snr(gain_sq, gamma_r):
+    # DF per-relay SNR through the kernel: source 1's link, gamma_r = p_relay
+    cfg = make_config(scheme=Scheme.DF_NC, p_source=gamma_r, p_relay=gamma_r)
+    h = np.sqrt(np.asarray(gain_sq, dtype=float))
+    return relay_snrs(cfg, GainBatch(h, h, h, h, h))[0]
 
 
 def test_df_snr_values():
-    assert df_relay_snr(2.0, 5.0) == pytest.approx(10.0)
-    assert df_relay_snr(0.0, 5.0) == 0.0
-    assert df_relay_snr(1.0, 1.0) == 1.0
+    assert df_snr(2.0, 5.0) == pytest.approx(10.0)
+    assert df_snr(0.0, 5.0) == 0.0
+    assert df_snr(1.0, 1.0) == 1.0
 
 
 def test_df_snr_distribution_is_exponential():
     # 1e6 channel draws: |h|^2 * Gamma_R ~ exp with rate 1/(Gamma_R * var)
-    cfg = make_config(p_relay=2.0, p_source=2.0, variance_s_r=0.5)
+    cfg = make_config(scheme=Scheme.DF_NC, p_relay=2.0, p_source=2.0, variance_s_r=0.5)
     gamma_r = compute_rate_params(cfg).gamma_r
-    rng = np.random.default_rng(7)
-    re = rng.standard_normal(10**6)
-    im = rng.standard_normal(10**6)
-    gains = (re * re + im * im) * cfg.variance_s_r / 2.0
-    snr = df_relay_snr(gains, gamma_r)
+    g = sample_gains(cfg, np.random.default_rng(7), 10**6)
+    snr = relay_snrs(cfg, g)[0].ravel()
     rate = 1.0 / (gamma_r * cfg.variance_s_r)
     stat = kstest(snr, lambda x: 1.0 - np.exp(-rate * x)).statistic
     assert stat < 0.002
@@ -207,13 +199,18 @@ def test_bottleneck_rate_doubles_source_side():
 # -- selection ------------------------------------------------------------------
 
 
+def select_best_relay(s1, s2):
+    return select_relay(s1, s2)[0]
+
+
 def test_single_candidate():
     assert select_best_relay([0.0], [0.0]) == 0
 
 
 def test_maxmin_example():
-    # mins are [3, 1] -> argmax 0
+    # mins are [3, 1] -> argmax 0, bottleneck 3
     assert select_best_relay([3.0, 10.0], [5.0, 1.0]) == 0
+    assert select_relay([3.0, 10.0], [5.0, 1.0])[1] == 3.0
 
 
 def test_tie_breaks_low_index():

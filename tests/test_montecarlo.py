@@ -8,7 +8,7 @@ from scipy.stats import kstest
 
 from oracles import direct_only_pair_ml_ser, exact_best_bottleneck_cdf, rayleigh_bpsk_ser
 from marcsim.analytic import BestRelayDistribution, best_cdf
-from marcsim.model import Scheme, SystemConfig, bottleneck_rate, config_at_snr_db, sample_channels
+from marcsim.model import Scheme, SystemConfig, bottleneck_rate, config_at_snr_db
 from marcsim.montecarlo import (
     BATCH_SIZE,
     SerEstimate,
@@ -16,9 +16,9 @@ from marcsim.montecarlo import (
     estimate_ser,
     modulate,
     relay_normalization,
-    run_anc_trial,
-    run_df_trial,
+    run_batch,
     sample_best_snr,
+    sample_gains,
     single_link_ser,
 )
 
@@ -60,34 +60,25 @@ def test_index_out_of_range():
         modulate(-1, 4)
 
 
-# -- single trials ----------------------------------------------------------------
+# -- protocol batches ----------------------------------------------------------------
 
 
 def test_trial_deterministic():
     cfg = anc_config(num_relays=3)
-    gains = sample_channels(cfg, np.random.default_rng(5))
-    t1 = run_anc_trial(cfg, gains, np.random.default_rng(9))
-    t2 = run_anc_trial(cfg, gains, np.random.default_rng(9))
-    assert t1 == t2
-
-
-def test_trial_scheme_mismatch():
-    cfg = anc_config()
-    gains = sample_channels(cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        run_df_trial(cfg, gains, np.random.default_rng(0))
+    gains = sample_gains(cfg, np.random.default_rng(5), 64)
+    t1 = run_batch(cfg, gains, np.random.default_rng(9))
+    t2 = run_batch(cfg, gains, np.random.default_rng(9))
+    for a, b in zip(t1, t2):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_noiseless_detection_is_exact(scheme):
     cfg = anc_config(scheme=scheme, noise_psd=1e-30, num_relays=2)
-    run = run_anc_trial if scheme is Scheme.ANC else run_df_trial
     rng = np.random.default_rng(77)
-    for _ in range(50):
-        gains = sample_channels(cfg, rng)
-        res = run(cfg, gains, rng)
-        assert not res.s1_error and not res.s2_error
-        assert res.selected_relay < cfg.num_relays
+    e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), rng)
+    assert not e1.any() and not e2.any()
+    assert np.all(selected < cfg.num_relays)
 
 
 def test_relay_normalization_value():

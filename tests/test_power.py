@@ -16,7 +16,6 @@ from marcsim.power import (
     make_power_objective,
     make_split_objective,
     numeric_allocation,
-    ser_for_powers,
     ser_power_gradient,
     stationarity_residual,
 )
@@ -117,14 +116,6 @@ def test_multimodal_objective_flagged():
     with pytest.warns(MultimodalObjectiveWarning):
         opt = numeric_allocation(pt, two_wells)
     assert min(abs(opt.p_source - 0.2), abs(opt.p_source - 0.8)) < 1e-6
-
-
-def test_closed_form_objective_switch():
-    v_quad = ser_for_powers(1.0, 1.0, num_relays=2)
-    v_closed = ser_for_powers(1.0, 1.0, num_relays=2, method="closed_form")
-    assert v_quad != v_closed
-    with pytest.raises(ValueError):
-        ser_for_powers(1.0, 1.0, num_relays=2, method="nope")
 
 
 # -- first-order optimality -------------------------------------------------------------
