@@ -7,38 +7,17 @@ Exit codes: 0 success, 1 invalid spec, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .experiment import (
     ExperimentSpec,
     SpecValidationError,
+    parse_field,
     run_experiment,
     spec_from_text,
     validate_spec,
 )
-from .model import Scheme
-
-
-def _parse_snr(raw: str) -> list[float]:
-    """Either a comma list ("0,5,10") or a range "start:stop:step" (inclusive)."""
-    if ":" in raw:
-        start, stop, step = (float(tok) for tok in raw.split(":"))
-        if step <= 0:
-            raise ValueError("snr range step must be positive")
-        out = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-12:
-                break
-            out.append(v)
-            k += 1
-        return out
-    return [float(tok) for tok in raw.split(",") if tok]
-
-
-def _parse_schemes(raw: str) -> list[Scheme]:
-    return [Scheme(tok.strip()) for tok in raw.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,16 +27,17 @@ def build_parser() -> argparse.ArgumentParser:
         "relay channel; writes one CSV plus a metadata sidecar.",
     )
     p.add_argument("--config", help="key=value spec file; flags override it")
+    # each spec flag stores its raw text under the ExperimentSpec field name
     p.add_argument("--figure", help="fig2 | fig3 | fig4 | fig5 | custom")
-    p.add_argument("--scheme", help="comma list: anc,df")
-    p.add_argument("--relays", help="comma list of relay counts, e.g. 1,2,5,10")
-    p.add_argument("--snr", help='comma list in dB, or "start:stop:step"')
-    p.add_argument("--mod", help="comma list of PSK orders, e.g. 2,8")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--gamma-th", type=float, dest="gamma_th", help="outage threshold")
-    p.add_argument("--ptotal", type=float, help="fixed total power budget (replaces the SNR sweep)")
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--scheme", dest="schemes", help="comma list: anc,df")
+    p.add_argument("--relays", dest="relay_counts", help="comma list of relay counts, e.g. 1,2,5,10")
+    p.add_argument("--snr", dest="snr_points_db", help='comma list in dB, or "start:stop:step"')
+    p.add_argument("--mod", dest="mod_orders", help="comma list of PSK orders, e.g. 2,8")
+    p.add_argument("--trials", help="Monte Carlo trials per cell")
+    p.add_argument("--seed", help="master seed")
+    p.add_argument("--gamma-th", dest="gamma_th", help="outage threshold")
+    p.add_argument("--ptotal", dest="p_total", help="fixed total power budget (replaces the SNR sweep)")
+    p.add_argument("--out", dest="output_path", help="output CSV path")
     p.add_argument("--workers", type=int, default=1, help="parallel cell workers")
     return p
 
@@ -68,26 +48,10 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             spec = spec_from_text(fh.read())
     else:
         spec = ExperimentSpec()
-    if args.figure is not None:
-        spec.figure = args.figure
-    if args.scheme is not None:
-        spec.schemes = _parse_schemes(args.scheme)
-    if args.relays is not None:
-        spec.relay_counts = [int(tok) for tok in args.relays.split(",") if tok]
-    if args.snr is not None:
-        spec.snr_points_db = _parse_snr(args.snr)
-    if args.mod is not None:
-        spec.mod_orders = [int(tok) for tok in args.mod.split(",") if tok]
-    if args.trials is not None:
-        spec.trials = args.trials
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.gamma_th is not None:
-        spec.gamma_th = args.gamma_th
-    if args.ptotal is not None:
-        spec.p_total = args.ptotal
-    if args.out is not None:
-        spec.output_path = args.out
+    for field in dataclasses.fields(ExperimentSpec):
+        raw = getattr(args, field.name)
+        if raw is not None:
+            setattr(spec, field.name, parse_field(field.name, raw))
     return spec
 
 

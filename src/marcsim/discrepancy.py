@@ -11,6 +11,7 @@ truth instead of silently substituting it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -21,11 +22,7 @@ from .analytic import (
     ser_closed_form,
     ser_quadrature,
 )
-from .power import (
-    closed_form_source_power,
-    make_split_objective,
-    numeric_allocation,
-)
+from .power import closed_form_source_power, numeric_allocation, ser_for_powers
 from .model import Scheme
 
 __all__ = [
@@ -100,7 +97,7 @@ def allocation_discrepancy(
 ) -> DiscrepancyRecord:
     """Cube-root allocation formula vs the golden-section numeric optimum."""
     raw = closed_form_source_power(p_total, b)
-    objective = make_split_objective(num_relays=num_relays, scheme=Scheme.ANC)
+    objective = functools.partial(ser_for_powers, num_relays=num_relays, scheme=Scheme.ANC)
     opt = numeric_allocation(p_total, objective)
     feasible = 0.0 < raw < p_total / 2.0
     note = f"p_total={p_total}, b={b}; formula feasible: {feasible}"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -34,15 +35,9 @@ from .analytic import (
     ser_closed_form,
     ser_quadrature,
 )
-from .model import (
-    Scheme,
-    SystemConfig,
-    bottleneck_rate,
-    compute_rate_params,
-    config_at_snr_db,
-)
+from .model import Scheme, SystemConfig, bottleneck_rate, compute_rate_params
 from .montecarlo import estimate_outage, estimate_ser
-from .power import PowerSplit, make_split_objective, numeric_allocation
+from .power import PowerSplit, numeric_allocation, ser_for_powers
 
 __all__ = [
     "CSV_HEADER",
@@ -52,6 +47,7 @@ __all__ = [
     "validate_spec",
     "spec_to_text",
     "spec_from_text",
+    "parse_field",
     "run_experiment",
 ]
 
@@ -163,7 +159,7 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         errors.append("relay_counts: must be nonempty")
     else:
         for n in s.relay_counts:
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 errors.append(f"relay_counts: entries must be integers >= 1, got {n!r}")
                 break
     if not s.mod_orders:
@@ -210,34 +206,57 @@ def spec_to_text(spec: ExperimentSpec) -> str:
 
 
 def _parse_list(raw: str, parse):
-    return [parse(tok) for tok in raw.split(",") if tok != ""]
+    return [parse(tok.strip()) for tok in raw.split(",") if tok.strip()]
+
+
+def _parse_snr(raw: str) -> list[float]:
+    """Either a comma list ("0,5,10") or a range "start:stop:step" (inclusive)."""
+    if ":" not in raw:
+        return _parse_list(raw, float)
+    start, stop, step = (float(tok) for tok in raw.split(":"))
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step) and step > 0):
+        raise ValueError(f"range {raw!r} needs finite bounds and a positive step")
+    out = []
+    while (v := start + len(out) * step) <= stop + 1e-12:
+        out.append(v)
+    return out
+
+
+_PARSERS = {
+    "figure": str,
+    "snr_points_db": _parse_snr,
+    "relay_counts": lambda r: _parse_list(r, int),
+    "trials": int,
+    "seed": int,
+    "schemes": lambda r: _parse_list(r, Scheme),
+    "mod_orders": lambda r: _parse_list(r, int),
+    "gamma_th": float,
+    "p_total": float,
+    "output_path": str,
+}
+
+
+def parse_field(key: str, raw: str):
+    """Value of spec field ``key`` from its text form; a malformed value
+    raises a ValueError that names the field."""
+    try:
+        return _PARSERS[key](raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def spec_from_text(text: str) -> ExperimentSpec:
     spec = ExperimentSpec()
-    parsers = {
-        "figure": str,
-        "snr_points_db": lambda r: _parse_list(r, float),
-        "relay_counts": lambda r: _parse_list(r, int),
-        "trials": int,
-        "seed": int,
-        "schemes": lambda r: _parse_list(r, Scheme),
-        "mod_orders": lambda r: _parse_list(r, int),
-        "gamma_th": float,
-        "p_total": float,
-        "output_path": str,
-    }
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in parsers:
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if key not in _PARSERS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        setattr(spec, key, parsers[key](raw.strip()) if raw.strip() else None)
+        setattr(spec, key, parse_field(key, raw) if raw else None)
     if spec.figure is None:
         spec.figure = "custom"
     return spec
@@ -286,10 +305,12 @@ def _fmt(v) -> str:
 
 
 def _cell_powers(spec: ExperimentSpec, cell: _Cell) -> PowerSplit:
-    p_total = 10.0 ** (cell.snr_db / 10.0)
+    """The cell's operating point: a fixed budget is taken as given, not
+    through its dB value."""
+    p_total = spec.p_total if spec.p_total is not None else 10.0 ** (cell.snr_db / 10.0)
     if cell.alloc == "optimized":
-        objective = make_split_objective(
-            num_relays=cell.num_relays, mod_order=cell.mod_order, scheme=cell.scheme
+        objective = functools.partial(
+            ser_for_powers, num_relays=cell.num_relays, mod_order=cell.mod_order, scheme=cell.scheme
         )
         return numeric_allocation(p_total, objective)
     return PowerSplit.equal(p_total)
@@ -316,7 +337,7 @@ def _compute_cell(args) -> tuple[str, str]:
         flags.append(f"alloc={cell.alloc}")
 
     if cell.kind in ("ser", "both", "power"):
-        est_s1, _ = estimate_ser(config, cell.snr_db, spec.trials, seed_ser)
+        est_s1, _ = estimate_ser(config, spec.trials, seed_ser)
         ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
         ser_quad = ser_quadrature(dist, rates.eta_direct, params)
         try:
@@ -329,8 +350,8 @@ def _compute_cell(args) -> tuple[str, str]:
         if cell.scheme is Scheme.DF_NC:
             flags.append("relay_mai")
     if cell.kind in ("outage", "both"):
-        outage_mc = estimate_outage(config, cell.snr_db, spec.gamma_th, spec.trials, seed_out)
-        bn = BestRelayDistribution(cell.num_relays, bottleneck_rate(config_at_snr_db(config, cell.snr_db)))
+        outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out)
+        bn = BestRelayDistribution(cell.num_relays, bottleneck_rate(config))
         outage_an = best_cdf(bn, spec.gamma_th)
         if cell.scheme is Scheme.ANC:
             flags.append("outage_exp_approx")

@@ -1,5 +1,5 @@
-"""Scenario configuration, exponential SNR rates and power-axis mapping for a
-two-source multiple-access relay channel (MARC).
+"""Scenario configuration and exponential SNR rates for a two-source
+multiple-access relay channel (MARC).
 
 Two sources transmit simultaneously to N relays and one destination; a single
 relay is selected (max-min of the two per-source SNRs) to forward in the
@@ -19,11 +19,7 @@ __all__ = [
     "RateParams",
     "compute_rate_params",
     "bottleneck_rate",
-    "config_at_total_power",
-    "config_at_snr_db",
 ]
-
-_REL_TOL = 1e-9
 
 
 class Scheme(enum.Enum):
@@ -42,8 +38,8 @@ def _require_positive(name: str, value) -> None:
 class SystemConfig:
     """All scenario parameters for one run.
 
-    Powers are linear watts.  ``kappa`` ties per-source power to relay power
-    (p_source = kappa * p_relay); pass None to derive it from the powers.
+    Powers are linear watts; (p_source, p_relay) is the operating point that
+    every analytic and simulated quantity of the scenario is computed at.
     Channel variances may be zero to model an absent link.
     """
 
@@ -51,7 +47,6 @@ class SystemConfig:
     p_source: float
     p_relay: float
     noise_psd: float = 1.0
-    kappa: float | None = None
     mod_order: int = 2
     scheme: Scheme = Scheme.ANC
     variance_s_r: float = 1.0
@@ -73,20 +68,6 @@ class SystemConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", self.p_source / self.p_relay)
-        else:
-            _require_positive("kappa", self.kappa)
-            if abs(self.p_source - self.kappa * self.p_relay) > _REL_TOL * self.p_source:
-                raise ValueError(
-                    "inconsistent kappa: p_source=%r != kappa*p_relay=%r"
-                    % (self.p_source, self.kappa * self.p_relay)
-                )
-
-    @property
-    def p_total(self) -> float:
-        """Total budget 2*p_source + p_relay."""
-        return 2.0 * self.p_source + self.p_relay
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,7 +90,7 @@ class RateParams:
 
 
 def _gammas(config: SystemConfig) -> tuple[float, float]:
-    gamma_s = config.p_source / (config.noise_psd * (1.0 + config.kappa))
+    gamma_s = config.p_source / (config.noise_psd * (1.0 + config.p_source / config.p_relay))
     gamma_r = config.p_relay / config.noise_psd
     return gamma_s, gamma_r
 
@@ -146,21 +127,3 @@ def bottleneck_rate(config: SystemConfig) -> float:
     """
     source_side, relay_side = _hop_rates(config)
     return 2.0 * source_side + relay_side
-
-
-def config_at_total_power(config: SystemConfig, p_total: float) -> SystemConfig:
-    """Same scenario with the power budget re-split under the config's kappa.
-
-    2*p_source + p_relay = p_total with p_source = kappa * p_relay; the
-    default kappa = 1 gives the equal split p_source = p_relay = p_total/3.
-    """
-    _require_positive("p_total", p_total)
-    p_relay = p_total / (2.0 * config.kappa + 1.0)
-    p_source = config.kappa * p_relay
-    return dataclasses.replace(config, p_source=p_source, p_relay=p_relay)
-
-
-def config_at_snr_db(config: SystemConfig, snr_db: float) -> SystemConfig:
-    """Powers from an SNR axis value, read as total power over noise in dB."""
-    p_total = config.noise_psd * 10.0 ** (snr_db / 10.0)
-    return config_at_total_power(config, p_total)

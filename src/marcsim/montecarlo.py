@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import Scheme, SystemConfig, _gammas, config_at_snr_db
+from .model import Scheme, SystemConfig, _gammas
 
 __all__ = [
     "BATCH_SIZE",
@@ -224,25 +224,22 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
 
 def estimate_ser(
     config: SystemConfig,
-    snr_db: float,
     trials: int,
     seed: int,
     max_errors: int | None = MAX_ERRORS,
     min_trials: int = MIN_TRIALS,
 ) -> tuple[SerEstimate, SerEstimate]:
-    """Per-source SER at one SNR point (total power over noise, dB).
+    """Per-source SER at the config's powers.
 
-    The budget 10^(snr_db/10) * noise_psd is split under the config's kappa.
     With ``max_errors`` set, the trial loop stops at the first batch boundary
     where both sources have accumulated that many errors (and at least
     ``min_trials`` trials ran); pass None to force the full trial count.
     """
     batches = _batches(seed, trials)
-    cfg = config_at_snr_db(config, snr_db)
     err1 = err2 = done = 0
     for rng, size in batches:
-        gb = sample_gains(cfg, rng, size)
-        e1, e2, _, _ = run_batch(cfg, gb, rng)
+        gb = sample_gains(config, rng, size)
+        e1, e2, _, _ = run_batch(config, gb, rng)
         err1 += int(e1.sum())
         err2 += int(e2.sum())
         done += size
@@ -264,15 +261,11 @@ def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     return out
 
 
-def estimate_outage(
-    config: SystemConfig, snr_db: float, gamma_th: float, trials: int, seed: int
-) -> float:
+def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:
     """Fraction of fading draws whose selected-relay SNR falls below gamma_th."""
     if gamma_th < 0:
         raise ValueError("gamma_th must be nonnegative")
-    cfg = config_at_snr_db(config, snr_db)
-    best = sample_best_snr(cfg, trials, seed)
-    return float(np.mean(best < gamma_th))
+    return float(np.mean(sample_best_snr(config, trials, seed) < gamma_th))
 
 
 def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2) -> SerEstimate:

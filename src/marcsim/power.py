@@ -27,8 +27,6 @@ __all__ = [
     "closed_form_allocation",
     "numeric_allocation",
     "ser_for_powers",
-    "make_split_objective",
-    "make_power_objective",
     "ser_power_gradient",
     "stationarity_residual",
 ]
@@ -122,47 +120,18 @@ def ser_for_powers(
     p_source: float,
     p_relay: float,
     num_relays: int,
-    noise_psd: float = 1.0,
     mod_order: int = 2,
     scheme: Scheme = Scheme.ANC,
-    variance_s_r: float = 1.0,
-    variance_r_d: float = 1.0,
-    variance_s_d: float = 1.0,
 ) -> float:
-    """Quadrature SER of the configured scenario at an arbitrary
-    (p_source, p_relay) pair; the rate structure is recomputed per candidate
-    since it depends on both powers."""
-    cfg = SystemConfig(
-        num_relays=num_relays,
-        p_source=p_source,
-        p_relay=p_relay,
-        noise_psd=noise_psd,
-        mod_order=mod_order,
-        scheme=scheme,
-        variance_s_r=variance_s_r,
-        variance_r_d=variance_r_d,
-        variance_s_d=variance_s_d,
-    )
+    """Quadrature SER of the scenario at an arbitrary (p_source, p_relay)
+    pair; the rate structure is recomputed per candidate since it depends on
+    both powers.  Bind the scenario with functools.partial to get an
+    allocation objective."""
+    cfg = SystemConfig(num_relays, p_source, p_relay, mod_order=mod_order, scheme=scheme)
     rates = compute_rate_params(cfg)
     dist = BestRelayDistribution(num_relays, rates.eta_relay_path)
     params = SerParams.from_rates(mod_order, rates.eta_relay_path, rates.eta_direct)
     return ser_quadrature(dist, rates.eta_direct, params)
-
-
-def make_power_objective(**scenario) -> Callable[[float, float], float]:
-    """SER as a function of raw (p_source, p_relay); keyword arguments are
-    forwarded to ser_for_powers."""
-
-    def objective(p_source: float, p_relay: float) -> float:
-        return ser_for_powers(p_source, p_relay, **scenario)
-
-    return objective
-
-
-def make_split_objective(**scenario) -> Callable[[PowerSplit], float]:
-    """SER as a function of a PowerSplit; see make_power_objective."""
-    f = make_power_objective(**scenario)
-    return lambda split: f(split.p_source, split.p_relay)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -184,12 +153,13 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 def numeric_allocation(
     p_total: float,
-    objective: Callable[[PowerSplit], float],
+    objective: Callable[[float, float], float],
     grid_points: int = 64,
     tol_rel: float = 1e-8,
 ) -> PowerSplit:
-    """Minimize ``objective`` over feasible splits: 64-point grid pre-scan to
-    locate the basin, then golden-section refinement to tol_rel * p_total.
+    """Minimize ``objective(p_source, p_relay)`` over feasible splits: 64-point
+    grid pre-scan to locate the basin, then golden-section refinement to
+    tol_rel * p_total.
 
     Separated grid minima within 1e-12 of the best trigger a
     MultimodalObjectiveWarning and the global grid winner's basin is used.
@@ -197,8 +167,9 @@ def numeric_allocation(
     if p_total <= 0:
         raise ValueError("p_total must be positive")
     eps = 1e-6 * p_total
+    f = lambda ps: objective(ps, p_total - 2.0 * ps)
     grid = np.linspace(eps, p_total / 2.0 - eps, grid_points)
-    values = np.array([objective(PowerSplit.from_source(ps, p_total)) for ps in grid])
+    values = np.array([f(ps) for ps in grid])
     best = int(np.argmin(values))
 
     interior = np.arange(1, grid_points - 1)
@@ -214,7 +185,6 @@ def numeric_allocation(
 
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, grid_points - 1)])
-    f = lambda ps: objective(PowerSplit.from_source(ps, p_total))
     p_source = _golden_section(f, lo, hi, tol_rel * p_total)
     return PowerSplit.from_source(float(p_source), p_total)
 

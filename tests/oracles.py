@@ -4,12 +4,21 @@ Everything here is derived from first principles (exact distributions,
 brute-force detectors) and never calls the code paths it is used to check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.special import k1
 
 from marcsim.model import SystemConfig, Scheme, _gammas
+from marcsim.power import PowerSplit
+
+
+def config_at_snr_db(config: SystemConfig, snr_db: float) -> SystemConfig:
+    """``config`` at the equal split of the budget noise_psd * 10^(snr_db/10),
+    the operating point that an SNR-axis value stands for."""
+    split = PowerSplit.equal(config.noise_psd * 10.0 ** (snr_db / 10.0))
+    return dataclasses.replace(config, p_source=split.p_source, p_relay=split.p_relay)
 
 
 def af_path_survival(x, rate_first_hop, rate_second_hop):

@@ -17,6 +17,7 @@ machinery against exact references):
   everywhere (criterion 7a).
 """
 
+import functools
 import math
 import time
 
@@ -27,6 +28,7 @@ from scipy.stats import kstest
 
 from oracles import (
     brute_force_allocation,
+    config_at_snr_db,
     exact_best_bottleneck_cdf,
     rayleigh_bpsk_ser,
 )
@@ -47,14 +49,12 @@ from marcsim.model import (
     SystemConfig,
     bottleneck_rate,
     compute_rate_params,
-    config_at_snr_db,
 )
 from marcsim.montecarlo import estimate_ser, sample_best_snr, single_link_ser
 from marcsim.power import (
     PowerSplit,
-    make_power_objective,
-    make_split_objective,
     numeric_allocation,
+    ser_for_powers,
     ser_power_gradient,
     stationarity_residual,
 )
@@ -180,7 +180,9 @@ def test_criterion_5_ser_decreasing_in_relay_count():
     for m in (2, 8):
         for snr_db in (5.0, 10.0):
             ests = [
-                estimate_ser(base_config(Scheme.ANC, n, m), snr_db, 300_000, seed=500 + n)[0]
+                estimate_ser(
+                    config_at_snr_db(base_config(Scheme.ANC, n, m), snr_db), 300_000, seed=500 + n
+                )[0]
                 for n in range(1, 6)
             ]
             for a, b in zip(ests, ests[1:]):
@@ -217,12 +219,10 @@ def test_criterion_6b_monte_carlo_scheme_ordering():
     rows = []
     holds = True
     for n, snr_db in C6_GRID:
-        anc, _ = estimate_ser(
-            base_config(Scheme.ANC, n), snr_db, trials, seed=600 + n, max_errors=None
-        )
-        df, _ = estimate_ser(
-            base_config(Scheme.DF_NC, n), snr_db, trials, seed=650 + n, max_errors=None
-        )
+        anc_cfg = config_at_snr_db(base_config(Scheme.ANC, n), snr_db)
+        df_cfg = config_at_snr_db(base_config(Scheme.DF_NC, n), snr_db)
+        anc, _ = estimate_ser(anc_cfg, trials, seed=600 + n, max_errors=None)
+        df, _ = estimate_ser(df_cfg, trials, seed=650 + n, max_errors=None)
         rows.append((n, snr_db, anc.ser, df.ser, df.ser < anc.ser))
         holds = holds and df.ser < anc.ser
     table = "\n".join(
@@ -343,13 +343,13 @@ def test_criterion_8_power_allocation():
     worst_resid = 0.0
     ratios = []
     for n in (1, 2, 3, 4):
-        split_obj = make_split_objective(num_relays=n, scheme=Scheme.ANC)
-        power_obj = make_power_objective(num_relays=n, scheme=Scheme.ANC)
+        power_obj = functools.partial(ser_for_powers, num_relays=n, scheme=Scheme.ANC)
         for snr in snrs:
             p_total = 10.0 ** (snr / 10.0)
-            opt = numeric_allocation(p_total, split_obj)
-            v_opt = split_obj(opt)
-            v_eq = split_obj(PowerSplit.equal(p_total))
+            opt = numeric_allocation(p_total, power_obj)
+            v_opt = power_obj(opt.p_source, opt.p_relay)
+            eq = PowerSplit.equal(p_total)
+            v_eq = power_obj(eq.p_source, eq.p_relay)
             assert v_opt <= v_eq
             improvements.append(v_opt < v_eq)
             g_s, g_r = ser_power_gradient(opt, power_obj)
@@ -360,8 +360,8 @@ def test_criterion_8_power_allocation():
 
     grid_ok = True
     for n in (1, 2, 3, 4):
-        split_obj = make_split_objective(num_relays=n, scheme=Scheme.ANC)
-        opt = numeric_allocation(10.0, split_obj)
+        power_obj = functools.partial(ser_for_powers, num_relays=n, scheme=Scheme.ANC)
+        opt = numeric_allocation(10.0, power_obj)
         ref, cell = brute_force_allocation(10.0, num_relays=n, grid_points=10_000)
         grid_ok = grid_ok and abs(opt.p_source - ref) <= cell
 

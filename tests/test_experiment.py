@@ -15,7 +15,8 @@ from marcsim.experiment import (
     validate_spec,
 )
 from marcsim.cli import main
-from marcsim.model import Scheme
+from marcsim.model import Scheme, SystemConfig, bottleneck_rate
+from marcsim.power import PowerSplit
 
 
 def small_spec(tmp_path, **kw):
@@ -63,6 +64,8 @@ def test_bool_counts_rejected():
     res = validate_spec(ExperimentSpec(trials=True, seed=False))
     joined = " ".join(res.errors)
     assert "trials" in joined and "seed" in joined
+    res = validate_spec(ExperimentSpec(relay_counts=[True]))
+    assert any("relay_counts" in e for e in res.errors)
 
 
 def test_huge_trials_warn_but_valid():
@@ -302,14 +305,56 @@ def test_cli_success(tmp_path, capsys):
         (["--snr", "0,nan"], "snr_points_db"),
         (["--ptotal", "nan"], "p_total"),
         (["--ptotal", "inf"], "p_total"),
+        (["--relays", "abc"], "relay_counts"),
+        (["--trials", "abc"], "trials"),
+        (["--trials", "1.5"], "trials"),
+        (["--seed", "-"], "seed"),
+        (["--gamma-th", "x"], "gamma_th"),
+        (["--ptotal", "zz"], "p_total"),
     ],
-    ids=["relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf"],
+    ids=[
+        "relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf",
+        "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x", "ptotal-zz",
+    ],
 )
 def test_cli_validation_failure(tmp_path, capsys, flags, field):
     base = ["--figure", "custom", "--scheme", "df", "--relays", "1", "--snr", "10", "--trials", "1000"]
     code = main([*base, *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+def csv_rows(path):
+    return [r.split(",") for r in open(path).read().splitlines()[1:]]
+
+
+def test_cli_ptotal_is_the_budget(tmp_path):
+    # 5 does not survive the round trip through dB: 10 ** (10 * log10(5) / 10) != 5
+    out = str(tmp_path / "pt.csv")
+    code = main(
+        ["--figure", "custom", "--scheme", "df", "--relays", "1", "--ptotal", "5",
+         "--trials", "1000", "--out", out]
+    )
+    assert code == 0
+    ((*_, p_s, p_r, _flags),) = csv_rows(out)
+    split = PowerSplit.equal(5.0)
+    assert (float(p_s), float(p_r)) == (split.p_source, split.p_relay)
+
+
+def test_outage_analytic_at_the_row_powers(tmp_path):
+    out = str(tmp_path / "fig4.csv")
+    code = main(
+        ["--figure", "fig4", "--scheme", "anc", "--relays", "1,2", "--snr", "10,25",
+         "--trials", "2000", "--out", out]
+    )
+    assert code == 0
+    rows = csv_rows(out)
+    assert len(rows) == 4
+    for cols in rows:
+        n, p_s, p_r = int(cols[2]), float(cols[10]), float(cols[11])
+        config = SystemConfig(n, p_s, p_r, scheme=Scheme.ANC)
+        expected = best_cdf(BestRelayDistribution(n, bottleneck_rate(config)), 1.0)
+        assert float(cols[9]) == expected
 
 
 def test_cli_unknown_figure(tmp_path, capsys):

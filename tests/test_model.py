@@ -11,9 +11,8 @@ from marcsim.model import (
     SystemConfig,
     bottleneck_rate,
     compute_rate_params,
-    config_at_snr_db,
-    config_at_total_power,
 )
+from marcsim.experiment import ExperimentSpec, _Cell, _cell_powers
 from marcsim.montecarlo import GainBatch, anc_snr, relay_snrs, sample_gains, select_relay
 
 
@@ -26,14 +25,10 @@ def make_config(**kw):
 # -- configuration invariants -------------------------------------------------
 
 
-def test_kappa_derived_from_powers():
+def test_gammas_from_power_ratio():
+    # the source/relay power ratio is read off the two powers
     cfg = make_config(p_source=2.0, p_relay=4.0)
-    assert cfg.kappa == pytest.approx(0.5)
-
-
-def test_kappa_consistency_enforced():
-    with pytest.raises(ValueError, match="kappa"):
-        make_config(p_source=2.0, p_relay=4.0, kappa=1.0)
+    assert compute_rate_params(cfg).gamma_s == pytest.approx(2.0 / 1.5)
 
 
 @pytest.mark.parametrize(
@@ -51,10 +46,6 @@ def test_kappa_consistency_enforced():
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ValueError):
         make_config(**kw)
-
-
-def test_p_total():
-    assert make_config(p_source=1.0, p_relay=2.0).p_total == pytest.approx(4.0)
 
 
 # -- channel sampling --------------------------------------------------------
@@ -251,18 +242,16 @@ def test_selection_invariant_under_increasing_transform(snrs, scale, shift):
 
 
 def test_equal_split_at_unit_kappa():
-    cfg = config_at_total_power(make_config(), 9.0)
-    assert cfg.p_source == pytest.approx(3.0)
-    assert cfg.p_relay == pytest.approx(3.0)
-    assert cfg.p_total == pytest.approx(9.0)
+    # a fixed budget is split equally: p_source / p_relay == 1
+    cell = _Cell(Scheme.ANC, 2, 2, 10.0 * math.log10(9.0), "", "ser")
+    split = _cell_powers(ExperimentSpec(p_total=9.0), cell)
+    assert split.p_source == pytest.approx(3.0)
+    assert split.p_relay == pytest.approx(3.0)
+    assert 2 * split.p_source + split.p_relay == pytest.approx(9.0)
 
 
 def test_snr_axis_mapping():
-    cfg = config_at_snr_db(make_config(), 10.0)
-    assert cfg.p_total == pytest.approx(10.0)
-
-
-def test_split_respects_kappa():
-    cfg = config_at_total_power(make_config(p_source=2.0, p_relay=1.0), 10.0)
-    assert cfg.p_source / cfg.p_relay == pytest.approx(2.0)
-    assert cfg.p_total == pytest.approx(10.0)
+    cell = _Cell(Scheme.ANC, 2, 2, 10.0, "", "ser")
+    split = _cell_powers(ExperimentSpec(), cell)
+    assert 2 * split.p_source + split.p_relay == pytest.approx(10.0)
+    assert split.p_source == pytest.approx(split.p_relay)

@@ -6,9 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from oracles import direct_only_pair_ml_ser, exact_best_bottleneck_cdf, rayleigh_bpsk_ser
+from oracles import (
+    config_at_snr_db,
+    direct_only_pair_ml_ser,
+    exact_best_bottleneck_cdf,
+    rayleigh_bpsk_ser,
+)
 from marcsim.analytic import BestRelayDistribution, best_cdf
-from marcsim.model import Scheme, SystemConfig, bottleneck_rate, config_at_snr_db
+from marcsim.model import Scheme, SystemConfig, bottleneck_rate
 from marcsim.montecarlo import (
     BATCH_SIZE,
     SerEstimate,
@@ -90,35 +95,35 @@ def test_relay_normalization_value():
 
 
 def test_estimate_deterministic():
-    cfg = anc_config()
-    a = estimate_ser(cfg, 8.0, 30_000, seed=3)
-    b = estimate_ser(cfg, 8.0, 30_000, seed=3)
+    cfg = config_at_snr_db(anc_config(), 8.0)
+    a = estimate_ser(cfg, 30_000, seed=3)
+    b = estimate_ser(cfg, 30_000, seed=3)
     assert a == b
 
 
 def test_single_noiseless_trial():
-    cfg = anc_config(noise_psd=1e-30)
-    est1, est2 = estimate_ser(cfg, 10.0, 1, seed=1)
+    cfg = config_at_snr_db(anc_config(noise_psd=1e-30), 10.0)
+    est1, est2 = estimate_ser(cfg, 1, seed=1)
     assert est1.ser == 0.0 and est2.ser == 0.0
     assert est1.trials == 1
 
 
 def test_estimate_rejects_zero_trials():
     with pytest.raises(ValueError):
-        estimate_ser(anc_config(), 10.0, 0, seed=1)
+        estimate_ser(anc_config(), 0, seed=1)
 
 
 def test_early_exit_stops_at_batch_boundary():
-    cfg = anc_config()
-    est1, _ = estimate_ser(cfg, 0.0, 10 * BATCH_SIZE, seed=2, max_errors=50)
+    cfg = config_at_snr_db(anc_config(), 0.0)
+    est1, _ = estimate_ser(cfg, 10 * BATCH_SIZE, seed=2, max_errors=50)
     assert est1.trials == BATCH_SIZE  # plenty of errors at 0 dB
-    full1, _ = estimate_ser(cfg, 0.0, 2 * BATCH_SIZE, seed=2, max_errors=None)
+    full1, _ = estimate_ser(cfg, 2 * BATCH_SIZE, seed=2, max_errors=None)
     assert full1.trials == 2 * BATCH_SIZE
 
 
 def test_per_source_symmetry():
-    cfg = anc_config(num_relays=2)
-    est1, est2 = estimate_ser(cfg, 8.0, 200_000, seed=11, max_errors=None)
+    cfg = config_at_snr_db(anc_config(num_relays=2), 8.0)
+    est1, est2 = estimate_ser(cfg, 200_000, seed=11, max_errors=None)
     pooled = (est1.errors + est2.errors) / (est1.trials + est2.trials)
     se = math.sqrt(2 * pooled * (1 - pooled) / est1.trials)
     assert abs(est1.ser - est2.ser) < 4 * se
@@ -135,10 +140,9 @@ def test_relay_power_off_reduces_to_direct_only():
     # with the relay silenced the two-observation detector collapses to the
     # slot-1 joint ML baseline
     p_total = 4.0
-    cfg = anc_config(p_source=1.0, p_relay=1e-30 / 2)
-    snr_db = 10 * math.log10(p_total)
+    cfg = anc_config(p_source=p_total / 2, p_relay=1e-30)
     trials = 150_000
-    est1, _ = estimate_ser(cfg, snr_db, trials, seed=21, max_errors=None)
+    est1, _ = estimate_ser(cfg, trials, seed=21, max_errors=None)
     ref = direct_only_pair_ml_ser(p_total / 2, trials, seed=22)
     se = math.sqrt(2 * ref * (1 - ref) / trials)
     assert abs(est1.ser - ref) < 4 * se
@@ -146,10 +150,9 @@ def test_relay_power_off_reduces_to_direct_only():
 
 def test_dead_relay_destination_link_reduces_to_direct_only():
     p_total = 4.0
-    cfg = df_config(variance_r_d=0.0, num_relays=3)
-    snr_db = 10 * math.log10(p_total)
+    cfg = config_at_snr_db(df_config(variance_r_d=0.0, num_relays=3), 10 * math.log10(p_total))
     trials = 150_000
-    est1, _ = estimate_ser(cfg, snr_db, trials, seed=31, max_errors=None)
+    est1, _ = estimate_ser(cfg, trials, seed=31, max_errors=None)
     ref = direct_only_pair_ml_ser(p_total / 3, trials, seed=32)
     se = math.sqrt(2 * ref * (1 - ref) / trials)
     assert abs(est1.ser - ref) < 4 * se
@@ -159,19 +162,19 @@ def test_dead_relay_destination_link_reduces_to_direct_only():
 
 
 def test_outage_zero_threshold():
-    assert estimate_outage(df_config(), 10.0, 0.0, 20_000, seed=4) == 0.0
+    assert estimate_outage(config_at_snr_db(df_config(), 10.0), 0.0, 20_000, seed=4) == 0.0
 
 
 def test_outage_rejects_negative_threshold():
     with pytest.raises(ValueError):
-        estimate_outage(df_config(), 10.0, -1.0, 100, seed=4)
+        estimate_outage(df_config(), -1.0, 100, seed=4)
 
 
 def test_df_outage_matches_order_statistics():
-    cfg = df_config(num_relays=2)
+    cfg = config_at_snr_db(df_config(num_relays=2), 10.0)
     trials = 200_000
-    p = estimate_outage(cfg, 10.0, 1.0, trials, seed=8)
-    dist = BestRelayDistribution(2, bottleneck_rate(config_at_snr_db(cfg, 10.0)))
+    p = estimate_outage(cfg, 1.0, trials, seed=8)
+    dist = BestRelayDistribution(2, bottleneck_rate(cfg))
     ref = best_cdf(dist, 1.0)
     se = math.sqrt(ref * (1 - ref) / trials)
     assert abs(p - ref) < 3 * se
@@ -208,19 +211,18 @@ def test_anc_selection_snr_exponential_surrogate_gap_is_scale_invariant():
 
 
 def test_outage_limits():
-    cfg = df_config()
-    assert estimate_outage(cfg, 10.0, 1e9, 20_000, seed=4) == 1.0
-    cfg_anc = anc_config()
-    assert estimate_outage(cfg_anc, 10.0, 1e9, 20_000, seed=4) == 1.0
-    assert estimate_outage(cfg_anc, 10.0, 0.0, 20_000, seed=4) == 0.0
+    cfg = config_at_snr_db(df_config(), 10.0)
+    assert estimate_outage(cfg, 1e9, 20_000, seed=4) == 1.0
+    cfg_anc = config_at_snr_db(anc_config(), 10.0)
+    assert estimate_outage(cfg_anc, 1e9, 20_000, seed=4) == 1.0
+    assert estimate_outage(cfg_anc, 0.0, 20_000, seed=4) == 0.0
 
 
 def test_ser_monotone_in_snr():
     # nonincreasing across the sweep, allowing one-standard-error violations
-    cfg = anc_config()
     prev = None
     for snr_db in (2.0, 6.0, 10.0, 14.0):
-        est, _ = estimate_ser(cfg, snr_db, 60_000, seed=19, max_errors=None)
+        est, _ = estimate_ser(config_at_snr_db(anc_config(), snr_db), 60_000, seed=19, max_errors=None)
         se = math.sqrt(max(est.ser * (1 - est.ser), 1e-12) / est.trials)
         if prev is not None:
             assert est.ser <= prev + se
