@@ -17,9 +17,7 @@ from scipy.integrate import quad
 
 __all__ = [
     "BestRelayDistribution",
-    "SerParams",
     "QuadratureConvergenceError",
-    "UnsupportedModulationError",
     "mpsk_g",
     "best_cdf",
     "best_cdf_series",
@@ -29,7 +27,6 @@ __all__ = [
     "integral_I",
     "ser_quadrature",
     "ser_closed_form",
-    "outage_series",
 ]
 
 # Alternating binomial sums are numerically meaningless past this order;
@@ -46,10 +43,6 @@ class QuadratureConvergenceError(RuntimeError):
         super().__init__(
             f"quadrature reached absolute error {achieved:.3e}, requested {requested:.3e}"
         )
-
-
-class UnsupportedModulationError(ValueError):
-    """The additive closed form is defined for BPSK only; use ser_quadrature."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,28 +64,6 @@ def mpsk_g(mod_order: int) -> float:
     if mod_order < 2:
         raise ValueError("mod_order must be >= 2")
     return math.sin(math.pi / mod_order) ** 2
-
-
-@dataclasses.dataclass(frozen=True)
-class SerParams:
-    """Constants of the SER integral: g = sin^2(pi/M) and the per-branch
-    ratios c1 = g/eta_relay, c2 = g/eta_direct."""
-
-    mod_order: int
-    g: float
-    c1: float
-    c2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.g <= 1.0):
-            raise ValueError(f"g must lie in (0, 1], got {self.g!r}")
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise ValueError("c1 and c2 must be positive")
-
-    @classmethod
-    def from_rates(cls, mod_order: int, eta_relay: float, eta_direct: float) -> "SerParams":
-        g = mpsk_g(mod_order)
-        return cls(mod_order, g, g / eta_relay, g / eta_direct)
 
 
 def _check_nonnegative(name: str, value) -> np.ndarray:
@@ -159,24 +130,17 @@ def best_pdf_series(dist: BestRelayDistribution, gamma):
     return out if out.ndim else float(out)
 
 
-def best_mgf(dist: BestRelayDistribution, s, per_term_pole: bool = True):
+def best_mgf(dist: BestRelayDistribution, s):
     """E[exp(-s * best SNR)] as an alternating sum over the N order-statistic
-    terms.
-
-    With ``per_term_pole=True`` (the form obtained by integrating the density
-    term by term) the n-th term has its pole at s = -n*eta.  The
-    ``per_term_pole=False`` variant places every pole at s = -eta; it is kept
-    only for discrepancy reporting and is not a valid MGF for N >= 2 (its
-    value at s = 0 is 0, not 1).
-    """
+    terms; integrating the density term by term puts the n-th pole at
+    s = -n*eta."""
     _check_series_order(dist.num_relays)
     sv = _check_nonnegative("s", s)
     eta = dist.eta
     out = np.zeros_like(sv)
     for n in range(1, dist.num_relays + 1):
         coeff = _float_binom(dist.num_relays, n) * n * (-1.0) ** (n - 1)
-        pole = n * eta if per_term_pole else eta
-        out += coeff * eta / (sv + pole)
+        out += coeff * eta / (sv + n * eta)
     return out if out.ndim else float(out)
 
 
@@ -192,10 +156,15 @@ def _direct_mgf(eta_direct: float, s):
     return eta_direct / (s + eta_direct)
 
 
+def _check_direct_eta(direct_eta: float) -> None:
+    if not (math.isfinite(direct_eta) and direct_eta > 0):
+        raise ValueError(f"direct_eta must be positive and finite, got {direct_eta!r}")
+
+
 def ser_quadrature(
     dist: BestRelayDistribution,
     direct_eta: float | None,
-    params: SerParams,
+    mod_order: int,
     tol: float = 1e-10,
 ) -> float:
     """Average MPSK SER of the selected relay path combined with the direct
@@ -203,14 +172,16 @@ def ser_quadrature(
 
     ``direct_eta=None`` drops the direct branch (single-path reduction).
     """
-    m = params.mod_order
-    upper = (m - 1) * math.pi / m
+    if direct_eta is not None:
+        _check_direct_eta(direct_eta)
+    g = mpsk_g(mod_order)
+    upper = (mod_order - 1) * math.pi / mod_order
 
     def integrand(theta: float) -> float:
         sin2 = math.sin(theta) ** 2
         if sin2 == 0.0:
             return 0.0
-        s = params.g / sin2
+        s = g / sin2
         v = best_mgf(dist, s)
         if direct_eta is not None:
             v *= _direct_mgf(direct_eta, s)
@@ -224,38 +195,20 @@ def ser_quadrature(
     return value
 
 
-def ser_closed_form(dist: BestRelayDistribution, params: SerParams) -> float:
-    """Alternating sum of (I(c1) + I(c2)) terms, evaluated as written.
+def ser_closed_form(dist: BestRelayDistribution, direct_eta: float) -> float:
+    """BPSK: alternating sum of (I(c1) + I(c2)) terms with c1 = g/eta_relay
+    and c2 = g/eta_direct, evaluated as written.
 
     The additive combination of the two branch integrals is inconsistent with
     the multiplicative MGF product in the exact integral;
     discrepancy.additive_ser_discrepancy measures the gap to ser_quadrature,
     which is the ground truth everywhere in this package.
     """
-    if params.mod_order != 2:
-        raise UnsupportedModulationError(
-            "closed form is defined for mod_order=2; use ser_quadrature"
-        )
+    _check_direct_eta(direct_eta)
     _check_series_order(dist.num_relays)
-    term = integral_I(params.c1) + integral_I(params.c2)
+    g = mpsk_g(2)
+    term = integral_I(g / dist.eta) + integral_I(g / direct_eta)
     value = 0.0
     for n in range(1, dist.num_relays + 1):
         value += _float_binom(dist.num_relays, n) * (-1.0) ** (n - 1) * term
     return value
-
-
-def outage_series(dist: BestRelayDistribution, gamma_th):
-    """Term-by-term integrated form of the outage probability."""
-    _check_series_order(dist.num_relays)
-    g = _check_nonnegative("gamma_th", gamma_th)
-    out = np.zeros_like(g)
-    for n in range(1, dist.num_relays + 1):
-        ne = n * dist.eta
-        out += (
-            ne
-            * _float_binom(dist.num_relays, n)
-            * (-1.0) ** (n - 1)
-            * (-np.expm1(-ne * g))
-            / ne
-        )
-    return out if out.ndim else float(out)

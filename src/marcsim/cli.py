@@ -19,6 +19,8 @@ from .experiment import (
     validate_spec,
 )
 
+__all__ = ["build_parser", "main", "entry"]
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -38,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-th", dest="gamma_th", help="outage threshold")
     p.add_argument("--ptotal", dest="p_total", help="fixed total power budget (replaces the SNR sweep)")
     p.add_argument("--out", dest="output_path", help="output CSV path")
-    p.add_argument("--workers", type=int, default=1, help="parallel cell workers")
+    # not a spec field: the worker count does not change the output bytes
+    p.add_argument("--workers", default="1", help="parallel cell workers (integer >= 1)")
     return p
 
 
@@ -55,10 +58,21 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
+def _parse_workers(raw: str) -> int:
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"workers: {exc}") from None
+    if workers < 1:
+        raise ValueError(f"workers: must be an integer >= 1, got {workers}")
+    return workers
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
+        workers = _parse_workers(args.workers)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -72,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     try:
-        out = run_experiment(result.spec, workers=max(1, args.workers))
+        out = run_experiment(result.spec, workers=workers)
     except SpecValidationError as exc:
         for err in exc.errors:
             print(f"invalid spec: {err}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Measured gaps between closed-form shortcuts and their numeric oracles.
 
-Three closed forms in this package are kept verbatim for documentation but
-are never trusted as ground truth: the shared-pole MGF variant, the additive
+Three closed forms are kept verbatim for documentation but are never trusted
+as ground truth: the shared-pole MGF variant (evaluated here), the additive
 SER closed form, and the cube-root power-allocation formula.  Each collector
 here evaluates one of them against its oracle and returns the measured
 magnitude, so every run states explicitly how far the shortcut sits from the
@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import (
     BestRelayDistribution,
-    SerParams,
+    _float_binom,
     best_mgf,
     ser_closed_form,
     ser_quadrature,
@@ -52,20 +52,19 @@ class DiscrepancyRecord:
 
 
 def mgf_pole_discrepancy(num_relays: int = 2, eta: float = 1.0) -> DiscrepancyRecord:
-    """Shared-pole MGF variant vs the per-term-pole form (the one that
-    integrates the density correctly).  Reported at s = 0, where a valid MGF
-    must equal 1 and the shared-pole variant collapses to 0 for N >= 2."""
+    """Shared-pole MGF variant vs best_mgf, whose n-th term has its pole at
+    s = -n*eta (the form that integrates the density correctly).  The variant
+    places every pole at s = -eta; it is not a valid MGF for N >= 2.  Reported
+    at s = 0, where a valid MGF must equal 1 and the variant collapses to 0."""
     dist = BestRelayDistribution(num_relays, eta)
-    printed = best_mgf(dist, 0.0, per_term_pole=False)
-    oracle = best_mgf(dist, 0.0)
     s_grid = np.linspace(0.0, 10.0, 41)
-    sup = float(
-        np.max(
-            np.abs(
-                best_mgf(dist, s_grid, per_term_pole=False) - best_mgf(dist, s_grid)
-            )
-        )
-    )
+    shared = np.zeros_like(s_grid)
+    for n in range(1, num_relays + 1):
+        coeff = _float_binom(num_relays, n) * n * (-1.0) ** (n - 1)
+        shared += coeff * eta / (s_grid + eta)
+    printed = float(shared[0])
+    oracle = best_mgf(dist, 0.0)
+    sup = float(np.max(np.abs(shared - best_mgf(dist, s_grid))))
     return DiscrepancyRecord(
         "mgf_shared_pole",
         printed,
@@ -80,9 +79,8 @@ def additive_ser_discrepancy(
 ) -> DiscrepancyRecord:
     """Additive closed-form SER vs the quadrature of the MGF product."""
     dist = BestRelayDistribution(num_relays, eta_relay)
-    params = SerParams.from_rates(2, eta_relay, eta_direct)
-    printed = ser_closed_form(dist, params)
-    oracle = ser_quadrature(dist, eta_direct, params)
+    printed = ser_closed_form(dist, eta_direct)
+    oracle = ser_quadrature(dist, eta_direct, 2)
     return DiscrepancyRecord(
         "ser_additive_closed_form",
         printed,

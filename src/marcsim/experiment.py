@@ -29,8 +29,6 @@ import numpy as np
 from . import __version__, discrepancy, montecarlo
 from .analytic import (
     BestRelayDistribution,
-    SerParams,
-    UnsupportedModulationError,
     best_cdf,
     ser_closed_form,
     ser_quadrature,
@@ -171,6 +169,8 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
                 break
     if not s.schemes:
         errors.append("schemes: must be nonempty")
+    elif not all(isinstance(x, Scheme) for x in s.schemes):
+        errors.append(f"schemes: entries must be Scheme members, got {s.schemes!r}")
     # bool is an int subclass; True must not pass as 1
     if isinstance(s.trials, bool) or not isinstance(s.trials, int) or s.trials < 1:
         errors.append(f"trials: must be an integer >= 1, got {s.trials!r}")
@@ -329,7 +329,6 @@ def _compute_cell(args) -> tuple[str, str]:
     )
     rates = compute_rate_params(config)
     dist = BestRelayDistribution(cell.num_relays, rates.eta_relay_path)
-    params = SerParams.from_rates(cell.mod_order, rates.eta_relay_path, rates.eta_direct)
 
     ser_mc = ser_ci = ser_quad = ser_closed = outage_mc = outage_an = None
     flags = []
@@ -339,11 +338,9 @@ def _compute_cell(args) -> tuple[str, str]:
     if cell.kind in ("ser", "both", "power"):
         est_s1, _ = estimate_ser(config, spec.trials, seed_ser)
         ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
-        ser_quad = ser_quadrature(dist, rates.eta_direct, params)
-        try:
-            ser_closed = ser_closed_form(dist, params)
-        except UnsupportedModulationError:
-            ser_closed = None
+        ser_quad = ser_quadrature(dist, rates.eta_direct, cell.mod_order)
+        if cell.mod_order == 2:
+            ser_closed = ser_closed_form(dist, rates.eta_direct)
         # the analytic chain is a single-user bound; the simulated joint
         # two-user detection sits above it
         flags.append("ser_model_gap")

@@ -81,8 +81,6 @@ class RateParams:
 
     eta_relay_path: float
     eta_direct: float
-    gamma_s: float
-    gamma_r: float
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -114,8 +112,8 @@ def compute_rate_params(config: SystemConfig) -> RateParams:
     source_side, relay_side = _hop_rates(config)
     if config.variance_s_d == 0:
         raise ValueError("zero link variance has no exponential rate")
-    gamma_s, gamma_r = _gammas(config)
-    return RateParams(source_side + relay_side, 1.0 / (gamma_s * config.variance_s_d), gamma_s, gamma_r)
+    gamma_s, _ = _gammas(config)
+    return RateParams(source_side + relay_side, 1.0 / (gamma_s * config.variance_s_d))
 
 
 def bottleneck_rate(config: SystemConfig) -> float:

@@ -16,15 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import BestRelayDistribution, SerParams, ser_quadrature
+from .analytic import BestRelayDistribution, ser_quadrature
 from .model import Scheme, SystemConfig, compute_rate_params
 
 __all__ = [
     "PowerSplit",
-    "FormulaInfeasibleError",
     "MultimodalObjectiveWarning",
     "closed_form_source_power",
-    "closed_form_allocation",
     "numeric_allocation",
     "ser_for_powers",
     "ser_power_gradient",
@@ -33,18 +31,6 @@ __all__ = [
 
 _CONSTRAINT_RTOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class FormulaInfeasibleError(ValueError):
-    """The closed-form source power lies outside (0, p_total/2)."""
-
-    def __init__(self, raw_value: float, p_total: float):
-        self.raw_value = raw_value
-        self.p_total = p_total
-        super().__init__(
-            f"closed-form source power {raw_value!r} is infeasible for "
-            f"p_total={p_total!r} (needs 0 < P_s < p_total/2)"
-        )
 
 
 class MultimodalObjectiveWarning(UserWarning):
@@ -87,7 +73,7 @@ def closed_form_source_power(p_total: float, b: float) -> float:
     """Raw evaluation of the cube-root source-power formula, as written.
 
     Real cube roots are used for negative bases.  No feasibility is implied;
-    see closed_form_allocation for the validated version.
+    discrepancy.allocation_discrepancy tests the value against (0, p_total/2).
     """
     if not (p_total > 0 and b > 0):
         raise ValueError("p_total and b must be positive")
@@ -106,16 +92,6 @@ def closed_form_source_power(p_total: float, b: float) -> float:
     return (1.0 / (4.0 * b)) * (a + bb / a + cc)
 
 
-def closed_form_allocation(p_total: float, b: float) -> PowerSplit:
-    """Closed-form split with the relay power taken as p_total - 2*p_source
-    (the constraint-consistent direction).  Raises FormulaInfeasibleError,
-    carrying the raw value, when the formula leaves the feasible interval."""
-    p_source = closed_form_source_power(p_total, b)
-    if not math.isfinite(p_source) or not (0.0 < p_source < p_total / 2.0):
-        raise FormulaInfeasibleError(p_source, p_total)
-    return PowerSplit.from_source(p_source, p_total)
-
-
 def ser_for_powers(
     p_source: float,
     p_relay: float,
@@ -130,8 +106,7 @@ def ser_for_powers(
     cfg = SystemConfig(num_relays, p_source, p_relay, mod_order=mod_order, scheme=scheme)
     rates = compute_rate_params(cfg)
     dist = BestRelayDistribution(num_relays, rates.eta_relay_path)
-    params = SerParams.from_rates(mod_order, rates.eta_relay_path, rates.eta_direct)
-    return ser_quadrature(dist, rates.eta_direct, params)
+    return ser_quadrature(dist, rates.eta_direct, mod_order)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:

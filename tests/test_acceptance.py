@@ -34,7 +34,6 @@ from oracles import (
 )
 from marcsim.analytic import (
     BestRelayDistribution,
-    SerParams,
     best_cdf,
     best_mgf,
     best_pdf,
@@ -169,9 +168,8 @@ def test_criterion_5_ser_decreasing_in_relay_count():
         for snr_db in np.linspace(0.0, 25.0, 20):
             cfg = config_at_snr_db(base_config(Scheme.ANC, 1, m), float(snr_db))
             rates = compute_rate_params(cfg)
-            params = SerParams.from_rates(m, rates.eta_relay_path, rates.eta_direct)
             vals = [
-                ser_quadrature(BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, params)
+                ser_quadrature(BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, m)
                 for n in range(1, 6)
             ]
             strict = strict and all(b < a for a, b in zip(vals, vals[1:]))
@@ -205,9 +203,8 @@ def test_criterion_6a_analytic_scheme_ordering():
         for scheme in (Scheme.ANC, Scheme.DF_NC):
             cfg = config_at_snr_db(base_config(scheme, n), snr_db)
             rates = compute_rate_params(cfg)
-            params = SerParams.from_rates(2, rates.eta_relay_path, rates.eta_direct)
             sers[scheme] = ser_quadrature(
-                BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, params
+                BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, 2
             )
         ok = ok and sers[Scheme.DF_NC] < sers[Scheme.ANC]
     report(6, ok, "analytic-chain ordering DF < ANC at every grid point (companion)")
@@ -393,11 +390,10 @@ def test_criterion_9_discrepancy_ledger(tmp_path):
     )
     # the printed forms never stand in for their oracles
     dist = BestRelayDistribution(2, 1.0)
-    params = SerParams.from_rates(2, 1.0, 0.5)
     additive = records["ser_additive_closed_form"]
     oracle_ok = additive.oracle == pytest.approx(
-        ser_quadrature(dist, 0.5, params), abs=1e-12
-    ) and ser_closed_form(dist, params) != pytest.approx(additive.oracle, abs=1e-6)
+        ser_quadrature(dist, 0.5, 2), abs=1e-12
+    ) and ser_closed_form(dist, 0.5) != pytest.approx(additive.oracle, abs=1e-6)
     # every experiment run writes the records into its sidecar
     spec = ExperimentSpec(
         figure="custom",

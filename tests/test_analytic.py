@@ -8,8 +8,7 @@ from scipy.integrate import quad
 
 from marcsim.analytic import (
     BestRelayDistribution,
-    SerParams,
-    UnsupportedModulationError,
+    QuadratureConvergenceError,
     best_cdf,
     best_cdf_series,
     best_mgf,
@@ -17,10 +16,10 @@ from marcsim.analytic import (
     best_pdf_series,
     integral_I,
     mpsk_g,
-    outage_series,
     ser_closed_form,
     ser_quadrature,
 )
+from marcsim.discrepancy import mgf_pole_discrepancy
 
 GRID_N = [1, 2, 5, 10]
 GRID_ETA = [0.5, 1.0, 2.0]
@@ -171,9 +170,10 @@ def test_mgf_matches_quadrature_of_pdf():
 
 
 def test_shared_pole_variant_is_not_an_mgf():
-    dist = BestRelayDistribution(2, 1.0)
-    assert best_mgf(dist, 0.0, per_term_pole=False) == pytest.approx(0.0, abs=1e-12)
-    assert best_mgf(BestRelayDistribution(1, 1.0), 1.0, per_term_pole=False) == pytest.approx(0.5)
+    assert mgf_pole_discrepancy(num_relays=2).printed == pytest.approx(0.0, abs=1e-12)
+    # N=1 has a single pole, so the variant agrees with best_mgf on s in [0, 10]
+    assert mgf_pole_discrepancy(num_relays=1).magnitude == pytest.approx(0.0, abs=1e-12)
+    assert best_mgf(BestRelayDistribution(1, 1.0), 1.0) == pytest.approx(0.5)
 
 
 def test_mgf_rejects_negative_s():
@@ -221,40 +221,41 @@ def test_integral_I_bounded_and_decreasing(c, dc):
 def test_ser_vanishes_at_high_snr():
     # small rate = large mean SNR
     dist = BestRelayDistribution(1, 1e-6)
-    params = SerParams.from_rates(2, 1e-6, 1e-6)
-    assert ser_quadrature(dist, 1e-6, params) <= 1e-5
+    assert ser_quadrature(dist, 1e-6, 2) <= 1e-5
 
 
 def test_ser_single_path_reduces_to_integral_I():
     dist = BestRelayDistribution(1, 1.0)
-    params = SerParams.from_rates(2, 1.0, 1.0)
-    assert ser_quadrature(dist, None, params) == pytest.approx(integral_I(1.0), abs=1e-10)
+    assert ser_quadrature(dist, None, 2) == pytest.approx(integral_I(1.0), abs=1e-10)
 
 
 def test_direct_branch_gives_diversity_gain():
     dist = BestRelayDistribution(1, 1.0)
-    params = SerParams.from_rates(2, 1.0, 1.0)
-    assert ser_quadrature(dist, 1.0, params) < ser_quadrature(dist, None, params)
+    assert ser_quadrature(dist, 1.0, 2) < ser_quadrature(dist, None, 2)
 
 
 def test_ser_bounded_by_guessing():
     for m in (2, 4, 8):
-        params = SerParams.from_rates(m, 5.0, 5.0)
-        v = ser_quadrature(BestRelayDistribution(2, 5.0), 5.0, params)
+        v = ser_quadrature(BestRelayDistribution(2, 5.0), 5.0, m)
         assert 0.0 < v < (m - 1) / m
         # rate -> infinity (mean SNR -> 0) approaches the guessing bound
-        params_bad = SerParams.from_rates(m, 1e9, 1e9)
-        v_bad = ser_quadrature(BestRelayDistribution(2, 1e9), 1e9, params_bad)
+        v_bad = ser_quadrature(BestRelayDistribution(2, 1e9), 1e9, m)
         assert v_bad == pytest.approx((m - 1) / m, rel=1e-3)
 
 
 def test_ser_decreasing_in_relay_count():
     for m in (2, 8):
-        params = SerParams.from_rates(m, 1.0, 1.0)
-        vals = [
-            ser_quadrature(BestRelayDistribution(n, 1.0), 1.0, params) for n in range(1, 7)
-        ]
+        vals = [ser_quadrature(BestRelayDistribution(n, 1.0), 1.0, m) for n in range(1, 7)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("direct_eta", [0.0, -1.0, math.nan, math.inf])
+def test_ser_rejects_bad_direct_rate(direct_eta):
+    dist = BestRelayDistribution(2, 1.0)
+    with pytest.raises(ValueError, match="direct_eta"):
+        ser_quadrature(dist, direct_eta, 2)
+    with pytest.raises(ValueError, match="direct_eta"):
+        ser_closed_form(dist, direct_eta)
 
 
 def test_mpsk_g():
@@ -264,12 +265,9 @@ def test_mpsk_g():
 
 
 def test_unreachable_tolerance_raises_with_achieved_error():
-    from marcsim.analytic import QuadratureConvergenceError
-
     dist = BestRelayDistribution(2, 1.0)
-    params = SerParams.from_rates(2, 1.0, 1.0)
     with pytest.raises(QuadratureConvergenceError) as exc:
-        ser_quadrature(dist, 1.0, params, tol=1e-20)
+        ser_quadrature(dist, 1.0, 2, tol=1e-20)
     assert exc.value.achieved > 1e-20
     assert exc.value.requested == 1e-20
 
@@ -278,25 +276,19 @@ def test_unreachable_tolerance_raises_with_achieved_error():
 
 
 def test_closed_form_single_relay_is_sum_of_branch_integrals():
-    params = SerParams(2, 1.0, 1.0, 1.0)
-    value = ser_closed_form(BestRelayDistribution(1, 1.0), params)
+    # eta_relay = eta_direct = 1 gives c1 = c2 = 1
+    value = ser_closed_form(BestRelayDistribution(1, 1.0), 1.0)
     assert value == pytest.approx(2 * integral_I(1.0), abs=1e-12)
     assert value == pytest.approx(0.2928932188134524, abs=1e-12)
 
 
 def test_closed_form_two_relay_as_written():
     # the alternating binomial sum collapses to a single (I(c1)+I(c2)) term
-    params = SerParams(2, 1.0, 1.0, 1.0)
     dist = BestRelayDistribution(2, 1.0)
-    value = ser_closed_form(dist, params)
+    value = ser_closed_form(dist, 1.0)
     assert value == pytest.approx(0.2928932188134524, abs=1e-12)
-    exact = ser_quadrature(dist, params.g / params.c2, params)
+    exact = ser_quadrature(dist, 1.0, 2)
     assert abs(value - exact) > 0.01  # never trusted as the oracle
-
-
-def test_closed_form_rejects_non_bpsk():
-    with pytest.raises(UnsupportedModulationError):
-        ser_closed_form(BestRelayDistribution(1, 1.0), SerParams(4, 0.5, 1.0, 1.0))
 
 
 # -- outage -----------------------------------------------------------------------
@@ -315,12 +307,3 @@ def test_outage_two_relay_value():
 def test_outage_saturates():
     assert best_cdf(BestRelayDistribution(2, 1.0), 1e6) == pytest.approx(1.0)
 
-
-def test_outage_series_agrees():
-    gammas = np.linspace(0.0, 6.0, 25)
-    for n in range(1, 21):
-        dist = BestRelayDistribution(n, 0.9)
-        diff = np.max(np.abs(best_cdf(dist, gammas) - outage_series(dist, gammas)))
-        assert diff < _cancellation_tol(n, 1.0)
-        if n <= 10:
-            assert diff < 1e-12

@@ -50,13 +50,17 @@ def test_defaults_filled():
 
 def test_all_violations_reported():
     res = validate_spec(
-        ExperimentSpec(figure="fig3", snr_points_db=[], relay_counts=[0], trials=-1)
+        ExperimentSpec(
+            figure="fig3", snr_points_db=[], relay_counts=[0], trials=-1, schemes=["anc"]
+        )
     )
     assert not res.ok
     joined = " ".join(res.errors)
     assert "snr_points_db" in joined
     assert "relay_counts" in joined and ">= 1" in joined
     assert "trials" in joined
+    # a scheme must be a Scheme member, not its string value
+    assert "schemes" in joined
 
 
 def test_bool_counts_rejected():
@@ -311,10 +315,13 @@ def test_cli_success(tmp_path, capsys):
         (["--seed", "-"], "seed"),
         (["--gamma-th", "x"], "gamma_th"),
         (["--ptotal", "zz"], "p_total"),
+        (["--workers", "abc"], "workers"),
+        (["--workers", "0"], "workers"),
     ],
     ids=[
         "relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf",
         "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x", "ptotal-zz",
+        "workers-abc", "workers-0",
     ],
 )
 def test_cli_validation_failure(tmp_path, capsys, flags, field):

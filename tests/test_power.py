@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from oracles import brute_force_allocation
 from marcsim.model import Scheme
 from marcsim.power import (
-    FormulaInfeasibleError,
     MultimodalObjectiveWarning,
     PowerSplit,
-    closed_form_allocation,
     closed_form_source_power,
     numeric_allocation,
     ser_for_powers,
@@ -61,12 +59,6 @@ def test_closed_form_raw_value():
 def test_closed_form_finite_over_b_sweep():
     for b in (1.0, 10.0, 100.0):
         assert math.isfinite(closed_form_source_power(3.0, b))
-
-
-def test_closed_form_infeasible_at_reference_point():
-    with pytest.raises(FormulaInfeasibleError) as exc:
-        closed_form_allocation(3.0, 1.0)
-    assert exc.value.raw_value == pytest.approx(15.142760515360377, rel=1e-12)
 
 
 def test_closed_form_rejects_bad_inputs():
