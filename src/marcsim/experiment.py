@@ -139,8 +139,8 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     if s.output_path is None:
         s.output_path = f"results/{s.figure}.csv"
     if s.p_total is not None:
-        if not (math.isfinite(s.p_total) and s.p_total > 0):
-            errors.append(f"p_total: must be positive and finite, got {s.p_total!r}")
+        if isinstance(s.p_total, bool) or not (math.isfinite(s.p_total) and s.p_total > 0):
+            errors.append(f"p_total: must be a positive finite number, got {s.p_total!r}")
         else:
             # a fixed budget replaces the SNR sweep by its single equivalent
             s.snr_points_db = [10.0 * math.log10(s.p_total)]
@@ -178,8 +178,8 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         warnings.append(f"trials: {s.trials} will take a very long time per cell")
     if isinstance(s.seed, bool) or not isinstance(s.seed, int) or s.seed < 0:
         errors.append(f"seed: must be a nonnegative integer, got {s.seed!r}")
-    if not (math.isfinite(s.gamma_th) and s.gamma_th >= 0):
-        errors.append(f"gamma_th: must be finite and nonnegative, got {s.gamma_th!r}")
+    if isinstance(s.gamma_th, bool) or not (math.isfinite(s.gamma_th) and s.gamma_th >= 0):
+        errors.append(f"gamma_th: must be a finite nonnegative number, got {s.gamma_th!r}")
     if not s.output_path:
         errors.append("output_path: must be nonempty")
 

@@ -4,7 +4,10 @@ Slot 1: both sources transmit simultaneously; every relay and the destination
 receive the superposition.  Slot 2: the selected relay forwards (amplified
 superposition under ANC, network-coded re-modulated symbol under DF-NC) and
 the destination runs joint maximum-likelihood detection of the symbol pair
-over all M^2 hypotheses with full channel knowledge.
+with full channel knowledge, as the DF-NC relay does.  Each joint-ML decision
+is exact over all M^2 pairs but costs O(M) per trial: for each hypothesis of
+the first symbol, the best second symbol is the PSK point nearest one angle
+(``_pair_ml``).
 
 Randomness is counter-based: trial t always belongs to batch t // BATCH_SIZE,
 and batch b draws from Philox(seed) jumped b times, so a result depends only
@@ -36,7 +39,6 @@ __all__ = [
     "estimate_ser",
     "estimate_outage",
     "sample_best_snr",
-    "single_link_ser",
 ]
 
 # Fixed so that the mapping from trial index to random draws never changes.
@@ -165,10 +167,36 @@ def select_relay(snrs_s1, snrs_s2):
     return sel, np.take_along_axis(bottleneck, sel[..., None], axis=-1)[..., 0]
 
 
-def _pair_grid(mod_order: int):
-    const = modulate(np.arange(mod_order), mod_order)
-    ii, jj = np.divmod(np.arange(mod_order * mod_order), mod_order)
-    return const, ii, jj
+def _pair_ml(z, score):
+    """Exact joint ML over the PSK pairs (x1, x2) = (c_i, c_j), O(M) per trial.
+
+    Every pair metric used here is, for fixed i, a term free of j minus
+    2*Re(conj(c_j) * z[i]), because |c_j| = 1 and c_((i+j) mod M) = c_i * c_j.
+    So the best j for each i is the PSK point nearest the angle of z[i].
+    z only picks the candidate: ``score(j)`` evaluates the full metric of the
+    pairs (i, j[i]) as an (M, B) array, and the argmin over i takes the
+    lowest i on a tie, as the argmin over the flat M^2 pair index does.
+    Returns (i, j), one pair per trial.
+    """
+    m = z.shape[0]
+    # + 0.0 turns a -0.0 real part into +0.0, so z == 0 (every j ties)
+    # slices to j = 0, the flat argmin's choice, and not to the angle pi
+    t = np.arctan2(z.imag, z.real + 0.0)
+    t *= m / (2.0 * np.pi)
+    j = np.rint(t, out=t).astype(np.intp) & (m - 1)  # m is a power of two
+    i = np.argmin(score(j), axis=0)
+    return i, j[i, np.arange(j.shape[1])]
+
+
+def _relay_decode(y_relay, h1b, h2b, sp: float, const):
+    """The DF relay's joint ML decision (i, j) from its observation
+    y_relay = sp*(h1b*c_i + h2b*c_j) + noise, one entry per trial."""
+    ci = const[:, None]
+    w = np.conj(sp * h2b)
+    return _pair_ml(
+        w * y_relay - (w * sp * h1b) * ci,
+        lambda j: np.abs(y_relay - sp * (h1b * ci + h2b * const[j])) ** 2,
+    )
 
 
 def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
@@ -177,7 +205,8 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
     the selection-bottleneck SNR.  Under DF-NC relay decoding errors
     propagate into the forwarded symbol; there is no genie."""
     m = config.mod_order
-    const, ii, jj = _pair_grid(m)
+    const = modulate(np.arange(m), m)
+    ci = const[:, None]  # row i of an (M, B) array holds the hypothesis x1 = c_i
     size = gb.h_s1_d.shape[0]
     n0 = config.noise_psd
     sp = math.sqrt(config.p_source)
@@ -200,26 +229,41 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
     n_d2 = _complex_gaussian(rng, n0, size)
 
     y1 = sp * (gb.h_s1_d * x1 + gb.h_s2_d * x2) + n_d1
-    mu1 = sp * (gb.h_s1_d[:, None] * const[ii] + gb.h_s2_d[:, None] * const[jj])
     y_relay = sp * (h1b * x1 + h2b * x2) + n_relay
+    # slot 1's share of z: |y1 - a*c_i - b*c_j|^2 is a term free of j minus
+    # 2*Re(conj(c_j) * conj(b)*(y1 - a*c_i)), with a = sp*h_s1_d, b = sp*h_s2_d
+    w1 = np.conj(sp * gb.h_s2_d)
+    p1, q1 = w1 * y1, w1 * (sp * gb.h_s1_d)
+
+    def mu1(j):
+        return sp * (gb.h_s1_d * ci + gb.h_s2_d * const[j])
 
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
         y2 = amp * hrb * y_relay + n_d2
         var2 = amp * amp * np.abs(hrb) ** 2 * n0 + n0
-        mu2 = amp * hrb[:, None] * sp * (h1b[:, None] * const[ii] + h2b[:, None] * const[jj])
-        metric = np.abs(y1[:, None] - mu1) ** 2 / n0 + np.abs(y2[:, None] - mu2) ** 2 / var2[:, None]
+        w2 = np.conj(amp * hrb * sp * h2b) / var2
+        z = (p1 / n0 + w2 * y2) - (q1 / n0 + w2 * (amp * hrb * sp * h1b)) * ci
+
+        def metric(j):
+            mu2 = amp * hrb * sp * (h1b * ci + h2b * const[j])
+            return np.abs(y1 - mu1(j)) ** 2 / n0 + np.abs(y2 - mu2) ** 2 / var2
+
     else:
         # relay jointly decodes the pair, then forwards the modulo-M combine
-        mu_r = sp * (h1b[:, None] * const[ii] + h2b[:, None] * const[jj])
-        k_relay = np.argmin(np.abs(y_relay[:, None] - mu_r) ** 2, axis=1)
-        forwarded = const[(ii[k_relay] + jj[k_relay]) % m]
+        r1, r2 = _relay_decode(y_relay, h1b, h2b, sp, const)
+        forwarded = const[(r1 + r2) % m]
         y2 = sr * hrb * forwarded + n_d2
-        mu2 = sr * hrb[:, None] * const[(ii + jj) % m]
-        metric = np.abs(y1[:, None] - mu1) ** 2 + np.abs(y2[:, None] - mu2) ** 2
+        # slot 2 is |y2 - (sr*hrb*c_i)*c_j|^2, so its share of z is
+        # conj(sr*hrb*c_i) * y2
+        z = p1 - q1 * ci + (np.conj(sr * hrb) * y2) * ci.conj()
+        ii = np.arange(m)[:, None]
 
-    k = np.argmin(metric, axis=1)
-    return ii[k] != i1, jj[k] != i2, sel, best
+        def metric(j):
+            return np.abs(y1 - mu1(j)) ** 2 + np.abs(y2 - sr * hrb * const[(ii + j) % m]) ** 2
+
+    k1, k2 = _pair_ml(z, metric)
+    return k1 != i1, k2 != i2, sel, best
 
 
 def estimate_ser(
@@ -267,21 +311,3 @@ def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: in
         raise ValueError("gamma_th must be nonnegative")
     return float(np.mean(sample_best_snr(config, trials, seed) < gamma_th))
 
-
-def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2) -> SerEstimate:
-    """Coherent MPSK over one Rayleigh link (no relays): the end-to-end
-    calibration baseline.  For BPSK the exact average SER is
-    0.5*(1 - sqrt(gbar/(1+gbar))) with gbar the mean SNR."""
-    batches = _batches(seed, trials)
-    amp = math.sqrt(10.0 ** (snr_db / 10.0))
-    const = modulate(np.arange(mod_order), mod_order)
-    errors = done = 0
-    for rng, size in batches:
-        h = _complex_gaussian(rng, 1.0, size)
-        idx = rng.integers(0, mod_order, size)
-        noise = _complex_gaussian(rng, 1.0, size)
-        y = amp * h * const[idx] + noise
-        k = np.argmin(np.abs(y[:, None] - amp * h[:, None] * const[None, :]) ** 2, axis=1)
-        errors += int((k != idx).sum())
-        done += size
-    return _wilson_estimate(errors, done)

@@ -2,6 +2,9 @@
 
 Everything here is derived from first principles (exact distributions,
 brute-force detectors) and never calls the code paths it is used to check.
+The brute-force detectors that are compared with ``montecarlo.run_batch``
+reuse its sampling and relay selection, so that both decide on the same
+draws; only the detection is under test.
 """
 
 import dataclasses
@@ -11,6 +14,15 @@ import numpy as np
 from scipy.special import k1
 
 from marcsim.model import SystemConfig, Scheme, _gammas
+from marcsim.montecarlo import (
+    _batches,
+    _complex_gaussian,
+    _wilson_estimate,
+    modulate,
+    relay_normalization,
+    relay_snrs,
+    select_relay,
+)
 from marcsim.power import PowerSplit
 
 
@@ -76,6 +88,86 @@ def direct_only_pair_ml_ser(p_source, trials, seed, mod_order=2, noise_psd=1.0):
     mu = sp * (h1[:, None] * const[ii] + h2[:, None] * const[jj])
     k = np.argmin(np.abs(y[:, None] - mu) ** 2, axis=1)
     return float((ii[k] != i1).mean())
+
+
+def _pair_grid(mod_order: int):
+    const = modulate(np.arange(mod_order), mod_order)
+    ii, jj = np.divmod(np.arange(mod_order * mod_order), mod_order)
+    return const, ii, jj
+
+
+def brute_force_pair(y_relay, h1b, h2b, sp, mod_order):
+    """The DF relay's joint ML decision (i, j) by scoring all M^2 pairs of
+    y_relay = sp*(h1b*c_i + h2b*c_j) + noise; arrays are (B,)."""
+    const, ii, jj = _pair_grid(mod_order)
+    mu_r = sp * (h1b[:, None] * const[ii] + h2b[:, None] * const[jj])
+    k = np.argmin(np.abs(y_relay[:, None] - mu_r) ** 2, axis=1)
+    return ii[k], jj[k]
+
+
+def brute_force_run_batch(config: SystemConfig, gb, rng):
+    """``montecarlo.run_batch`` with every joint-ML decision (the DF relay's
+    and the destination's) taken by scoring all M^2 symbol pairs; the same
+    draws, in the same order, as the kernel."""
+    m = config.mod_order
+    const, ii, jj = _pair_grid(m)
+    size = gb.h_s1_d.shape[0]
+    n0 = config.noise_psd
+    sp = math.sqrt(config.p_source)
+    sr = math.sqrt(config.p_relay)
+
+    sel, best = select_relay(*relay_snrs(config, gb))
+    rows = np.arange(size)
+    h1b = gb.h_s1_r[rows, sel]
+    h2b = gb.h_s2_r[rows, sel]
+    hrb = gb.h_r_d[rows, sel]
+
+    i1 = rng.integers(0, m, size)
+    i2 = rng.integers(0, m, size)
+    x1 = const[i1]
+    x2 = const[i2]
+    n_relay = _complex_gaussian(rng, n0, size)
+    n_d1 = _complex_gaussian(rng, n0, size)
+    n_d2 = _complex_gaussian(rng, n0, size)
+
+    y1 = sp * (gb.h_s1_d * x1 + gb.h_s2_d * x2) + n_d1
+    mu1 = sp * (gb.h_s1_d[:, None] * const[ii] + gb.h_s2_d[:, None] * const[jj])
+    y_relay = sp * (h1b * x1 + h2b * x2) + n_relay
+
+    if config.scheme is Scheme.ANC:
+        amp = sr / relay_normalization(config)
+        y2 = amp * hrb * y_relay + n_d2
+        var2 = amp * amp * np.abs(hrb) ** 2 * n0 + n0
+        mu2 = amp * hrb[:, None] * sp * (h1b[:, None] * const[ii] + h2b[:, None] * const[jj])
+        metric = np.abs(y1[:, None] - mu1) ** 2 / n0 + np.abs(y2[:, None] - mu2) ** 2 / var2[:, None]
+    else:
+        r1, r2 = brute_force_pair(y_relay, h1b, h2b, sp, m)
+        forwarded = const[(r1 + r2) % m]
+        y2 = sr * hrb * forwarded + n_d2
+        mu2 = sr * hrb[:, None] * const[(ii + jj) % m]
+        metric = np.abs(y1[:, None] - mu1) ** 2 + np.abs(y2[:, None] - mu2) ** 2
+
+    k = np.argmin(metric, axis=1)
+    return ii[k] != i1, jj[k] != i2, sel, best
+
+
+def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):
+    """Coherent MPSK over one Rayleigh link (no relays): the end-to-end
+    calibration baseline.  For BPSK the exact average SER is
+    0.5*(1 - sqrt(gbar/(1+gbar))) with gbar the mean SNR."""
+    batches = _batches(seed, trials)
+    amp = math.sqrt(10.0 ** (snr_db / 10.0))
+    const = modulate(np.arange(mod_order), mod_order)
+    errors = done = 0
+    for rng, size in batches:
+        h = _complex_gaussian(rng, 1.0, size)
+        idx = rng.integers(0, mod_order, size)
+        noise = _complex_gaussian(rng, 1.0, size)
+        y = amp * h * const[idx] + noise
+        k = np.argmin(np.abs(y[:, None] - amp * h[:, None] * const[None, :]) ** 2, axis=1)
+        errors += int((k != idx).sum())
+        done += size
+    return _wilson_estimate(errors, done)
 
 
 def rayleigh_bpsk_ser(gamma_bar):

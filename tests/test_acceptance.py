@@ -31,6 +31,7 @@ from oracles import (
     config_at_snr_db,
     exact_best_bottleneck_cdf,
     rayleigh_bpsk_ser,
+    single_link_ser,
 )
 from marcsim.analytic import (
     BestRelayDistribution,
@@ -49,7 +50,7 @@ from marcsim.model import (
     bottleneck_rate,
     compute_rate_params,
 )
-from marcsim.montecarlo import estimate_ser, sample_best_snr, single_link_ser
+from marcsim.montecarlo import estimate_ser, sample_best_snr
 from marcsim.power import (
     PowerSplit,
     numeric_allocation,

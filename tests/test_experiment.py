@@ -70,6 +70,10 @@ def test_bool_counts_rejected():
     assert "trials" in joined and "seed" in joined
     res = validate_spec(ExperimentSpec(relay_counts=[True]))
     assert any("relay_counts" in e for e in res.errors)
+    res = validate_spec(ExperimentSpec(p_total=True))
+    assert any("p_total" in e for e in res.errors)
+    res = validate_spec(ExperimentSpec(gamma_th=True))
+    assert any("gamma_th" in e for e in res.errors)
 
 
 def test_huge_trials_warn_but_valid():

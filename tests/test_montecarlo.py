@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from oracles import (
+    brute_force_pair,
+    brute_force_run_batch,
     config_at_snr_db,
     direct_only_pair_ml_ser,
     exact_best_bottleneck_cdf,
     rayleigh_bpsk_ser,
+    single_link_ser,
 )
 from marcsim.analytic import BestRelayDistribution, best_cdf
 from marcsim.model import Scheme, SystemConfig, bottleneck_rate
@@ -24,7 +28,8 @@ from marcsim.montecarlo import (
     run_batch,
     sample_best_snr,
     sample_gains,
-    single_link_ser,
+    _complex_gaussian,
+    _relay_decode,
 )
 
 
@@ -84,6 +89,61 @@ def test_noiseless_detection_is_exact(scheme):
     e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), rng)
     assert not e1.any() and not e2.any()
     assert np.all(selected < cfg.num_relays)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0])
+@pytest.mark.parametrize("num_relays", [1, 3])
+@pytest.mark.parametrize("mod_order", [2, 4, 8, 16])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_joint_ml_matches_brute_force(scheme, mod_order, num_relays, snr_db):
+    # the O(M) slicer against the scoring of all M^2 pairs, on shared draws
+    cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), snr_db)
+    gains = sample_gains(cfg, np.random.default_rng(mod_order + num_relays), 4096)
+    got = run_batch(cfg, gains, np.random.default_rng(31))
+    want = brute_force_run_batch(cfg, gains, np.random.default_rng(31))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0])
+@pytest.mark.parametrize("mod_order", [2, 4, 8, 16])
+def test_relay_decode_matches_brute_force(mod_order, snr_db):
+    rng = np.random.default_rng(mod_order)
+    size = 4096
+    const = modulate(np.arange(mod_order), mod_order)
+    h1, h2, noise = (_complex_gaussian(rng, 1.0, size) for _ in range(3))
+    sp = math.sqrt(10.0 ** (snr_db / 10.0))
+    x1, x2 = (const[rng.integers(0, mod_order, size)] for _ in range(2))
+    y = sp * (h1 * x1 + h2 * x2) + noise
+    got = _relay_decode(y, h1, h2, sp, const)
+    want = brute_force_pair(y, h1, h2, sp, mod_order)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("mod_order", [2, 8])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
+    # every link of source 2 is zero, so each x2 hypothesis scores the same
+    # and the flat M^2 argmin decides x2 = c_0; under DF-NC the relay hop is
+    # cut too, since the relay's decision would otherwise reach the destination
+    cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), 20.0)
+    size = 512
+    gains = sample_gains(cfg, np.random.default_rng(61), size)
+    silent = dict(h_s2_r=np.zeros_like(gains.h_s2_r), h_s2_d=np.zeros_like(gains.h_s2_d))
+    if scheme is Scheme.DF_NC:
+        silent["h_r_d"] = np.zeros_like(gains.h_r_d)
+    gains = dataclasses.replace(gains, **silent)
+    draws = np.random.default_rng(62)  # run_batch draws x1's indices, then x2's
+    draws.integers(0, mod_order, size)
+    i2 = draws.integers(0, mod_order, size)
+    _, e2, _, _ = run_batch(cfg, gains, np.random.default_rng(62))
+    assert np.array_equal(e2, i2 != 0)
+    assert np.array_equal(e2, brute_force_run_batch(cfg, gains, np.random.default_rng(62))[1])
+
+    # the DF relay's decision on its own, from an arbitrary observation
+    const = modulate(np.arange(mod_order), mod_order)
+    _, j = _relay_decode(gains.h_s1_d, gains.h_s1_r[:, 0], gains.h_s2_r[:, 0], 1.0, const)
+    assert not j.any()
 
 
 def test_relay_normalization_value():
