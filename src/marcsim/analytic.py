@@ -1,10 +1,10 @@
 """Order statistics of the selected-relay SNR and MGF-based error analysis.
 
 The selected relay's SNR is modeled as the maximum of N i.i.d. exponential
-variables.  From its CDF follow the PDF, the MGF, the average symbol error
-rate for MPSK (adaptive quadrature of the MGF product with the direct path,
-plus an additive closed-form variant kept for discrepancy reporting) and the
-outage probability.
+variables.  Its CDF gives the outage probability; its MGF, integrated from the
+density term by term, gives the average symbol error rate for MPSK (adaptive
+quadrature of the MGF product with the direct path, plus an additive
+closed-form variant kept for discrepancy reporting).
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "mpsk_g",
     "best_cdf",
-    "best_cdf_series",
-    "best_pdf",
-    "best_pdf_series",
     "best_mgf",
     "integral_I",
     "ser_quadrature",
@@ -30,7 +27,7 @@ __all__ = [
 ]
 
 # Alternating binomial sums are numerically meaningless past this order;
-# the product forms carry no such limit.
+# the product-form CDF carries no such limit.
 _MAX_SERIES_ORDER = 64
 
 
@@ -93,40 +90,6 @@ def best_cdf(dist: BestRelayDistribution, gamma):
     """P(best SNR <= gamma) = (1 - exp(-eta*gamma))^N."""
     g = _check_nonnegative("gamma", gamma)
     out = (-np.expm1(-dist.eta * g)) ** dist.num_relays
-    return out if out.ndim else float(out)
-
-
-def best_cdf_series(dist: BestRelayDistribution, gamma):
-    """Binomial expansion of best_cdf; agrees with the product form for N <= 64."""
-    _check_series_order(dist.num_relays)
-    g = _check_nonnegative("gamma", gamma)
-    out = np.zeros_like(g)
-    for n in range(dist.num_relays + 1):
-        out += _float_binom(dist.num_relays, n) * (-1.0) ** n * np.exp(-n * dist.eta * g)
-    return out if out.ndim else float(out)
-
-
-def best_pdf(dist: BestRelayDistribution, gamma):
-    """Density of the best SNR, N*eta*exp(-eta*g)*(1-exp(-eta*g))^(N-1)."""
-    g = _check_nonnegative("gamma", gamma)
-    n, eta = dist.num_relays, dist.eta
-    out = n * eta * np.exp(-eta * g) * (-np.expm1(-eta * g)) ** (n - 1)
-    return out if out.ndim else float(out)
-
-
-def best_pdf_series(dist: BestRelayDistribution, gamma):
-    """Alternating-sum form of best_pdf; agrees with the product form for N <= 64."""
-    _check_series_order(dist.num_relays)
-    g = _check_nonnegative("gamma", gamma)
-    out = np.zeros_like(g)
-    for n in range(1, dist.num_relays + 1):
-        out += (
-            n
-            * dist.eta
-            * _float_binom(dist.num_relays, n)
-            * (-1.0) ** (n - 1)
-            * np.exp(-n * dist.eta * g)
-        )
     return out if out.ndim else float(out)
 
 

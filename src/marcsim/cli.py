@@ -12,7 +12,6 @@ import sys
 
 from .experiment import (
     ExperimentSpec,
-    SpecValidationError,
     parse_field,
     run_experiment,
     spec_from_text,
@@ -87,10 +86,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         out = run_experiment(result.spec, workers=workers)
-    except SpecValidationError as exc:
-        for err in exc.errors:
-            print(f"invalid spec: {err}", file=sys.stderr)
-        return 1
     except Exception as exc:  # CLI boundary: report and exit 2
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

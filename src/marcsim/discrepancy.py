@@ -33,6 +33,13 @@ __all__ = [
     "collect_all",
 ]
 
+# The reference point at which every run's ledger is measured
+_NUM_RELAYS = 2
+_ETA = 1.0  # relay-path rate
+_ETA_DIRECT = 0.5
+_P_TOTAL = 3.0
+_B = 1.0  # cube-root formula coefficient
+
 
 @dataclasses.dataclass(frozen=True)
 class DiscrepancyRecord:
@@ -51,17 +58,17 @@ class DiscrepancyRecord:
         )
 
 
-def mgf_pole_discrepancy(num_relays: int = 2, eta: float = 1.0) -> DiscrepancyRecord:
+def mgf_pole_discrepancy(num_relays: int = _NUM_RELAYS) -> DiscrepancyRecord:
     """Shared-pole MGF variant vs best_mgf, whose n-th term has its pole at
     s = -n*eta (the form that integrates the density correctly).  The variant
     places every pole at s = -eta; it is not a valid MGF for N >= 2.  Reported
     at s = 0, where a valid MGF must equal 1 and the variant collapses to 0."""
-    dist = BestRelayDistribution(num_relays, eta)
+    dist = BestRelayDistribution(num_relays, _ETA)
     s_grid = np.linspace(0.0, 10.0, 41)
     shared = np.zeros_like(s_grid)
     for n in range(1, num_relays + 1):
         coeff = _float_binom(num_relays, n) * n * (-1.0) ** (n - 1)
-        shared += coeff * eta / (s_grid + eta)
+        shared += coeff * _ETA / (s_grid + _ETA)
     printed = float(shared[0])
     oracle = best_mgf(dist, 0.0)
     sup = float(np.max(np.abs(shared - best_mgf(dist, s_grid))))
@@ -74,31 +81,27 @@ def mgf_pole_discrepancy(num_relays: int = 2, eta: float = 1.0) -> DiscrepancyRe
     )
 
 
-def additive_ser_discrepancy(
-    num_relays: int = 2, eta_relay: float = 1.0, eta_direct: float = 0.5
-) -> DiscrepancyRecord:
+def additive_ser_discrepancy() -> DiscrepancyRecord:
     """Additive closed-form SER vs the quadrature of the MGF product."""
-    dist = BestRelayDistribution(num_relays, eta_relay)
-    printed = ser_closed_form(dist, eta_direct)
-    oracle = ser_quadrature(dist, eta_direct, 2)
+    dist = BestRelayDistribution(_NUM_RELAYS, _ETA)
+    printed = ser_closed_form(dist, _ETA_DIRECT)
+    oracle = ser_quadrature(dist, _ETA_DIRECT, 2)
     return DiscrepancyRecord(
         "ser_additive_closed_form",
         printed,
         oracle,
         abs(printed - oracle),
-        f"N={num_relays}, eta_relay={eta_relay}, eta_direct={eta_direct}",
+        f"N={_NUM_RELAYS}, eta_relay={_ETA}, eta_direct={_ETA_DIRECT}",
     )
 
 
-def allocation_discrepancy(
-    p_total: float = 3.0, b: float = 1.0, num_relays: int = 2
-) -> DiscrepancyRecord:
+def allocation_discrepancy() -> DiscrepancyRecord:
     """Cube-root allocation formula vs the golden-section numeric optimum."""
-    raw = closed_form_source_power(p_total, b)
-    objective = functools.partial(ser_for_powers, num_relays=num_relays, scheme=Scheme.ANC)
-    opt = numeric_allocation(p_total, objective)
-    feasible = 0.0 < raw < p_total / 2.0
-    note = f"p_total={p_total}, b={b}; formula feasible: {feasible}"
+    raw = closed_form_source_power(_P_TOTAL, _B)
+    objective = functools.partial(ser_for_powers, num_relays=_NUM_RELAYS, scheme=Scheme.ANC)
+    opt = numeric_allocation(_P_TOTAL, objective)
+    feasible = 0.0 < raw < _P_TOTAL / 2.0
+    note = f"p_total={_P_TOTAL}, b={_B}; formula feasible: {feasible}"
     if not feasible:
         note += " (raw value outside (0, p_total/2))"
     return DiscrepancyRecord(

@@ -107,9 +107,7 @@ class ValidationResult:
 
 
 class SpecValidationError(ValueError):
-    def __init__(self, errors: list[str]):
-        self.errors = errors
-        super().__init__("invalid experiment spec: " + "; ".join(errors))
+    """run_experiment's error for a spec that validate_spec rejects."""
 
 
 def validate_spec(spec: ExperimentSpec) -> ValidationResult:
@@ -138,12 +136,14 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         s.gamma_th = _DEFAULT_GAMMA_TH
     if s.output_path is None:
         s.output_path = f"results/{s.figure}.csv"
-    if s.p_total is not None:
-        if isinstance(s.p_total, bool) or not (math.isfinite(s.p_total) and s.p_total > 0):
-            errors.append(f"p_total: must be a positive finite number, got {s.p_total!r}")
-        else:
-            # a fixed budget replaces the SNR sweep by its single equivalent
-            s.snr_points_db = [10.0 * math.log10(s.p_total)]
+    budget_ok = s.p_total is None or (
+        not isinstance(s.p_total, bool) and math.isfinite(s.p_total) and s.p_total > 0
+    )
+    if not budget_ok:
+        errors.append(f"p_total: must be a positive finite number, got {s.p_total!r}")
+    elif s.p_total is not None:
+        # a fixed budget replaces the SNR sweep by its single equivalent
+        s.snr_points_db = [10.0 * math.log10(s.p_total)]
     if s.snr_points_db is None:
         s.snr_points_db = list(_DEFAULT_SNR_DB)
 
@@ -153,6 +153,16 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         errors.append(f"snr_points_db: entries must be finite, got {s.snr_points_db!r}")
     elif any(b <= a for a, b in zip(s.snr_points_db, s.snr_points_db[1:])):
         errors.append("snr_points_db: must be strictly increasing")
+    elif budget_ok:
+        for snr in s.snr_points_db:
+            try:
+                split = PowerSplit.equal(_budget(s, snr))
+                # no rate the model derives from a split exceeds ANC's bottleneck rate
+                BestRelayDistribution(1, bottleneck_rate(SystemConfig(1, split.p_source, split.p_relay)))
+            except (OverflowError, ValueError) as exc:
+                where = f"snr_points_db: {snr!r} dB" if s.p_total is None else f"p_total: {s.p_total!r}"
+                errors.append(f"{where} gives an equal split outside the model's range ({exc})")
+                break
     if not s.relay_counts:
         errors.append("relay_counts: must be nonempty")
     else:
@@ -184,6 +194,12 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         errors.append("output_path: must be nonempty")
 
     return ValidationResult(s, errors, warnings)
+
+
+def _budget(spec: ExperimentSpec, snr_db: float) -> float:
+    """Total power of a sweep point: a fixed budget is taken as given, not
+    through its dB value."""
+    return spec.p_total if spec.p_total is not None else 10.0 ** (snr_db / 10.0)
 
 
 # -- plain-text serialization (key=value per line) --------------------------
@@ -272,7 +288,6 @@ class _Cell:
     num_relays: int
     snr_db: float
     alloc: str  # "", "equal" or "optimized"
-    kind: str   # "ser", "outage", "both" or "power"
 
     def key(self) -> str:
         return (
@@ -289,10 +304,10 @@ def _cells(spec: ExperimentSpec) -> list[_Cell]:
             for n in spec.relay_counts:
                 for snr in spec.snr_points_db:
                     if kind == "power":
-                        cells.append(_Cell(scheme, m, n, snr, "equal", kind))
-                        cells.append(_Cell(scheme, m, n, snr, "optimized", kind))
+                        cells.append(_Cell(scheme, m, n, snr, "equal"))
+                        cells.append(_Cell(scheme, m, n, snr, "optimized"))
                     else:
-                        cells.append(_Cell(scheme, m, n, snr, "", kind))
+                        cells.append(_Cell(scheme, m, n, snr, ""))
     return cells
 
 
@@ -305,9 +320,8 @@ def _fmt(v) -> str:
 
 
 def _cell_powers(spec: ExperimentSpec, cell: _Cell) -> PowerSplit:
-    """The cell's operating point: a fixed budget is taken as given, not
-    through its dB value."""
-    p_total = spec.p_total if spec.p_total is not None else 10.0 ** (cell.snr_db / 10.0)
+    """The cell's operating point."""
+    p_total = _budget(spec, cell.snr_db)
     if cell.alloc == "optimized":
         objective = functools.partial(
             ser_for_powers, num_relays=cell.num_relays, mod_order=cell.mod_order, scheme=cell.scheme
@@ -318,6 +332,7 @@ def _cell_powers(spec: ExperimentSpec, cell: _Cell) -> PowerSplit:
 
 def _compute_cell(args) -> tuple[str, str]:
     spec, cell, seed_pair = args
+    kind = _FIGURES[spec.figure].kind
     seed_ser, seed_out = int(seed_pair[0]), int(seed_pair[1])
     split = _cell_powers(spec, cell)
     config = SystemConfig(
@@ -335,7 +350,7 @@ def _compute_cell(args) -> tuple[str, str]:
     if cell.alloc:
         flags.append(f"alloc={cell.alloc}")
 
-    if cell.kind in ("ser", "both", "power"):
+    if kind in ("ser", "both", "power"):
         est_s1, _ = estimate_ser(config, spec.trials, seed_ser)
         ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
         ser_quad = ser_quadrature(dist, rates.eta_direct, cell.mod_order)
@@ -346,7 +361,7 @@ def _compute_cell(args) -> tuple[str, str]:
         flags.append("ser_model_gap")
         if cell.scheme is Scheme.DF_NC:
             flags.append("relay_mai")
-    if cell.kind in ("outage", "both"):
+    if kind in ("outage", "both"):
         outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out)
         bn = BestRelayDistribution(cell.num_relays, bottleneck_rate(config))
         outage_an = best_cdf(bn, spec.gamma_th)
@@ -411,7 +426,6 @@ class ExperimentResult:
     csv_path: str
     meta_path: str
     rows: list[str]
-    warnings: list[str]
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -419,7 +433,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     CSV (deterministic order) and the metadata sidecar."""
     result = validate_spec(spec)
     if not result.ok:
-        raise SpecValidationError(result.errors)
+        raise SpecValidationError("invalid experiment spec: " + "; ".join(result.errors))
     spec = result.spec
 
     out_path = spec.output_path
@@ -451,7 +465,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             for idx, cell in pending
         ]
         if workers > 1 and len(jobs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            # the pool starts all its workers at once; idle ones cost a process each
+            with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 for key, row in pool.map(_compute_cell, jobs):
                     record(key, row)
         else:
@@ -462,7 +477,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     rows = [done[c.key()] for c in cells]
     _write_atomic(out_path, "".join(line + "\n" for line in [CSV_HEADER, *rows]))
     _write_meta(meta_path, spec, chash)
-    return ExperimentResult(out_path, meta_path, rows, result.warnings)
+    return ExperimentResult(out_path, meta_path, rows)
 
 
 def _write_atomic(path: str, text: str) -> None:

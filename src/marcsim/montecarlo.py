@@ -271,13 +271,12 @@ def estimate_ser(
     trials: int,
     seed: int,
     max_errors: int | None = MAX_ERRORS,
-    min_trials: int = MIN_TRIALS,
 ) -> tuple[SerEstimate, SerEstimate]:
     """Per-source SER at the config's powers.
 
     With ``max_errors`` set, the trial loop stops at the first batch boundary
     where both sources have accumulated that many errors (and at least
-    ``min_trials`` trials ran); pass None to force the full trial count.
+    MIN_TRIALS trials ran); pass None to force the full trial count.
     """
     batches = _batches(seed, trials)
     err1 = err2 = done = 0
@@ -287,7 +286,7 @@ def estimate_ser(
         err1 += int(e1.sum())
         err2 += int(e2.sum())
         done += size
-        if max_errors is not None and done >= min_trials and min(err1, err2) >= max_errors:
+        if max_errors is not None and done >= MIN_TRIALS and min(err1, err2) >= max_errors:
             break
     return _wilson_estimate(err1, done), _wilson_estimate(err2, done)
 

@@ -5,6 +5,8 @@ The authoritative allocation is numeric: a coarse grid scan followed by
 golden-section refinement of the quadrature SER.  The cube-root closed form
 is evaluated as written for documentation and discrepancy reporting; at
 typical parameters it lands far outside the feasible source-power range.
+First-order optimality of the numeric split is checked by finite differences
+in the test suite, not here.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ __all__ = [
     "closed_form_source_power",
     "numeric_allocation",
     "ser_for_powers",
-    "ser_power_gradient",
-    "stationarity_residual",
 ]
 
 _CONSTRAINT_RTOL = 1e-9
+# numeric_allocation's pre-scan grid size and relative golden-section tolerance
+_GRID_POINTS = 64
+_TOL_REL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -127,14 +130,11 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 
 
 def numeric_allocation(
-    p_total: float,
-    objective: Callable[[float, float], float],
-    grid_points: int = 64,
-    tol_rel: float = 1e-8,
+    p_total: float, objective: Callable[[float, float], float]
 ) -> PowerSplit:
-    """Minimize ``objective(p_source, p_relay)`` over feasible splits: 64-point
-    grid pre-scan to locate the basin, then golden-section refinement to
-    tol_rel * p_total.
+    """Minimize ``objective(p_source, p_relay)`` over feasible splits: a
+    _GRID_POINTS grid pre-scan to locate the basin, then golden-section
+    refinement to _TOL_REL * p_total.
 
     Separated grid minima within 1e-12 of the best trigger a
     MultimodalObjectiveWarning and the global grid winner's basin is used.
@@ -143,11 +143,11 @@ def numeric_allocation(
         raise ValueError("p_total must be positive")
     eps = 1e-6 * p_total
     f = lambda ps: objective(ps, p_total - 2.0 * ps)
-    grid = np.linspace(eps, p_total / 2.0 - eps, grid_points)
+    grid = np.linspace(eps, p_total / 2.0 - eps, _GRID_POINTS)
     values = np.array([f(ps) for ps in grid])
     best = int(np.argmin(values))
 
-    interior = np.arange(1, grid_points - 1)
+    interior = np.arange(1, _GRID_POINTS - 1)
     local_min = interior[
         (values[interior] <= values[interior - 1]) & (values[interior] <= values[interior + 1])
     ]
@@ -159,31 +159,7 @@ def numeric_allocation(
         )
 
     lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, grid_points - 1)])
-    p_source = _golden_section(f, lo, hi, tol_rel * p_total)
+    hi = float(grid[min(best + 1, _GRID_POINTS - 1)])
+    p_source = _golden_section(f, lo, hi, _TOL_REL * p_total)
     return PowerSplit.from_source(float(p_source), p_total)
 
-
-def ser_power_gradient(
-    split: PowerSplit,
-    ser_fn: Callable[[float, float], float],
-    rel_step: float = 1e-5,
-) -> tuple[float, float]:
-    """Central-difference partials of the SER w.r.t. each power component."""
-    h = rel_step * split.p_total
-    ps, pr = split.p_source, split.p_relay
-    g_s = (ser_fn(ps + h, pr) - ser_fn(ps - h, pr)) / (2.0 * h)
-    g_r = (ser_fn(ps, pr + h) - ser_fn(ps, pr - h)) / (2.0 * h)
-    return g_s, g_r
-
-
-def stationarity_residual(
-    split: PowerSplit,
-    ser_fn: Callable[[float, float], float],
-    rel_step: float = 1e-5,
-) -> float:
-    """|dSER/dP_s - 2*dSER/dP_r|: eliminating the multiplier from the two
-    first-order conditions of the constrained minimization leaves exactly
-    this combination, which vanishes at an interior optimum."""
-    g_s, g_r = ser_power_gradient(split, ser_fn, rel_step)
-    return abs(g_s - 2.0 * g_r)

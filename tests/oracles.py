@@ -33,6 +33,34 @@ def config_at_snr_db(config: SystemConfig, snr_db: float) -> SystemConfig:
     return dataclasses.replace(config, p_source=split.p_source, p_relay=split.p_relay)
 
 
+def best_pdf(dist, gamma):
+    """Density of the max of dist.num_relays i.i.d. exponentials of rate
+    dist.eta: N*eta*exp(-eta*g)*(1-exp(-eta*g))^(N-1)."""
+    g = np.asarray(gamma, dtype=float)
+    n, eta = dist.num_relays, dist.eta
+    out = n * eta * np.exp(-eta * g) * (-np.expm1(-eta * g)) ** (n - 1)
+    return out if out.ndim else float(out)
+
+
+def ser_power_gradient(split, ser_fn, rel_step=1e-5):
+    """Central-difference partials of ``ser_fn(p_source, p_relay)`` w.r.t.
+    each power component at ``split``."""
+    h = rel_step * split.p_total
+    ps, pr = split.p_source, split.p_relay
+    g_s = (ser_fn(ps + h, pr) - ser_fn(ps - h, pr)) / (2.0 * h)
+    g_r = (ser_fn(ps, pr + h) - ser_fn(ps, pr - h)) / (2.0 * h)
+    return g_s, g_r
+
+
+def stationarity_residual(split, ser_fn, rel_step=1e-5):
+    """|dSER/dP_s - 2*dSER/dP_r|: eliminating the multiplier from the two
+    first-order conditions of minimizing the SER subject to
+    2*p_source + p_relay = p_total leaves exactly this combination, which
+    vanishes at an interior optimum."""
+    g_s, g_r = ser_power_gradient(split, ser_fn, rel_step)
+    return abs(g_s - 2.0 * g_r)
+
+
 def af_path_survival(x, rate_first_hop, rate_second_hop):
     """Exact survival of U*V/(U+V+1) for independent exponentials U, V.
 

@@ -27,17 +27,19 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from oracles import (
+    best_pdf,
     brute_force_allocation,
     config_at_snr_db,
     exact_best_bottleneck_cdf,
     rayleigh_bpsk_ser,
+    ser_power_gradient,
     single_link_ser,
+    stationarity_residual,
 )
 from marcsim.analytic import (
     BestRelayDistribution,
     best_cdf,
     best_mgf,
-    best_pdf,
     integral_I,
     ser_closed_form,
     ser_quadrature,
@@ -55,8 +57,6 @@ from marcsim.power import (
     PowerSplit,
     numeric_allocation,
     ser_for_powers,
-    ser_power_gradient,
-    stationarity_residual,
 )
 
 

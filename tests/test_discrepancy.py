@@ -27,7 +27,7 @@ def test_additive_ser_record_nonzero():
 
 
 def test_allocation_record_reports_infeasibility():
-    rec = allocation_discrepancy(p_total=3.0, b=1.0)
+    rec = allocation_discrepancy()
     assert "feasible: False" in rec.note
     assert rec.magnitude > 1.0  # raw value is far outside the feasible range
 

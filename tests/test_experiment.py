@@ -93,6 +93,17 @@ def test_ptotal_replaces_snr_axis():
     assert res.spec.snr_points_db == [10.0 * math.log10(9.0)]
 
 
+@pytest.mark.parametrize("p_total", [None, 5.0])
+@pytest.mark.parametrize("figure", [f.alias for f in experiment._FIGURES.values()])
+def test_validate_spec_is_idempotent(figure, p_total):
+    # run_experiment validates the spec that main has already validated
+    first = validate_spec(ExperimentSpec(figure=figure, p_total=p_total))
+    assert first.ok
+    again = validate_spec(first.spec)
+    assert again.errors == []
+    assert again.spec == first.spec
+
+
 def test_roundtrip_serialization():
     filled = validate_spec(ExperimentSpec(figure="fig3")).spec
     again = spec_from_text(spec_to_text(filled))
@@ -211,6 +222,30 @@ def test_resume_skips_completed_cells(tmp_path):
     assert open(spec.output_path, "rb").read() == csv_first
 
 
+def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
+    # a process pool starts all its workers at once, so the cap must come
+    # before the pool; this stand-in records it and maps in this process
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    spec = small_spec(tmp_path)
+    run_experiment(spec, workers=5000)
+    assert opened == [len(spec.snr_points_db)]
+
+
 def count_computed_cells(monkeypatch):
     calls = []
     compute = experiment._compute_cell
@@ -321,11 +356,14 @@ def test_cli_success(tmp_path, capsys):
         (["--ptotal", "zz"], "p_total"),
         (["--workers", "abc"], "workers"),
         (["--workers", "0"], "workers"),
+        (["--snr=4000"], "snr_points_db"),
+        (["--snr=-4000"], "snr_points_db"),
+        (["--ptotal", "1e-320"], "p_total"),
     ],
     ids=[
         "relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf",
         "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x", "ptotal-zz",
-        "workers-abc", "workers-0",
+        "workers-abc", "workers-0", "snr-overflow", "snr-underflow", "ptotal-subnormal",
     ],
 )
 def test_cli_validation_failure(tmp_path, capsys, flags, field):

@@ -1,8 +1,14 @@
+import ast
 import importlib
+import pathlib
+import tomllib
 
 import pytest
 
+import marcsim
+
 MODULES = ["analytic", "cli", "discrepancy", "experiment", "model", "montecarlo", "power"]
+PACKAGE = pathlib.Path(marcsim.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -11,3 +17,46 @@ def test_all_names_resolve(name):
     assert module.__all__
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"marcsim.{name}.__all__ names undefined {missing}"
+
+
+def _statements():
+    """(names defined, names read) of every top-level statement in the
+    package; a statement's reads of its own names do not count."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            else:
+                defined = {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                }
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            yield defined, read - defined
+
+
+def _console_scripts():
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    return {target.rpartition(":")[2] for target in pyproject["project"]["scripts"].values()}
+
+
+def _uncalled_exports():
+    """Exported names that no live statement of the package reads.  A name
+    read only by uncalled definitions is uncalled too, so this iterates to a
+    fixed point."""
+    statements = list(_statements())
+    exported = {name for mod in MODULES for name in importlib.import_module(f"marcsim.{mod}").__all__}
+    exported -= _console_scripts()
+    dead: set[str] = set()
+    while True:
+        read = set().union(*(r for d, r in statements if not d & dead))
+        if exported - read == dead:
+            return dead
+        dead = exported - read
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_has_a_caller(name):
+    exports = set(importlib.import_module(f"marcsim.{name}").__all__)
+    uncalled = sorted(exports & _uncalled_exports())
+    assert not uncalled, f"marcsim.{name}.__all__ names nothing in the package uses: {uncalled}"

@@ -244,7 +244,7 @@ def test_selection_invariant_under_increasing_transform(snrs, scale, shift):
 
 def test_equal_split_at_unit_kappa():
     # a fixed budget is split equally: p_source / p_relay == 1
-    cell = _Cell(Scheme.ANC, 2, 2, 10.0 * math.log10(9.0), "", "ser")
+    cell = _Cell(Scheme.ANC, 2, 2, 10.0 * math.log10(9.0), "")
     split = _cell_powers(ExperimentSpec(p_total=9.0), cell)
     assert split.p_source == pytest.approx(3.0)
     assert split.p_relay == pytest.approx(3.0)
@@ -252,7 +252,7 @@ def test_equal_split_at_unit_kappa():
 
 
 def test_snr_axis_mapping():
-    cell = _Cell(Scheme.ANC, 2, 2, 10.0, "", "ser")
+    cell = _Cell(Scheme.ANC, 2, 2, 10.0, "")
     split = _cell_powers(ExperimentSpec(), cell)
     assert 2 * split.p_source + split.p_relay == pytest.approx(10.0)
     assert split.p_source == pytest.approx(split.p_relay)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_force_allocation
+from oracles import brute_force_allocation, ser_power_gradient, stationarity_residual
 from marcsim.model import Scheme
 from marcsim.power import (
     MultimodalObjectiveWarning,
@@ -14,8 +14,6 @@ from marcsim.power import (
     closed_form_source_power,
     numeric_allocation,
     ser_for_powers,
-    ser_power_gradient,
-    stationarity_residual,
 )
 
 
