@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__, discrepancy, montecarlo
 from .analytic import (
+    _MAX_SERIES_ORDER,
     BestRelayDistribution,
     best_cdf,
     ser_closed_form,
@@ -35,7 +36,7 @@ from .analytic import (
 )
 from .model import Scheme, SystemConfig, bottleneck_rate, compute_rate_params
 from .montecarlo import estimate_outage, estimate_ser
-from .power import PowerSplit, numeric_allocation, ser_for_powers
+from .power import PowerSplit, allocation_edges, numeric_allocation, ser_for_powers
 
 __all__ = [
     "CSV_HEADER",
@@ -147,6 +148,27 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     if s.snr_points_db is None:
         s.snr_points_db = list(_DEFAULT_SNR_DB)
 
+    relays_ok = bool(s.relay_counts)
+    if not relays_ok:
+        errors.append("relay_counts: must be nonempty")
+    else:
+        for n in s.relay_counts:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                errors.append(f"relay_counts: entries must be integers >= 1, got {n!r}")
+                relays_ok = False
+                break
+    # the analytic SER's alternating series over n = 1..N multiplies a rate
+    # by up to max_n C(N, n)*n, which must stay finite; outage reads one rate
+    rate_scale = 1.0
+    if relays_ok and fig.kind != "outage":
+        n_max = max(s.relay_counts)
+        if n_max > _MAX_SERIES_ORDER:
+            errors.append(
+                f"relay_counts: SER figures allow at most {_MAX_SERIES_ORDER} relays "
+                f"(the analytic SER's alternating series), got {n_max}"
+            )
+        else:
+            rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
     if not s.snr_points_db:
         errors.append("snr_points_db: must be nonempty")
     elif not all(math.isfinite(v) for v in s.snr_points_db):
@@ -156,19 +178,17 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     elif budget_ok:
         for snr in s.snr_points_db:
             try:
-                split = PowerSplit.equal(_budget(s, snr))
-                # no rate the model derives from a split exceeds ANC's bottleneck rate
-                BestRelayDistribution(1, bottleneck_rate(SystemConfig(1, split.p_source, split.p_relay)))
+                p_total = _budget(s, snr)
+                splits = [PowerSplit.equal(p_total)]
+                if fig.kind == "power":
+                    splits += allocation_edges(p_total)
+                for split in splits:
+                    # no rate the model derives from a split exceeds ANC's bottleneck rate
+                    rate = bottleneck_rate(SystemConfig(1, split.p_source, split.p_relay))
+                    BestRelayDistribution(1, rate_scale * rate)
             except (OverflowError, ValueError) as exc:
                 where = f"snr_points_db: {snr!r} dB" if s.p_total is None else f"p_total: {s.p_total!r}"
-                errors.append(f"{where} gives an equal split outside the model's range ({exc})")
-                break
-    if not s.relay_counts:
-        errors.append("relay_counts: must be nonempty")
-    else:
-        for n in s.relay_counts:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                errors.append(f"relay_counts: entries must be integers >= 1, got {n!r}")
+                errors.append(f"{where} gives a split outside the model's range ({exc})")
                 break
     if not s.mod_orders:
         errors.append("mod_orders: must be nonempty")

@@ -9,6 +9,28 @@ is exact over all M^2 pairs but costs O(M) per trial: for each hypothesis of
 the first symbol, the best second symbol is the PSK point nearest one angle
 (``_pair_ml``).
 
+Fading is drawn gain first, in two stages.  Stage 1 (``sample_gains``)
+draws only what relay selection reads: the power gains |h|^2 of the
+source->relay links and, under ANC, of the relay->destination links, as
+exponentials scaled by the link variance.  Outage estimation stops there.
+Stage 2 (``run_batch``, after selection) draws only what detection can see:
+h1b = sqrt(g1) and h2b = sqrt(g2)*exp(j*psi) with one uniform psi for the
+selected relay's source links, hrb = sqrt(g_rd) for its destination link
+(under DF-NC a fresh exponential for the selected relay alone, as DF
+selection never reads it), and the two direct links as complex Gaussians.
+
+This is exact in distribution, not an approximation.  A Rayleigh coefficient
+is sqrt(gain) times an independent uniform phase.  The noise is circular and
+every joint-ML decision is coherent, so a common rotation of one receiver's
+observation and its known coefficients changes no decision.  Rotating h1b,
+h2b and the relay noise by alpha rotates the relay's observation by alpha;
+rotating hrb by beta as well, and the destination's slot-2 noise by
+alpha + beta under ANC (beta under DF-NC), rotates the slot-2 observation by
+that angle.  Every metric is unchanged, and as the angles depend on the
+channel alone, the rotated noises have the law of the originals.  With alpha = -arg h1b and beta = -arg hrb the one
+phase left is that of h2b relative to h1b, uniform and independent of the
+gains.
+
 Randomness is counter-based: trial t always belongs to batch t // BATCH_SIZE,
 and batch b draws from Philox(seed) jumped b times, so a result depends only
 on (config, seed, trials) no matter how work is scheduled.
@@ -18,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,27 +132,30 @@ def _complex_gaussian(rng: np.random.Generator, variance: float, size) -> np.nda
     return (re + 1j * im) * math.sqrt(variance / 2.0)
 
 
+def _power_gain(rng: np.random.Generator, variance: float, size) -> np.ndarray:
+    # |h|^2 of a circularly symmetric Gaussian h with E|h|^2 = variance
+    return rng.standard_exponential(size) * variance
+
+
 @dataclasses.dataclass(frozen=True)
 class GainBatch:
-    """Fading coefficients of a batch of B independent rounds."""
+    """Power gains |h|^2 that relay selection reads, for B independent rounds."""
 
-    h_s1_r: np.ndarray  # source 1 -> relay j, (B, N)
-    h_s2_r: np.ndarray  # source 2 -> relay j, (B, N)
-    h_r_d: np.ndarray   # relay j -> destination, (B, N)
-    h_s1_d: np.ndarray  # source 1 -> destination, (B,)
-    h_s2_d: np.ndarray  # source 2 -> destination, (B,)
+    g_s1_r: np.ndarray        # source 1 -> relay j, (B, N)
+    g_s2_r: np.ndarray        # source 2 -> relay j, (B, N)
+    g_r_d: np.ndarray | None  # relay j -> destination, (B, N); None under DF-NC
 
 
 def sample_gains(config: SystemConfig, rng: np.random.Generator, size: int) -> GainBatch:
-    """Draw ``size`` i.i.d. Rayleigh realizations of every link."""
-    n = config.num_relays
-    return GainBatch(
-        _complex_gaussian(rng, config.variance_s_r, (size, n)),
-        _complex_gaussian(rng, config.variance_s_r, (size, n)),
-        _complex_gaussian(rng, config.variance_r_d, (size, n)),
-        _complex_gaussian(rng, config.variance_s_d, size),
-        _complex_gaussian(rng, config.variance_s_d, size),
-    )
+    """Stage 1: ``size`` i.i.d. Rayleigh realizations of the power gains that
+    selection reads (the source->relay links, plus the relay->destination
+    links under ANC)."""
+    shape = (size, config.num_relays)
+    g1 = _power_gain(rng, config.variance_s_r, shape)
+    g2 = _power_gain(rng, config.variance_s_r, shape)
+    if config.scheme is Scheme.ANC:
+        return GainBatch(g1, g2, _power_gain(rng, config.variance_r_d, shape))
+    return GainBatch(g1, g2, None)
 
 
 def anc_snr(gain_sr_sq, gain_rd_sq, gamma_s: float, gamma_r: float):
@@ -148,12 +174,10 @@ def relay_snrs(config: SystemConfig, gb: GainBatch):
     gains: the amplified end-to-end SNR under ANC, the source->relay receive
     SNR under DF-NC."""
     gamma_s, gamma_r = _gammas(config)
-    a1 = np.abs(gb.h_s1_r) ** 2
-    a2 = np.abs(gb.h_s2_r) ** 2
     if config.scheme is Scheme.ANC:
-        c = np.abs(gb.h_r_d) ** 2
-        return anc_snr(a1, c, gamma_s, gamma_r), anc_snr(a2, c, gamma_s, gamma_r)
-    return a1 * gamma_r, a2 * gamma_r
+        c = gb.g_r_d
+        return anc_snr(gb.g_s1_r, c, gamma_s, gamma_r), anc_snr(gb.g_s2_r, c, gamma_s, gamma_r)
+    return gb.g_s1_r * gamma_r, gb.g_s2_r * gamma_r
 
 
 def select_relay(snrs_s1, snrs_s2):
@@ -165,6 +189,53 @@ def select_relay(snrs_s1, snrs_s2):
     bottleneck = np.minimum(snrs_s1, snrs_s2)
     sel = np.argmax(bottleneck, axis=-1)
     return sel, np.take_along_axis(bottleneck, sel[..., None], axis=-1)[..., 0]
+
+
+class _Links(NamedTuple):
+    """The complex coefficients that the receivers know, one entry per trial."""
+
+    h1b: np.ndarray     # source 1 -> selected relay
+    h2b: np.ndarray     # source 2 -> selected relay
+    hrb: np.ndarray     # selected relay -> destination
+    h_s1_d: np.ndarray  # source 1 -> destination
+    h_s2_d: np.ndarray  # source 2 -> destination
+
+
+class _Draws(NamedTuple):
+    """Symbol indices sent and receiver noises, one entry per trial."""
+
+    i1: np.ndarray
+    i2: np.ndarray
+    n_relay: np.ndarray
+    n_d1: np.ndarray
+    n_d2: np.ndarray
+
+
+def _selected_links(config: SystemConfig, gb: GainBatch, sel, rng: np.random.Generator) -> _Links:
+    """Stage 2: the coefficients that detection sees, in the rotated form of
+    the module docstring (h1b and hrb real, one phase on h2b)."""
+    size = sel.shape[0]
+    rows = np.arange(size)
+    psi = rng.uniform(0.0, 2.0 * np.pi, size)
+    h2b = np.sqrt(gb.g_s2_r[rows, sel]) * np.exp(1j * psi)
+    g_rd = _power_gain(rng, config.variance_r_d, size) if gb.g_r_d is None else gb.g_r_d[rows, sel]
+    h_s1_d = _complex_gaussian(rng, config.variance_s_d, size)
+    h_s2_d = _complex_gaussian(rng, config.variance_s_d, size)
+    return _Links(np.sqrt(gb.g_s1_r[rows, sel]), h2b, np.sqrt(g_rd), h_s1_d, h_s2_d)
+
+
+def _draw_symbols(config: SystemConfig, size: int, rng: np.random.Generator) -> _Draws:
+    """The rest of a round, drawn after the links: symbols and noises."""
+    m = config.mod_order
+    n0 = config.noise_psd
+    i1 = rng.integers(0, m, size)
+    i2 = rng.integers(0, m, size)
+    # selection depends on the gains only, so only the selected relay's
+    # receiver noise is ever realized
+    n_relay = _complex_gaussian(rng, n0, size)
+    n_d1 = _complex_gaussian(rng, n0, size)
+    n_d2 = _complex_gaussian(rng, n0, size)
+    return _Draws(i1, i2, n_relay, n_d1, n_d2)
 
 
 def _pair_ml(z, score):
@@ -199,48 +270,33 @@ def _relay_decode(y_relay, h1b, h2b, sp: float, const):
     )
 
 
-def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
-    """One vectorized batch of protocol rounds on the gains ``gb``; returns
-    per-trial source-1 and source-2 error flags, the selected relay index and
-    the selection-bottleneck SNR.  Under DF-NC relay decoding errors
-    propagate into the forwarded symbol; there is no genie."""
+def _decide(config: SystemConfig, links: _Links, draws: _Draws):
+    """The destination's joint ML decision (k1, k2) of one round per trial,
+    after the DF relay's own decision.  Deterministic: every random input
+    is in ``links`` and ``draws``."""
     m = config.mod_order
     const = modulate(np.arange(m), m)
     ci = const[:, None]  # row i of an (M, B) array holds the hypothesis x1 = c_i
-    size = gb.h_s1_d.shape[0]
     n0 = config.noise_psd
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
+    h1b, h2b, hrb, h_s1_d, h_s2_d = links
+    x1 = const[draws.i1]
+    x2 = const[draws.i2]
 
-    sel, best = select_relay(*relay_snrs(config, gb))
-    rows = np.arange(size)
-    h1b = gb.h_s1_r[rows, sel]
-    h2b = gb.h_s2_r[rows, sel]
-    hrb = gb.h_r_d[rows, sel]
-
-    i1 = rng.integers(0, m, size)
-    i2 = rng.integers(0, m, size)
-    x1 = const[i1]
-    x2 = const[i2]
-    # selection depends on the gains only, so only the selected relay's
-    # receiver noise is ever realized
-    n_relay = _complex_gaussian(rng, n0, size)
-    n_d1 = _complex_gaussian(rng, n0, size)
-    n_d2 = _complex_gaussian(rng, n0, size)
-
-    y1 = sp * (gb.h_s1_d * x1 + gb.h_s2_d * x2) + n_d1
-    y_relay = sp * (h1b * x1 + h2b * x2) + n_relay
+    y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + draws.n_d1
+    y_relay = sp * (h1b * x1 + h2b * x2) + draws.n_relay
     # slot 1's share of z: |y1 - a*c_i - b*c_j|^2 is a term free of j minus
     # 2*Re(conj(c_j) * conj(b)*(y1 - a*c_i)), with a = sp*h_s1_d, b = sp*h_s2_d
-    w1 = np.conj(sp * gb.h_s2_d)
-    p1, q1 = w1 * y1, w1 * (sp * gb.h_s1_d)
+    w1 = np.conj(sp * h_s2_d)
+    p1, q1 = w1 * y1, w1 * (sp * h_s1_d)
 
     def mu1(j):
-        return sp * (gb.h_s1_d * ci + gb.h_s2_d * const[j])
+        return sp * (h_s1_d * ci + h_s2_d * const[j])
 
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
-        y2 = amp * hrb * y_relay + n_d2
+        y2 = amp * hrb * y_relay + draws.n_d2
         var2 = amp * amp * np.abs(hrb) ** 2 * n0 + n0
         w2 = np.conj(amp * hrb * sp * h2b) / var2
         z = (p1 / n0 + w2 * y2) - (q1 / n0 + w2 * (amp * hrb * sp * h1b)) * ci
@@ -253,7 +309,7 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
         # relay jointly decodes the pair, then forwards the modulo-M combine
         r1, r2 = _relay_decode(y_relay, h1b, h2b, sp, const)
         forwarded = const[(r1 + r2) % m]
-        y2 = sr * hrb * forwarded + n_d2
+        y2 = sr * hrb * forwarded + draws.n_d2
         # slot 2 is |y2 - (sr*hrb*c_i)*c_j|^2, so its share of z is
         # conj(sr*hrb*c_i) * y2
         z = p1 - q1 * ci + (np.conj(sr * hrb) * y2) * ci.conj()
@@ -262,8 +318,20 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
         def metric(j):
             return np.abs(y1 - mu1(j)) ** 2 + np.abs(y2 - sr * hrb * const[(ii + j) % m]) ** 2
 
-    k1, k2 = _pair_ml(z, metric)
-    return k1 != i1, k2 != i2, sel, best
+    return _pair_ml(z, metric)
+
+
+def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
+    """One vectorized batch of protocol rounds on the stage-1 gains ``gb``:
+    select, draw stage 2 from ``rng``, detect.  Returns per-trial source-1
+    and source-2 error flags, the selected relay index and the
+    selection-bottleneck SNR.  Under DF-NC relay decoding errors propagate
+    into the forwarded symbol; there is no genie."""
+    sel, best = select_relay(*relay_snrs(config, gb))
+    links = _selected_links(config, gb, sel, rng)
+    draws = _draw_symbols(config, sel.shape[0], rng)
+    k1, k2 = _decide(config, links, draws)
+    return k1 != draws.i1, k2 != draws.i2, sel, best
 
 
 def estimate_ser(

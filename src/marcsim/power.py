@@ -25,6 +25,7 @@ __all__ = [
     "PowerSplit",
     "MultimodalObjectiveWarning",
     "closed_form_source_power",
+    "allocation_edges",
     "numeric_allocation",
     "ser_for_powers",
 ]
@@ -112,6 +113,16 @@ def ser_for_powers(
     return ser_quadrature(dist, rates.eta_direct, mod_order)
 
 
+def allocation_edges(p_total: float) -> tuple[PowerSplit, PowerSplit]:
+    """The two extreme splits that numeric_allocation evaluates, the ends of
+    its pre-scan grid, 1e-6*p_total inside the feasible source powers.  Every
+    model rate (1/gamma_s, 1/gamma_r and their positive combinations) is
+    convex in p_source, so over the allocator's splits it peaks at one of
+    these two."""
+    eps = 1e-6 * p_total
+    return PowerSplit.from_source(eps, p_total), PowerSplit.from_source(p_total / 2.0 - eps, p_total)
+
+
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
@@ -141,9 +152,9 @@ def numeric_allocation(
     """
     if p_total <= 0:
         raise ValueError("p_total must be positive")
-    eps = 1e-6 * p_total
     f = lambda ps: objective(ps, p_total - 2.0 * ps)
-    grid = np.linspace(eps, p_total / 2.0 - eps, _GRID_POINTS)
+    lo, hi = allocation_edges(p_total)
+    grid = np.linspace(lo.p_source, hi.p_source, _GRID_POINTS)
     values = np.array([f(ps) for ps in grid])
     best = int(np.argmin(values))
 

@@ -4,7 +4,11 @@ Everything here is derived from first principles (exact distributions,
 brute-force detectors) and never calls the code paths it is used to check.
 The brute-force detectors that are compared with ``montecarlo.run_batch``
 reuse its sampling and relay selection, so that both decide on the same
-draws; only the detection is under test.
+draws; only the detection is under test.  The full-phase sampler draws every
+link as a complex Gaussian, the way the package did before it drew gains
+first; it is the reference for the gain-first sampler and feeds the
+package's own selection and detection, so that only the sampling is under
+test.
 """
 
 import dataclasses
@@ -15,8 +19,13 @@ from scipy.special import k1
 
 from marcsim.model import SystemConfig, Scheme, _gammas
 from marcsim.montecarlo import (
+    GainBatch,
+    _Links,
     _batches,
     _complex_gaussian,
+    _decide,
+    _draw_symbols,
+    _selected_links,
     _wilson_estimate,
     modulate,
     relay_normalization,
@@ -133,50 +142,84 @@ def brute_force_pair(y_relay, h1b, h2b, sp, mod_order):
     return ii[k], jj[k]
 
 
-def brute_force_run_batch(config: SystemConfig, gb, rng):
-    """``montecarlo.run_batch`` with every joint-ML decision (the DF relay's
-    and the destination's) taken by scoring all M^2 symbol pairs; the same
-    draws, in the same order, as the kernel."""
+def brute_force_decide(config: SystemConfig, links, draws):
+    """``montecarlo._decide`` with every joint-ML decision (the DF relay's
+    and the destination's) taken by scoring all M^2 symbol pairs."""
     m = config.mod_order
     const, ii, jj = _pair_grid(m)
-    size = gb.h_s1_d.shape[0]
     n0 = config.noise_psd
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
+    h1b, h2b, hrb, h_s1_d, h_s2_d = links
+    x1 = const[draws.i1]
+    x2 = const[draws.i2]
 
-    sel, best = select_relay(*relay_snrs(config, gb))
-    rows = np.arange(size)
-    h1b = gb.h_s1_r[rows, sel]
-    h2b = gb.h_s2_r[rows, sel]
-    hrb = gb.h_r_d[rows, sel]
-
-    i1 = rng.integers(0, m, size)
-    i2 = rng.integers(0, m, size)
-    x1 = const[i1]
-    x2 = const[i2]
-    n_relay = _complex_gaussian(rng, n0, size)
-    n_d1 = _complex_gaussian(rng, n0, size)
-    n_d2 = _complex_gaussian(rng, n0, size)
-
-    y1 = sp * (gb.h_s1_d * x1 + gb.h_s2_d * x2) + n_d1
-    mu1 = sp * (gb.h_s1_d[:, None] * const[ii] + gb.h_s2_d[:, None] * const[jj])
-    y_relay = sp * (h1b * x1 + h2b * x2) + n_relay
+    y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + draws.n_d1
+    mu1 = sp * (h_s1_d[:, None] * const[ii] + h_s2_d[:, None] * const[jj])
+    y_relay = sp * (h1b * x1 + h2b * x2) + draws.n_relay
 
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
-        y2 = amp * hrb * y_relay + n_d2
+        y2 = amp * hrb * y_relay + draws.n_d2
         var2 = amp * amp * np.abs(hrb) ** 2 * n0 + n0
         mu2 = amp * hrb[:, None] * sp * (h1b[:, None] * const[ii] + h2b[:, None] * const[jj])
         metric = np.abs(y1[:, None] - mu1) ** 2 / n0 + np.abs(y2[:, None] - mu2) ** 2 / var2[:, None]
     else:
         r1, r2 = brute_force_pair(y_relay, h1b, h2b, sp, m)
         forwarded = const[(r1 + r2) % m]
-        y2 = sr * hrb * forwarded + n_d2
+        y2 = sr * hrb * forwarded + draws.n_d2
         mu2 = sr * hrb[:, None] * const[(ii + jj) % m]
         metric = np.abs(y1[:, None] - mu1) ** 2 + np.abs(y2[:, None] - mu2) ** 2
 
     k = np.argmin(metric, axis=1)
-    return ii[k] != i1, jj[k] != i2, sel, best
+    return ii[k], jj[k]
+
+
+def brute_force_run_batch(config: SystemConfig, gb, rng):
+    """``montecarlo.run_batch`` with ``brute_force_decide`` for the
+    detection; the same draws, in the same order, as the kernel."""
+    sel, best = select_relay(*relay_snrs(config, gb))
+    links = _selected_links(config, gb, sel, rng)
+    draws = _draw_symbols(config, sel.shape[0], rng)
+    k1, k2 = brute_force_decide(config, links, draws)
+    return k1 != draws.i1, k2 != draws.i2, sel, best
+
+
+@dataclasses.dataclass(frozen=True)
+class ComplexGains:
+    """Complex fading coefficients of every link, for B rounds."""
+
+    h_s1_r: np.ndarray  # source 1 -> relay j, (B, N)
+    h_s2_r: np.ndarray  # source 2 -> relay j, (B, N)
+    h_r_d: np.ndarray   # relay j -> destination, (B, N)
+    h_s1_d: np.ndarray  # source 1 -> destination, (B,)
+    h_s2_d: np.ndarray  # source 2 -> destination, (B,)
+
+
+def full_phase_gains(config: SystemConfig, rng, size: int) -> ComplexGains:
+    """The full-phase sampler: all 3N+2 links of ``size`` rounds as
+    circularly symmetric complex Gaussians."""
+    n = config.num_relays
+    return ComplexGains(
+        _complex_gaussian(rng, config.variance_s_r, (size, n)),
+        _complex_gaussian(rng, config.variance_s_r, (size, n)),
+        _complex_gaussian(rng, config.variance_r_d, (size, n)),
+        _complex_gaussian(rng, config.variance_s_d, size),
+        _complex_gaussian(rng, config.variance_s_d, size),
+    )
+
+
+def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, rng):
+    """``montecarlo.run_batch`` on full-phase coefficients: selection reads
+    |h|^2, and the selected relay's coefficients reach the detector with
+    their phases as drawn."""
+    gb = GainBatch(np.abs(cg.h_s1_r) ** 2, np.abs(cg.h_s2_r) ** 2, np.abs(cg.h_r_d) ** 2)
+    sel, best = select_relay(*relay_snrs(config, gb))
+    rows = np.arange(sel.shape[0])
+    links = _Links(cg.h_s1_r[rows, sel], cg.h_s2_r[rows, sel], cg.h_r_d[rows, sel], cg.h_s1_d, cg.h_s2_d)
+    draws = _draw_symbols(config, sel.shape[0], rng)
+    k1, k2 = _decide(config, links, draws)
+    return k1 != draws.i1, k2 != draws.i2, sel, best
 
 
 def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):

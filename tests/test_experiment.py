@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import marcsim
 from marcsim import experiment, montecarlo
 from marcsim.analytic import BestRelayDistribution, best_cdf
 from marcsim.experiment import (
@@ -305,6 +306,22 @@ def test_batch_size_change_invalidates_journal(tmp_path, monkeypatch):
     assert len(calls) == len(spec.snr_points_db)
 
 
+def test_journal_of_previous_version_not_resumed(tmp_path, monkeypatch):
+    # 0.3.0 draws fading gain first: a 0.2.0 journal holds rows of the old
+    # random stream and must be recomputed, not resumed
+    assert marcsim.__version__ != "0.2.0"
+    spec = small_spec(tmp_path)
+    monkeypatch.setattr(experiment, "__version__", "0.2.0")
+    run_experiment(spec)
+    journal = spec.output_path + ".journal"
+    header = open(journal).readline()
+    monkeypatch.setattr(experiment, "__version__", marcsim.__version__)
+    calls = count_computed_cells(monkeypatch)
+    run_experiment(spec)
+    assert open(journal).readline() != header
+    assert len(calls) == len(spec.snr_points_db)
+
+
 def test_stale_journal_discarded(tmp_path):
     spec = small_spec(tmp_path)
     journal = spec.output_path + ".journal"
@@ -359,11 +376,17 @@ def test_cli_success(tmp_path, capsys):
         (["--snr=4000"], "snr_points_db"),
         (["--snr=-4000"], "snr_points_db"),
         (["--ptotal", "1e-320"], "p_total"),
+        (["--relays", "65"], "relay_counts"),
+        (["--scheme", "anc,df", "--relays", "1,3", "--ptotal", "1e-307"], "p_total"),
+        # N*eta is finite here, but the series' coefficient C(3,2)*2 = 6 times eta is not
+        (["--scheme", "anc,df", "--relays", "1,3", "--ptotal", "2.6e-307"], "p_total"),
+        (["--figure", "fig5", "--ptotal", "1e-305"], "p_total"),
     ],
     ids=[
         "relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf",
         "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x", "ptotal-zz",
         "workers-abc", "workers-0", "snr-overflow", "snr-underflow", "ptotal-subnormal",
+        "relays-65-ser", "ptotal-series-overflow", "ptotal-series-coefficient", "ptotal-allocator-edge",
     ],
 )
 def test_cli_validation_failure(tmp_path, capsys, flags, field):
@@ -371,6 +394,14 @@ def test_cli_validation_failure(tmp_path, capsys, flags, field):
     code = main([*base, *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+def test_outage_figure_accepts_many_relays(tmp_path):
+    # the 64-relay cap belongs to the analytic SER series; fig4 never sums it
+    out = str(tmp_path / "fig4.csv")
+    code = main(["--figure", "fig4", "--relays", "65", "--snr", "10", "--trials", "1000", "--out", out])
+    assert code == 0
+    assert len(csv_rows(out)) == 2  # ANC and DF
 
 
 def csv_rows(path):

@@ -14,7 +14,14 @@ from marcsim.model import (
     compute_rate_params,
 )
 from marcsim.experiment import ExperimentSpec, _Cell, _cell_powers
-from marcsim.montecarlo import GainBatch, anc_snr, relay_snrs, sample_gains, select_relay
+from marcsim.montecarlo import (
+    GainBatch,
+    _selected_links,
+    anc_snr,
+    relay_snrs,
+    sample_gains,
+    select_relay,
+)
 
 
 def make_config(**kw):
@@ -56,17 +63,36 @@ def test_same_seed_same_gains():
     cfg = make_config(num_relays=4)
     g1 = sample_gains(cfg, np.random.default_rng(123), 8)
     g2 = sample_gains(cfg, np.random.default_rng(123), 8)
-    assert np.array_equal(g1.h_s1_r, g2.h_s1_r)
-    assert np.array_equal(g1.h_s2_r, g2.h_s2_r)
-    assert np.array_equal(g1.h_r_d, g2.h_r_d)
-    assert np.array_equal(g1.h_s1_d, g2.h_s1_d) and np.array_equal(g1.h_s2_d, g2.h_s2_d)
+    assert np.array_equal(g1.g_s1_r, g2.g_s1_r)
+    assert np.array_equal(g1.g_s2_r, g2.g_s2_r)
+    assert np.array_equal(g1.g_r_d, g2.g_r_d)
+    # the direct links are drawn in stage 2, after selection
+    sel = select_relay(*relay_snrs(cfg, g1))[0]
+    l1 = _selected_links(cfg, g1, sel, np.random.default_rng(5))
+    l2 = _selected_links(cfg, g2, sel, np.random.default_rng(5))
+    assert np.array_equal(l1.h_s1_d, l2.h_s1_d) and np.array_equal(l1.h_s2_d, l2.h_s2_d)
 
 
 def test_zero_variance_link_gives_zero_coefficient():
     cfg = make_config(variance_r_d=0.0)
     g = sample_gains(cfg, np.random.default_rng(0), 8)
-    assert np.all(g.h_r_d == 0)
-    assert np.any(g.h_s1_r != 0)
+    assert np.all(g.g_r_d == 0)
+    assert np.any(g.g_s1_r != 0)
+    sel = select_relay(*relay_snrs(cfg, g))[0]
+    assert np.all(_selected_links(cfg, g, sel, np.random.default_rng(1)).hrb == 0)
+
+
+def test_df_draws_destination_gain_after_selection():
+    # DF-NC selection never reads the relay->destination gains, so stage 1
+    # leaves them out and stage 2 draws the selected relay's alone
+    cfg = make_config(scheme=Scheme.DF_NC, num_relays=3)
+    g = sample_gains(cfg, np.random.default_rng(0), 8)
+    assert g.g_r_d is None
+    sel = select_relay(*relay_snrs(cfg, g))[0]
+    links = _selected_links(cfg, g, sel, np.random.default_rng(1))
+    assert links.hrb.shape == (8,) and np.all(links.hrb > 0)
+    silent = make_config(scheme=Scheme.DF_NC, num_relays=3, variance_r_d=0.0)
+    assert np.all(_selected_links(silent, g, sel, np.random.default_rng(1)).hrb == 0)
 
 
 def test_gain_power_matches_variance():
@@ -75,8 +101,8 @@ def test_gain_power_matches_variance():
     per_row = 64
     cfg = make_config(num_relays=per_row, variance_s_r=1.0)
     rows = 10**6 // per_row
-    gains = sample_gains(cfg, np.random.default_rng(2024), rows).h_s1_r
-    total = math.fsum(abs(h) ** 2 for h in gains.ravel().tolist())
+    gains = sample_gains(cfg, np.random.default_rng(2024), rows).g_s1_r
+    total = math.fsum(gains.ravel().tolist())
     assert 0.997 <= total / (rows * per_row) <= 1.003
 
 
@@ -125,8 +151,8 @@ def test_anc_snr_monotone_in_gains(a, da, c, dc):
 def df_snr(gain_sq, gamma_r):
     # DF per-relay SNR through the kernel: source 1's link, gamma_r = p_relay
     cfg = make_config(scheme=Scheme.DF_NC, p_source=gamma_r, p_relay=gamma_r)
-    h = np.sqrt(np.asarray(gain_sq, dtype=float))
-    return relay_snrs(cfg, GainBatch(h, h, h, h, h))[0]
+    g = np.asarray(gain_sq, dtype=float)
+    return relay_snrs(cfg, GainBatch(g, g, None))[0]
 
 
 def test_df_snr_values():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +7,14 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from oracles import (
+    brute_force_decide,
     brute_force_pair,
     brute_force_run_batch,
     config_at_snr_db,
     direct_only_pair_ml_ser,
     exact_best_bottleneck_cdf,
+    full_phase_gains,
+    full_phase_run_batch,
     rayleigh_bpsk_ser,
     single_link_ser,
 )
@@ -25,11 +27,17 @@ from marcsim.montecarlo import (
     estimate_ser,
     modulate,
     relay_normalization,
+    relay_snrs,
     run_batch,
     sample_best_snr,
     sample_gains,
+    select_relay,
+    _Links,
     _complex_gaussian,
+    _decide,
+    _draw_symbols,
     _relay_decode,
+    _selected_links,
 )
 
 
@@ -129,21 +137,93 @@ def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), 20.0)
     size = 512
     gains = sample_gains(cfg, np.random.default_rng(61), size)
-    silent = dict(h_s2_r=np.zeros_like(gains.h_s2_r), h_s2_d=np.zeros_like(gains.h_s2_d))
+    sel = select_relay(*relay_snrs(cfg, gains))[0]
+    links = _selected_links(cfg, gains, sel, np.random.default_rng(62))
+    silent = dict(h2b=np.zeros_like(links.h2b), h_s2_d=np.zeros_like(links.h_s2_d))
     if scheme is Scheme.DF_NC:
-        silent["h_r_d"] = np.zeros_like(gains.h_r_d)
-    gains = dataclasses.replace(gains, **silent)
-    draws = np.random.default_rng(62)  # run_batch draws x1's indices, then x2's
-    draws.integers(0, mod_order, size)
-    i2 = draws.integers(0, mod_order, size)
-    _, e2, _, _ = run_batch(cfg, gains, np.random.default_rng(62))
-    assert np.array_equal(e2, i2 != 0)
-    assert np.array_equal(e2, brute_force_run_batch(cfg, gains, np.random.default_rng(62))[1])
+        silent["hrb"] = np.zeros_like(links.hrb)
+    links = links._replace(**silent)
+    draws = _draw_symbols(cfg, size, np.random.default_rng(63))
+    _, k2 = _decide(cfg, links, draws)
+    assert np.array_equal(k2 != draws.i2, draws.i2 != 0)
+    assert np.array_equal(k2, brute_force_decide(cfg, links, draws)[1])
 
     # the DF relay's decision on its own, from an arbitrary observation
     const = modulate(np.arange(mod_order), mod_order)
-    _, j = _relay_decode(gains.h_s1_d, gains.h_s1_r[:, 0], gains.h_s2_r[:, 0], 1.0, const)
+    _, j = _relay_decode(links.h_s1_d, links.h1b, links.h2b, 1.0, const)
     assert not j.any()
+
+
+@pytest.mark.parametrize("rotation", ["arbitrary", "to_real"])
+@pytest.mark.parametrize("snr_db", [0.0, 20.0])
+@pytest.mark.parametrize("mod_order", [2, 8, 16])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_decisions_invariant_under_receiver_rotations(scheme, mod_order, snr_db, rotation):
+    # why stage 2 draws one phase: rotating h1b, h2b and the relay noise by
+    # alpha, hrb by beta, and the slot-2 noise by the angle that this turns
+    # the destination's slot-2 observation by (alpha + beta under ANC, beta
+    # under DF-NC) changes neither the relay's decision nor the destination's
+    cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), snr_db)
+    rng = np.random.default_rng(mod_order)
+    size = 4096
+    links = _Links(*(_complex_gaussian(rng, 1.0, size) for _ in range(5)))
+    draws = _draw_symbols(cfg, size, rng)
+    if rotation == "arbitrary":
+        alpha, beta = (rng.uniform(0.0, 2.0 * np.pi, size) for _ in range(2))
+    else:  # the form stage 2 draws: h1b and hrb real
+        alpha, beta = -np.angle(links.h1b), -np.angle(links.hrb)
+    turn_alpha, turn_beta = np.exp(1j * alpha), np.exp(1j * beta)
+    turn_slot2 = turn_alpha * turn_beta if scheme is Scheme.ANC else turn_beta
+    rotated = links._replace(h1b=links.h1b * turn_alpha, h2b=links.h2b * turn_alpha, hrb=links.hrb * turn_beta)
+    rotated_draws = draws._replace(n_relay=draws.n_relay * turn_alpha, n_d2=draws.n_d2 * turn_slot2)
+
+    got, want = _decide(cfg, rotated, rotated_draws), _decide(cfg, links, draws)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    const = modulate(np.arange(mod_order), mod_order)
+    sp = math.sqrt(cfg.p_source)
+
+    def relay(lk, dr):
+        y = sp * (lk.h1b * const[dr.i1] + lk.h2b * const[dr.i2]) + dr.n_relay
+        return _relay_decode(y, lk.h1b, lk.h2b, sp, const)
+
+    got, want = relay(rotated, rotated_draws), relay(links, draws)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def wilson_interval(count: int, trials: int, z: float = 4.5):
+    p = count / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2.0 * trials)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    return center - half, center + half
+
+
+@pytest.mark.parametrize("num_relays", [1, 3, 10])
+@pytest.mark.parametrize("mod_order", [2, 8])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_gain_first_sampler_matches_full_phase_oracle(scheme, mod_order, num_relays):
+    # the same rounds in law: outage of the selected-relay SNR at three
+    # thresholds, and both sources' error rates, within z = 4.5 Wilson bounds
+    cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), 10.0)
+    # quartiles of the DF-NC law (a stand-in for ANC): fixed, mid-range thresholds
+    quartiles = np.array([0.25, 0.5, 0.75])
+    thresholds = -np.log1p(-(quartiles ** (1.0 / num_relays))) / bottleneck_rate(cfg)
+    batches = 4
+    trials = batches * BATCH_SIZE
+    counts = []
+    for stream, (sample, run) in enumerate(
+        [(sample_gains, run_batch), (full_phase_gains, full_phase_run_batch)]
+    ):
+        tally = np.zeros(5, dtype=np.int64)
+        for b in range(batches):
+            rng = np.random.default_rng([stream, b, mod_order, num_relays])
+            e1, e2, _, best = run(cfg, sample(cfg, rng, BATCH_SIZE), rng)
+            tally += [*(best[:, None] < thresholds).sum(axis=0), e1.sum(), e2.sum()]
+        counts.append(tally)
+    for what, new, old in zip(["outage q1", "outage q2", "outage q3", "ser s1", "ser s2"], *counts):
+        lo_new, hi_new = wilson_interval(int(new), trials)
+        lo_old, hi_old = wilson_interval(int(old), trials)
+        assert lo_new <= hi_old and lo_old <= hi_new, f"{what}: {new} vs {old} of {trials}"
 
 
 def test_relay_normalization_value():
