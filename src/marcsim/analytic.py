@@ -63,13 +63,6 @@ def mpsk_g(mod_order: int) -> float:
     return math.sin(math.pi / mod_order) ** 2
 
 
-def _check_nonnegative(name: str, value) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return arr
-
-
 def _float_binom(n: int, k: int) -> float:
     # multiplicative recurrence, exact in floats for the orders we accept
     out = 1.0
@@ -87,36 +80,35 @@ def _check_series_order(n: int) -> None:
 
 
 def best_cdf(dist: BestRelayDistribution, gamma):
-    """P(best SNR <= gamma) = (1 - exp(-eta*gamma))^N."""
-    g = _check_nonnegative("gamma", gamma)
+    """P(best SNR <= gamma) = (1 - exp(-eta*gamma))^N, elementwise."""
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g >= 0):  # NaN fails the comparison too
+        raise ValueError("gamma must be nonnegative")
     out = (-np.expm1(-dist.eta * g)) ** dist.num_relays
     return out if out.ndim else float(out)
 
 
-def best_mgf(dist: BestRelayDistribution, s):
+def best_mgf(dist: BestRelayDistribution, s: float) -> float:
     """E[exp(-s * best SNR)] as an alternating sum over the N order-statistic
     terms; integrating the density term by term puts the n-th pole at
     s = -n*eta."""
     _check_series_order(dist.num_relays)
-    sv = _check_nonnegative("s", s)
+    if not s >= 0:
+        raise ValueError(f"s must be nonnegative, got {s!r}")
     eta = dist.eta
-    out = np.zeros_like(sv)
+    out = 0.0
     for n in range(1, dist.num_relays + 1):
         coeff = _float_binom(dist.num_relays, n) * n * (-1.0) ** (n - 1)
-        out += coeff * eta / (sv + n * eta)
-    return out if out.ndim else float(out)
+        out += coeff * eta / (s + n * eta)
+    return out
 
 
-def integral_I(c) -> float:
+def integral_I(c: float) -> float:
     """(1/pi) * integral of sin^2(t)/(sin^2(t)+c) over (0, pi/2),
     in closed form 0.5*(1 - sqrt(c/(1+c)))."""
-    cv = _check_nonnegative("c", c)
-    out = 0.5 * (1.0 - np.sqrt(cv / (1.0 + cv)))
-    return out if out.ndim else float(out)
-
-
-def _direct_mgf(eta_direct: float, s):
-    return eta_direct / (s + eta_direct)
+    if not c >= 0:
+        raise ValueError(f"c must be nonnegative, got {c!r}")
+    return 0.5 * (1.0 - math.sqrt(c / (1.0 + c)))
 
 
 def _check_direct_eta(direct_eta: float) -> None:
@@ -147,7 +139,7 @@ def ser_quadrature(
         s = g / sin2
         v = best_mgf(dist, s)
         if direct_eta is not None:
-            v *= _direct_mgf(direct_eta, s)
+            v *= direct_eta / (s + direct_eta)  # the direct link's exponential MGF
         return v
 
     value, abserr = quad(integrand, 0.0, upper, epsabs=tol, epsrel=1e-12, limit=200)

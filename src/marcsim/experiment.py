@@ -34,7 +34,7 @@ from .analytic import (
     ser_closed_form,
     ser_quadrature,
 )
-from .model import Scheme, SystemConfig, bottleneck_rate, compute_rate_params
+from .model import Scheme, SystemConfig, _gammas, bottleneck_rate, compute_rate_params
 from .montecarlo import estimate_outage, estimate_ser
 from .power import PowerSplit, allocation_edges, numeric_allocation, ser_for_powers
 
@@ -183,9 +183,13 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
                 if fig.kind == "power":
                     splits += allocation_edges(p_total)
                 for split in splits:
+                    config = SystemConfig(1, split.p_source, split.p_relay)
+                    # Monte Carlo ANC numerator gamma_s*g*gamma_r*g at gains g of 1e3 (P = e^-1000)
+                    gamma_s, gamma_r = _gammas(config)
+                    if not math.isfinite(gamma_s * gamma_r * 1e6):
+                        raise ValueError("Monte Carlo SNRs overflow")
                     # no rate the model derives from a split exceeds ANC's bottleneck rate
-                    rate = bottleneck_rate(SystemConfig(1, split.p_source, split.p_relay))
-                    BestRelayDistribution(1, rate_scale * rate)
+                    BestRelayDistribution(1, rate_scale * bottleneck_rate(config))
             except (OverflowError, ValueError) as exc:
                 where = f"snr_points_db: {snr!r} dB" if s.p_total is None else f"p_total: {s.p_total!r}"
                 errors.append(f"{where} gives a split outside the model's range ({exc})")

@@ -154,7 +154,7 @@ def numeric_allocation(
         raise ValueError("p_total must be positive")
     f = lambda ps: objective(ps, p_total - 2.0 * ps)
     lo, hi = allocation_edges(p_total)
-    grid = np.linspace(lo.p_source, hi.p_source, _GRID_POINTS)
+    grid = np.linspace(lo.p_source, hi.p_source, _GRID_POINTS).tolist()
     values = np.array([f(ps) for ps in grid])
     best = int(np.argmin(values))
 
@@ -169,8 +169,8 @@ def numeric_allocation(
             MultimodalObjectiveWarning,
         )
 
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, _GRID_POINTS - 1)])
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, _GRID_POINTS - 1)]
     p_source = _golden_section(f, lo, hi, _TOL_REL * p_total)
-    return PowerSplit.from_source(float(p_source), p_total)
+    return PowerSplit.from_source(p_source, p_total)
 

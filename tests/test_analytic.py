@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from marcsim.analytic import (
     ser_closed_form,
     ser_quadrature,
 )
-from marcsim.discrepancy import mgf_pole_discrepancy
+from marcsim.discrepancy import collect_all, mgf_pole_discrepancy
+from marcsim.model import Scheme, SystemConfig, compute_rate_params
+from marcsim.power import PowerSplit, numeric_allocation, ser_for_powers
 
 GRID_N = [1, 2, 5, 10]
 GRID_ETA = [0.5, 1.0, 2.0]
@@ -155,10 +158,25 @@ def test_mgf_rejects_negative_s():
         best_mgf(BestRelayDistribution(2, 1.0), -0.5)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: best_mgf(BestRelayDistribution(2, 1.0), x),
+        integral_I,
+        lambda x: best_cdf(BestRelayDistribution(2, 1.0), x),
+    ],
+    ids=["best_mgf", "integral_I", "best_cdf"],
+)
+def test_analytic_inputs_reject_nan(fn):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        fn(math.nan)
+
+
 def test_mgf_decreasing_and_convex_in_s():
     s = np.linspace(0.0, 12.0, 121)
     for n in (1, 3, 8):
-        v = best_mgf(BestRelayDistribution(n, 0.8), s)
+        dist = BestRelayDistribution(n, 0.8)
+        v = np.array([best_mgf(dist, x) for x in s.tolist()])
         assert np.all(np.diff(v) < 0)
         assert np.all(np.diff(v, 2) > -1e-12)
         assert np.all((v > 0) & (v <= 1))
@@ -281,3 +299,55 @@ def test_outage_two_relay_value():
 def test_outage_saturates():
     assert best_cdf(BestRelayDistribution(2, 1.0), 1e6) == pytest.approx(1.0)
 
+
+# -- pinned bits ------------------------------------------------------------------
+
+# Recorded at commit 545a393.  The SER chain's float path (series order, operation
+# order, scalar vs array arithmetic) fixes these bits; a change to it must re-record
+# them here and the analytic columns of perfbench/reference/ together.
+PINNED_SER = [  # (scheme, M, N, snr_db at the equal split, ser_quadrature)
+    (Scheme.ANC, 2, 1, 10.0, 0.039622127546869425),
+    (Scheme.ANC, 8, 3, 15.0, 0.10927726347116598),
+    (Scheme.ANC, 16, 10, 5.0, 0.7335413058894361),
+    (Scheme.ANC, 2, 3, 20.0, 2.1863194213668528e-05),
+    (Scheme.ANC, 8, 10, 10.0, 0.2544337746140619),
+    (Scheme.ANC, 16, 1, 25.0, 0.062111587788946813),
+    (Scheme.DF_NC, 2, 1, 10.0, 0.018226688214018204),
+    (Scheme.DF_NC, 8, 3, 15.0, 0.030417927227220663),
+    (Scheme.DF_NC, 16, 10, 5.0, 0.6077931613126194),
+    (Scheme.DF_NC, 2, 3, 20.0, 1.0780434860258348e-06),
+    (Scheme.DF_NC, 8, 10, 10.0, 0.08849745428742099),
+    (Scheme.DF_NC, 16, 1, 25.0, 0.027513071218042345),
+]
+PINNED_P_SOURCE = {  # N: numeric_allocation(100.0, ANC BPSK).p_source
+    1: 27.147056749424372,
+    2: 26.45736356463444,
+    3: 26.11932336234312,
+    4: 25.91874798713691,
+}
+PINNED_LEDGER = [
+    "discrepancy.mgf_shared_pole=printed:0.0,oracle:1.0,magnitude:1.0,"
+    "note:sup over s in [0,10] at N=2; shared-pole value at s=0 is 0.0",
+    "discrepancy.ser_additive_closed_form=printed:0.2381983189428632,"
+    "oracle:0.022219628417975187,magnitude:0.215978690524888,"
+    "note:N=2, eta_relay=1.0, eta_direct=0.5",
+    "discrepancy.power_allocation_closed_form=printed:15.142760515360377,"
+    "oracle:0.8044650338602886,magnitude:14.338295481500088,"
+    "note:p_total=3.0, b=1.0; formula feasible: False (raw value outside (0, p_total/2))",
+]
+
+
+def test_analytic_bits_pinned():
+    got, want = [], []
+    for scheme, m, n, snr_db, expected in PINNED_SER:
+        split = PowerSplit.equal(10.0 ** (snr_db / 10.0))
+        rates = compute_rate_params(SystemConfig(n, split.p_source, split.p_relay, mod_order=m, scheme=scheme))
+        got.append(ser_quadrature(BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, m))
+        want.append(expected)
+    for n, expected in PINNED_P_SOURCE.items():
+        objective = functools.partial(ser_for_powers, num_relays=n, scheme=Scheme.ANC)
+        got.append(numeric_allocation(100.0, objective).p_source)
+        want.append(expected)
+    got += [rec.as_kv() for rec in collect_all()]
+    want += PINNED_LEDGER
+    assert got == want

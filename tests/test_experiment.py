@@ -381,12 +381,16 @@ def test_cli_success(tmp_path, capsys):
         # N*eta is finite here, but the series' coefficient C(3,2)*2 = 6 times eta is not
         (["--scheme", "anc,df", "--relays", "1,3", "--ptotal", "2.6e-307"], "p_total"),
         (["--figure", "fig5", "--ptotal", "1e-305"], "p_total"),
+        # finite rates, but gamma_s*g*gamma_r*g overflows in the Monte Carlo's ANC SNR
+        (["--scheme", "anc,df", "--relays", "1,3", "--snr", "2000"], "snr_points_db"),
+        (["--scheme", "anc,df", "--relays", "1", "--ptotal", "1e308"], "p_total"),
     ],
     ids=[
         "relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf",
         "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x", "ptotal-zz",
         "workers-abc", "workers-0", "snr-overflow", "snr-underflow", "ptotal-subnormal",
         "relays-65-ser", "ptotal-series-overflow", "ptotal-series-coefficient", "ptotal-allocator-edge",
+        "snr-mc-overflow", "ptotal-mc-overflow",
     ],
 )
 def test_cli_validation_failure(tmp_path, capsys, flags, field):
