@@ -11,11 +11,16 @@ journaled as they complete, so an interrupted sweep resumes where it stopped;
 the final CSV is always written in deterministic cell order with shortest
 round-trip float formatting, making runs byte-identical for a given spec and
 seed regardless of worker count.
+
+Workers are threads of the one process.  With several pending cells they run
+cells; each cell's estimators get ``workers // cells`` threads for their
+batches, so a one-cell sweep spends them all on batches and the total never
+exceeds ``workers``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -354,8 +359,9 @@ def _cell_powers(spec: ExperimentSpec, cell: _Cell) -> PowerSplit:
     return PowerSplit.equal(p_total)
 
 
-def _compute_cell(args) -> tuple[str, str]:
-    spec, cell, seed_pair = args
+def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair, workers: int) -> tuple[str, str]:
+    """The cell's journal key and CSV row; its estimators run on ``workers``
+    threads."""
     kind = _FIGURES[spec.figure].kind
     seed_ser, seed_out = int(seed_pair[0]), int(seed_pair[1])
     split = _cell_powers(spec, cell)
@@ -375,7 +381,7 @@ def _compute_cell(args) -> tuple[str, str]:
         flags.append(f"alloc={cell.alloc}")
 
     if kind in ("ser", "both", "power"):
-        est_s1, _ = estimate_ser(config, spec.trials, seed_ser)
+        est_s1, _ = estimate_ser(config, spec.trials, seed_ser, workers=workers)
         ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
         ser_quad = ser_quadrature(dist, rates.eta_direct, cell.mod_order)
         if cell.mod_order == 2:
@@ -386,7 +392,7 @@ def _compute_cell(args) -> tuple[str, str]:
         if cell.scheme is Scheme.DF_NC:
             flags.append("relay_mai")
     if kind in ("outage", "both"):
-        outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out)
+        outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out, workers=workers)
         bn = BestRelayDistribution(cell.num_relays, bottleneck_rate(config))
         outage_an = best_cdf(bn, spec.gamma_th)
         if cell.scheme is Scheme.ANC:
@@ -454,7 +460,10 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run every sweep cell, journal rows as they complete, then write the
-    CSV (deterministic order) and the metadata sidecar."""
+    CSV (deterministic order) and the metadata sidecar.
+
+    ``workers`` threads are shared between the pending cells and their
+    batches (see the module docstring); rows are journaled in cell order."""
     result = validate_spec(spec)
     if not result.ok:
         raise SpecValidationError("invalid experiment spec: " + "; ".join(result.errors))
@@ -479,24 +488,22 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             journal.write(f"#config={chash}\n")
             journal.flush()
 
-        def record(key: str, row: str) -> None:
-            done[key] = row
-            journal.write(f"{key}\t{row}\n")
-            journal.flush()
-
         jobs = [
-            (spec, cell, np.random.SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(2))
+            (cell, np.random.SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(2))
             for idx, cell in pending
         ]
-        if workers > 1 and len(jobs) > 1:
-            # the pool starts all its workers at once; idle ones cost a process each
-            with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-                for key, row in pool.map(_compute_cell, jobs):
-                    record(key, row)
-        else:
-            for job in jobs:
-                key, row = _compute_cell(job)
-                record(key, row)
+        batch_workers = max(1, workers // max(1, len(jobs)))
+
+        def compute(job):
+            return _compute_cell(spec, *job, batch_workers)
+
+        # every cell is submitted at once, so a long cell holds up no thread
+        results = montecarlo._in_order(compute, jobs, workers, len(jobs))
+        with contextlib.closing(results):
+            for key, row in results:
+                done[key] = row
+                journal.write(f"{key}\t{row}\n")
+                journal.flush()
 
     rows = [done[c.key()] for c in cells]
     _write_atomic(out_path, "".join(line + "\n" for line in [CSV_HEADER, *rows]))

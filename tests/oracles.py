@@ -21,6 +21,7 @@ from marcsim.model import SystemConfig, Scheme, _gammas
 from marcsim.montecarlo import (
     GainBatch,
     _Links,
+    _batch_rng,
     _batches,
     _complex_gaussian,
     _decide,
@@ -226,11 +227,12 @@ def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):
     """Coherent MPSK over one Rayleigh link (no relays): the end-to-end
     calibration baseline.  For BPSK the exact average SER is
     0.5*(1 - sqrt(gbar/(1+gbar))) with gbar the mean SNR."""
-    batches = _batches(seed, trials)
+    batches = _batches(trials)
     amp = math.sqrt(10.0 ** (snr_db / 10.0))
     const = modulate(np.arange(mod_order), mod_order)
     errors = done = 0
-    for rng, size in batches:
+    for b, size in batches:
+        rng = _batch_rng(seed, b)
         h = _complex_gaussian(rng, 1.0, size)
         idx = rng.integers(0, mod_order, size)
         noise = _complex_gaussian(rng, 1.0, size)

@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
 import os
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -202,12 +205,31 @@ def test_byte_identical_reruns(tmp_path):
     assert open(spec_a.output_path, "rb").read() == open(spec_b.output_path, "rb").read()
 
 
+def sweep_bytes(spec, workers):
+    """CSV, .meta and .journal bytes of a fresh run of ``spec``."""
+    paths = [spec.output_path + ext for ext in ("", ".meta", ".journal")]
+    for path in paths:
+        if os.path.exists(path):
+            os.remove(path)
+    run_experiment(spec, workers=workers)
+    return [Path(path).read_bytes() for path in paths]
+
+
 def test_worker_count_does_not_change_output(tmp_path):
-    spec_a = small_spec(tmp_path, output_path=str(tmp_path / "w1.csv"))
-    spec_b = small_spec(tmp_path, output_path=str(tmp_path / "w2.csv"))
-    run_experiment(spec_a, workers=1)
-    run_experiment(spec_b, workers=3)
-    assert open(spec_a.output_path, "rb").read() == open(spec_b.output_path, "rb").read()
+    out = str(tmp_path / "w.csv")
+    specs = [
+        small_spec(tmp_path, output_path=out),
+        ExperimentSpec(figure="fig2", snr_points_db=[10.0], trials=3000, seed=7, output_path=out),
+        ExperimentSpec(figure="fig3", snr_points_db=[0.0, 10.0], trials=3000, seed=7, output_path=out),
+        ExperimentSpec(figure="fig4", snr_points_db=[5.0], trials=3000, seed=7, output_path=out),
+        ExperimentSpec(figure="fig5", snr_points_db=[10.0], trials=3000, seed=7, output_path=out),
+        # one pending cell: its threads go to the batches of its estimators
+        small_spec(tmp_path, snr_points_db=[5.0], trials=3 * montecarlo.BATCH_SIZE + 5, output_path=out),
+    ]
+    for spec in specs:
+        serial = sweep_bytes(spec, 1)
+        assert sweep_bytes(spec, 2) == serial, spec.figure
+        assert sweep_bytes(spec, 3) == serial, spec.figure
 
 
 def test_resume_skips_completed_cells(tmp_path):
@@ -224,8 +246,8 @@ def test_resume_skips_completed_cells(tmp_path):
 
 
 def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
-    # a process pool starts all its workers at once, so the cap must come
-    # before the pool; this stand-in records it and maps in this process
+    # this stand-in records each pool's size and runs its tasks inline, so
+    # no test starts thousands of threads
     opened = []
 
     class InlinePool:
@@ -238,25 +260,69 @@ def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
-    monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    spec = small_spec(tmp_path)
-    run_experiment(spec, workers=5000)
-    assert opened == [len(spec.snr_points_db)]
+    batch_workers = []
+    estimate = experiment.estimate_ser
+
+    def recorded(*args, workers, **kw):
+        batch_workers.append(workers)
+        return estimate(*args, workers=workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiment, "estimate_ser", recorded)
+    workers = 5000
+    spec = small_spec(tmp_path, trials=3 * montecarlo.BATCH_SIZE, seed=8)
+    run_experiment(spec, workers=workers)
+    cells = len(spec.snr_points_db)
+    # the cell pool, capped at the pending cells, then per cell one pool for
+    # estimate_ser and one for estimate_outage, capped at the 3 batches
+    assert opened == [cells] + [3] * (2 * cells)
+    assert batch_workers == [workers // cells] * cells
+    assert all(opened[0] * n <= workers for n in batch_workers)
 
 
 def count_computed_cells(monkeypatch):
     calls = []
     compute = experiment._compute_cell
 
-    def counted(job):
-        calls.append(job)
-        return compute(job)
+    def counted(*args):
+        calls.append(args)
+        return compute(*args)
 
     monkeypatch.setattr(experiment, "_compute_cell", counted)
     return calls
+
+
+def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, snr_points_db=[0.0, 5.0, 10.0, 15.0, 20.0])
+    reference = small_spec(tmp_path, snr_points_db=spec.snr_points_db, output_path=str(tmp_path / "ref.csv"))
+    run_experiment(reference)
+    compute = experiment._compute_cell
+
+    def failing(spec, cell, *args):
+        if cell.snr_db == 10.0:
+            raise RuntimeError("simulated cell failure")
+        return compute(spec, cell, *args)
+
+    monkeypatch.setattr(experiment, "_compute_cell", failing)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="simulated"):
+        run_experiment(spec, workers=2)
+    assert threading.active_count() == threads_before
+    journal = Path(spec.output_path + ".journal").read_text(encoding="utf-8")
+    header, *lines = journal.split("\n")
+    assert header.startswith("#config=") and lines[-1] == ""
+    assert 0 < len(lines) - 1 < len(spec.snr_points_db)
+    for line in lines[:-1]:
+        key, tab, row = line.partition("\t")
+        assert tab and row.count(",") == CSV_HEADER.count(",")
+    monkeypatch.setattr(experiment, "_compute_cell", compute)
+    run_experiment(spec, workers=2)
+    assert Path(spec.output_path).read_bytes() == Path(reference.output_path).read_bytes()
 
 
 def test_torn_journal_resumes_to_original_bytes(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import tomllib
 
 import pytest
@@ -60,3 +63,25 @@ def test_every_export_has_a_caller(name):
     exports = set(importlib.import_module(f"marcsim.{name}").__all__)
     uncalled = sorted(exports & _uncalled_exports())
     assert not uncalled, f"marcsim.{name}.__all__ names nothing in the package uses: {uncalled}"
+
+
+def _modules_loaded_by(statement: str, prefixes: tuple[str, ...]) -> list[str]:
+    """Modules under ``prefixes`` that a fresh interpreter has loaded after
+    running ``statement``."""
+    code = f"import sys; {statement}; print(' '.join(m for m in sys.modules if m.startswith({prefixes!r})))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return run.stdout.split()
+
+
+def test_package_import_loads_neither_scipy_nor_thread_pools():
+    assert _modules_loaded_by("import marcsim", ("scipy", "concurrent")) == []
+
+
+def test_cli_import_loads_no_thread_pool():
+    # scipy brings concurrent.futures itself, but only a threaded run may
+    # load its ThreadPoolExecutor
+    assert _modules_loaded_by("import marcsim.cli", ("concurrent.futures.thread",)) == []
