@@ -40,12 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ptotal", dest="p_total", help="fixed total power budget (replaces the SNR sweep)")
     p.add_argument("--out", dest="output_path", help="output CSV path")
     # not a spec field: the worker count does not change the output bytes
-    p.add_argument(
-        "--workers",
-        default="1",
-        help="threads shared by the sweep's cells and their Monte Carlo batches, "
-        "all in one process (integer >= 1)",
-    )
+    p.add_argument("--workers", default="1", help="parallel cell threads, in one process (integer >= 1)")
     return p
 
 

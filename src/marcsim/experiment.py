@@ -10,17 +10,13 @@ Inapplicable cells stay empty.  Rows are keyed by their sweep cell and
 journaled as they complete, so an interrupted sweep resumes where it stopped;
 the final CSV is always written in deterministic cell order with shortest
 round-trip float formatting, making runs byte-identical for a given spec and
-seed regardless of worker count.
-
-Workers are threads of the one process.  With several pending cells they run
-cells; each cell's estimators get ``workers // cells`` threads for their
-batches, so a one-cell sweep spends them all on batches and the total never
-exceeds ``workers``.
+seed regardless of worker count.  Workers are threads of the one process,
+each running whole cells.
 """
 
 from __future__ import annotations
 
-import contextlib
+import concurrent.futures
 import dataclasses
 import functools
 import hashlib
@@ -359,9 +355,8 @@ def _cell_powers(spec: ExperimentSpec, cell: _Cell) -> PowerSplit:
     return PowerSplit.equal(p_total)
 
 
-def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair, workers: int) -> tuple[str, str]:
-    """The cell's journal key and CSV row; its estimators run on ``workers``
-    threads."""
+def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, str]:
+    """The cell's journal key and CSV row."""
     kind = _FIGURES[spec.figure].kind
     seed_ser, seed_out = int(seed_pair[0]), int(seed_pair[1])
     split = _cell_powers(spec, cell)
@@ -381,7 +376,7 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair, workers: int) ->
         flags.append(f"alloc={cell.alloc}")
 
     if kind in ("ser", "both", "power"):
-        est_s1, _ = estimate_ser(config, spec.trials, seed_ser, workers=workers)
+        est_s1, _ = estimate_ser(config, spec.trials, seed_ser)
         ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
         ser_quad = ser_quadrature(dist, rates.eta_direct, cell.mod_order)
         if cell.mod_order == 2:
@@ -392,7 +387,7 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair, workers: int) ->
         if cell.scheme is Scheme.DF_NC:
             flags.append("relay_mai")
     if kind in ("outage", "both"):
-        outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out, workers=workers)
+        outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out)
         bn = BestRelayDistribution(cell.num_relays, bottleneck_rate(config))
         outage_an = best_cdf(bn, spec.gamma_th)
         if cell.scheme is Scheme.ANC:
@@ -460,10 +455,8 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run every sweep cell, journal rows as they complete, then write the
-    CSV (deterministic order) and the metadata sidecar.
-
-    ``workers`` threads are shared between the pending cells and their
-    batches (see the module docstring); rows are journaled in cell order."""
+    CSV (deterministic order) and the metadata sidecar.  Cells run on up to
+    ``workers`` threads; rows are journaled in cell order."""
     result = validate_spec(spec)
     if not result.ok:
         raise SpecValidationError("invalid experiment spec: " + "; ".join(result.errors))
@@ -488,22 +481,23 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             journal.write(f"#config={chash}\n")
             journal.flush()
 
-        jobs = [
-            (cell, np.random.SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(2))
-            for idx, cell in pending
+        def record(key: str, row: str) -> None:
+            done[key] = row
+            journal.write(f"{key}\t{row}\n")
+            journal.flush()
+
+        compute = functools.partial(_compute_cell, spec)
+        cells_todo = [cell for _, cell in pending]
+        seed_pairs = [
+            np.random.SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(2) for idx, _ in pending
         ]
-        batch_workers = max(1, workers // max(1, len(jobs)))
-
-        def compute(job):
-            return _compute_cell(spec, *job, batch_workers)
-
-        # every cell is submitted at once, so a long cell holds up no thread
-        results = montecarlo._in_order(compute, jobs, workers, len(jobs))
-        with contextlib.closing(results):
-            for key, row in results:
-                done[key] = row
-                journal.write(f"{key}\t{row}\n")
-                journal.flush()
+        if workers > 1 and len(pending) > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+                for key, row in pool.map(compute, cells_todo, seed_pairs):
+                    record(key, row)
+        else:
+            for key, row in map(compute, cells_todo, seed_pairs):
+                record(key, row)
 
     rows = [done[c.key()] for c in cells]
     _write_atomic(out_path, "".join(line + "\n" for line in [CSV_HEADER, *rows]))

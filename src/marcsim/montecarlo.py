@@ -33,18 +33,12 @@ gains.
 
 Randomness is counter-based: trial t always belongs to batch t // BATCH_SIZE,
 and batch b draws from Philox(seed) jumped b times, so a result depends only
-on (config, seed, trials) no matter how work is scheduled.  The estimators
-take a thread count: above one, batches run on threads (numpy releases the
-GIL in its random fills and array arithmetic) and are reduced in batch
-order, so every result is the serial one.
+on (config, seed, trials) no matter how work is scheduled.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import dataclasses
-import functools
 import math
 from typing import NamedTuple
 
@@ -119,49 +113,16 @@ def relay_normalization(config: SystemConfig) -> float:
     return math.sqrt(2.0 * config.p_source * config.variance_s_r + config.noise_psd)
 
 
-def _batches(trials: int) -> list[tuple[int, int]]:
-    """(b, size) of each batch of ``trials``: trial t belongs to batch
-    t // BATCH_SIZE."""
+def _batches(seed: int, trials: int):
+    """Iterator of (rng, size), one per batch of ``trials``: trial t belongs
+    to batch t // BATCH_SIZE, and batch b draws from Philox(seed) jumped b
+    times."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    starts = range(0, trials, BATCH_SIZE)
-    return [(b, min(BATCH_SIZE, trials - start)) for b, start in enumerate(starts)]
-
-
-def _batch_rng(seed: int, b: int) -> np.random.Generator:
-    """The generator of batch b: Philox(seed) jumped b times."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(b))
-
-
-def _in_order(fn, items: list, workers: int, ahead: int):
-    """Generator of fn(item) for each item, in item order.
-
-    With one worker (or one item) this is a plain serial map.  Otherwise the
-    items run on min(workers, len(items)) threads, with at most ``ahead`` of
-    them submitted and not yet yielded.  Closing the generator early cancels
-    the items not started and waits for the running ones, whose results are
-    dropped; so callers wrap it in contextlib.closing when they may stop
-    before the end.
-    """
-    threads = min(workers, len(items))
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    # imported here so that serial runs never pay for the thread machinery
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = collections.deque()
-        try:
-            for item in items:
-                pending.append(pool.submit(fn, item))
-                if len(pending) >= ahead:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    return (
+        (np.random.Generator(np.random.Philox(key=seed).jumped(b)), min(BATCH_SIZE, trials - start))
+        for b, start in enumerate(range(0, trials, BATCH_SIZE))
+    )
 
 
 def _complex_gaussian(rng: np.random.Generator, variance: float, size) -> np.ndarray:
@@ -373,64 +334,47 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
     return k1 != draws.i1, k2 != draws.i2, sel, best
 
 
-def _batch_errors(config: SystemConfig, seed: int, batch: tuple[int, int]) -> tuple[int, int, int]:
-    """(size, source-1 errors, source-2 errors) of one batch."""
-    b, size = batch
-    rng = _batch_rng(seed, b)
-    e1, e2, _, _ = run_batch(config, sample_gains(config, rng, size), rng)
-    return size, int(e1.sum()), int(e2.sum())
-
-
 def estimate_ser(
     config: SystemConfig,
     trials: int,
     seed: int,
     max_errors: int | None = MAX_ERRORS,
-    workers: int = 1,
 ) -> tuple[SerEstimate, SerEstimate]:
     """Per-source SER at the config's powers.
 
     With ``max_errors`` set, the trial loop stops at the first batch boundary
     where both sources have accumulated that many errors (and at least
-    MIN_TRIALS trials ran); pass None to force the full trial count.  Above
-    one ``workers``, up to that many batches run at once on threads; batches
-    finished past the stop are dropped, so the estimate is the serial one.
+    MIN_TRIALS trials ran); pass None to force the full trial count.
     """
-    batches = _batches(trials)
+    batches = _batches(seed, trials)
     err1 = err2 = done = 0
-    results = _in_order(functools.partial(_batch_errors, config, seed), batches, workers, workers)
-    with contextlib.closing(results):
-        for size, e1, e2 in results:
-            err1 += e1
-            err2 += e2
-            done += size
-            if max_errors is not None and done >= MIN_TRIALS and min(err1, err2) >= max_errors:
-                break
+    for rng, size in batches:
+        gb = sample_gains(config, rng, size)
+        e1, e2, _, _ = run_batch(config, gb, rng)
+        err1 += int(e1.sum())
+        err2 += int(e2.sum())
+        done += size
+        if max_errors is not None and done >= MIN_TRIALS and min(err1, err2) >= max_errors:
+            break
     return _wilson_estimate(err1, done), _wilson_estimate(err2, done)
 
 
-def _batch_best_snr(config: SystemConfig, seed: int, batch: tuple[int, int]) -> np.ndarray:
-    b, size = batch
-    gb = sample_gains(config, _batch_rng(seed, b), size)
-    return select_relay(*relay_snrs(config, gb))[1]
-
-
-def sample_best_snr(config: SystemConfig, trials: int, seed: int, workers: int = 1) -> np.ndarray:
+def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     """Selection-bottleneck SNR of the chosen relay for ``trials`` fading
-    draws (no symbols are transmitted), on up to ``workers`` threads."""
-    batches = _batches(trials)
+    draws (no symbols are transmitted)."""
+    batches = _batches(seed, trials)
     out = np.empty(trials)
     done = 0
-    for best in _in_order(functools.partial(_batch_best_snr, config, seed), batches, workers, workers):
-        out[done : done + best.shape[0]] = best
-        done += best.shape[0]
+    for rng, size in batches:
+        gb = sample_gains(config, rng, size)
+        out[done : done + size] = select_relay(*relay_snrs(config, gb))[1]
+        done += size
     return out
 
 
-def estimate_outage(
-    config: SystemConfig, gamma_th: float, trials: int, seed: int, workers: int = 1
-) -> float:
+def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:
     """Fraction of fading draws whose selected-relay SNR falls below gamma_th."""
     if gamma_th < 0:
         raise ValueError("gamma_th must be nonnegative")
-    return float(np.mean(sample_best_snr(config, trials, seed, workers) < gamma_th))
+    return float(np.mean(sample_best_snr(config, trials, seed) < gamma_th))
+

@@ -21,7 +21,6 @@ from marcsim.model import SystemConfig, Scheme, _gammas
 from marcsim.montecarlo import (
     GainBatch,
     _Links,
-    _batch_rng,
     _batches,
     _complex_gaussian,
     _decide,
@@ -227,12 +226,11 @@ def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):
     """Coherent MPSK over one Rayleigh link (no relays): the end-to-end
     calibration baseline.  For BPSK the exact average SER is
     0.5*(1 - sqrt(gbar/(1+gbar))) with gbar the mean SNR."""
-    batches = _batches(trials)
+    batches = _batches(seed, trials)
     amp = math.sqrt(10.0 ** (snr_db / 10.0))
     const = modulate(np.arange(mod_order), mod_order)
     errors = done = 0
-    for b, size in batches:
-        rng = _batch_rng(seed, b)
+    for rng, size in batches:
         h = _complex_gaussian(rng, 1.0, size)
         idx = rng.integers(0, mod_order, size)
         noise = _complex_gaussian(rng, 1.0, size)

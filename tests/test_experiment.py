@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import os
 import threading
@@ -223,8 +222,6 @@ def test_worker_count_does_not_change_output(tmp_path):
         ExperimentSpec(figure="fig3", snr_points_db=[0.0, 10.0], trials=3000, seed=7, output_path=out),
         ExperimentSpec(figure="fig4", snr_points_db=[5.0], trials=3000, seed=7, output_path=out),
         ExperimentSpec(figure="fig5", snr_points_db=[10.0], trials=3000, seed=7, output_path=out),
-        # one pending cell: its threads go to the batches of its estimators
-        small_spec(tmp_path, snr_points_db=[5.0], trials=3 * montecarlo.BATCH_SIZE + 5, output_path=out),
     ]
     for spec in specs:
         serial = sweep_bytes(spec, 1)
@@ -246,8 +243,8 @@ def test_resume_skips_completed_cells(tmp_path):
 
 
 def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
-    # this stand-in records each pool's size and runs its tasks inline, so
-    # no test starts thousands of threads
+    # this stand-in records the pool's size and maps in this thread, so no
+    # test starts thousands of threads
     opened = []
 
     class InlinePool:
@@ -260,29 +257,13 @@ def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-    batch_workers = []
-    estimate = experiment.estimate_ser
-
-    def recorded(*args, workers, **kw):
-        batch_workers.append(workers)
-        return estimate(*args, workers=workers, **kw)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(experiment, "estimate_ser", recorded)
-    workers = 5000
-    spec = small_spec(tmp_path, trials=3 * montecarlo.BATCH_SIZE, seed=8)
-    run_experiment(spec, workers=workers)
-    cells = len(spec.snr_points_db)
-    # the cell pool, capped at the pending cells, then per cell one pool for
-    # estimate_ser and one for estimate_outage, capped at the 3 batches
-    assert opened == [cells] + [3] * (2 * cells)
-    assert batch_workers == [workers // cells] * cells
-    assert all(opened[0] * n <= workers for n in batch_workers)
+    monkeypatch.setattr(experiment.concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    spec = small_spec(tmp_path)
+    run_experiment(spec, workers=5000)
+    assert opened == [len(spec.snr_points_db)]
 
 
 def count_computed_cells(monkeypatch):

@@ -261,40 +261,6 @@ def test_early_exit_stops_at_batch_boundary():
     assert full1.trials == 2 * BATCH_SIZE
 
 
-# -- threaded batches ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
-@pytest.mark.parametrize("mod_order", [2, 8])
-def test_threaded_batches_stop_where_serial_does(scheme, mod_order):
-    # at 0 dB both sources pass MAX_ERRORS inside the first batch; the
-    # second batch, computed alongside it, must not be counted
-    cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), 0.0)
-    serial = estimate_ser(cfg, 3 * BATCH_SIZE, seed=5)
-    assert serial[0].trials == BATCH_SIZE
-    assert estimate_ser(cfg, 3 * BATCH_SIZE, seed=5, workers=2) == serial
-
-
-@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
-@pytest.mark.parametrize("mod_order", [2, 8])
-def test_threaded_batches_run_to_the_cap(scheme, mod_order):
-    cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), 10.0)
-    cap = 2 * BATCH_SIZE + 777  # the last batch is a short one
-    serial = estimate_ser(cfg, cap, seed=6, max_errors=None)
-    assert serial[0].trials == cap
-    assert estimate_ser(cfg, cap, seed=6, max_errors=None, workers=2) == serial
-
-
-def test_threaded_selection_sampling_matches_serial():
-    trials = 2 * BATCH_SIZE + 777
-    for cfg in (anc_config(num_relays=3), df_config(num_relays=3)):
-        cfg = config_at_snr_db(cfg, 10.0)
-        np.testing.assert_array_equal(
-            sample_best_snr(cfg, trials, seed=9, workers=2), sample_best_snr(cfg, trials, seed=9)
-        )
-        assert estimate_outage(cfg, 1.0, trials, 9, workers=2) == estimate_outage(cfg, 1.0, trials, 9)
-
-
 def test_per_source_symmetry():
     cfg = config_at_snr_db(anc_config(num_relays=2), 8.0)
     est1, est2 = estimate_ser(cfg, 200_000, seed=11, max_errors=None)
