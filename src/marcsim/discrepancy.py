@@ -99,7 +99,7 @@ def additive_ser_discrepancy() -> DiscrepancyRecord:
 def allocation_discrepancy() -> DiscrepancyRecord:
     """Cube-root allocation formula vs the golden-section numeric optimum."""
     raw = closed_form_source_power(_P_TOTAL, _B)
-    objective = functools.partial(ser_for_powers, num_relays=_NUM_RELAYS, scheme=Scheme.ANC)
+    objective = functools.partial(ser_for_powers, num_relays=_NUM_RELAYS, mod_order=2, scheme=Scheme.ANC)
     opt = numeric_allocation(_P_TOTAL, objective)
     feasible = 0.0 < raw < _P_TOTAL / 2.0
     note = f"p_total={_P_TOTAL}, b={_B}; formula feasible: {feasible}"

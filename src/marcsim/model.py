@@ -5,6 +5,10 @@ Two sources transmit simultaneously to N relays and one destination; a single
 relay is selected (max-min of the two per-source SNRs) to forward in the
 second slot, either amplifying the analog superposition (ANC) or decoding and
 network-coding the symbol pair (DF-NC).
+
+Every link is unit-variance Rayleigh fading and the receiver noise has unit
+power (N0 = 1), so a power in watts is also an SNR: the SNR axis of the
+figures is the total power budget over the noise.
 """
 
 from __future__ import annotations
@@ -40,34 +44,24 @@ class SystemConfig:
 
     Powers are linear watts; (p_source, p_relay) is the operating point that
     every analytic and simulated quantity of the scenario is computed at.
-    Channel variances may be zero to model an absent link.
     """
 
     num_relays: int
     p_source: float
     p_relay: float
-    noise_psd: float = 1.0
     mod_order: int = 2
     scheme: Scheme = Scheme.ANC
-    variance_s_r: float = 1.0
-    variance_r_d: float = 1.0
-    variance_s_d: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.num_relays, int) or self.num_relays < 1:
             raise ValueError(f"num_relays must be an integer >= 1, got {self.num_relays!r}")
         _require_positive("p_source", self.p_source)
         _require_positive("p_relay", self.p_relay)
-        _require_positive("noise_psd", self.noise_psd)
         m = self.mod_order
         if not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0:
             raise ValueError(f"mod_order must be a power of two >= 2, got {m!r}")
         if not isinstance(self.scheme, Scheme):
             raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
-        for name in ("variance_s_r", "variance_r_d", "variance_s_d"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,9 +82,8 @@ class RateParams:
 
 
 def _gammas(config: SystemConfig) -> tuple[float, float]:
-    gamma_s = config.p_source / (config.noise_psd * (1.0 + config.p_source / config.p_relay))
-    gamma_r = config.p_relay / config.noise_psd
-    return gamma_s, gamma_r
+    gamma_s = config.p_source / (1.0 + config.p_source / config.p_relay)
+    return gamma_s, config.p_relay
 
 
 def _hop_rates(config: SystemConfig) -> tuple[float, float]:
@@ -99,21 +92,15 @@ def _hop_rates(config: SystemConfig) -> tuple[float, float]:
     source->relay link alone)."""
     gamma_s, gamma_r = _gammas(config)
     if config.scheme is Scheme.ANC:
-        if config.variance_s_r == 0 or config.variance_r_d == 0:
-            raise ValueError("zero link variance has no exponential rate")
-        return 1.0 / (gamma_s * config.variance_s_r), 1.0 / (gamma_r * config.variance_r_d)
-    if config.variance_s_r == 0:
-        raise ValueError("zero link variance has no exponential rate")
-    return 1.0 / (gamma_r * config.variance_s_r), 0.0
+        return 1.0 / gamma_s, 1.0 / gamma_r
+    return 1.0 / gamma_r, 0.0
 
 
 def compute_rate_params(config: SystemConfig) -> RateParams:
-    """Rate parameters implied by the configured powers and variances."""
+    """Rate parameters implied by the configured powers."""
     source_side, relay_side = _hop_rates(config)
-    if config.variance_s_d == 0:
-        raise ValueError("zero link variance has no exponential rate")
     gamma_s, _ = _gammas(config)
-    return RateParams(source_side + relay_side, 1.0 / (gamma_s * config.variance_s_d))
+    return RateParams(source_side + relay_side, 1.0 / gamma_s)
 
 
 def bottleneck_rate(config: SystemConfig) -> float:

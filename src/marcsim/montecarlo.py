@@ -12,7 +12,7 @@ the first symbol, the best second symbol is the PSK point nearest one angle
 Fading is drawn gain first, in two stages.  Stage 1 (``sample_gains``)
 draws only what relay selection reads: the power gains |h|^2 of the
 source->relay links and, under ANC, of the relay->destination links, as
-exponentials scaled by the link variance.  Outage estimation stops there.
+unit-mean exponentials.  Outage estimation stops there.
 Stage 2 (``run_batch``, after selection) draws only what detection can see:
 h1b = sqrt(g1) and h2b = sqrt(g2)*exp(j*psi) with one uniform psi for the
 selected relay's source links, hrb = sqrt(g_rd) for its destination link
@@ -108,9 +108,9 @@ def modulate(symbol_index, mod_order: int):
 
 def relay_normalization(config: SystemConfig) -> float:
     """Amplitude normalization sqrt(E|relay input|^2), computed from the
-    statistical model (both sources at p_source over the source-relay
-    variance, plus receiver noise)."""
-    return math.sqrt(2.0 * config.p_source * config.variance_s_r + config.noise_psd)
+    statistical model (both sources at p_source over unit-variance links,
+    plus unit receiver noise)."""
+    return math.sqrt(2.0 * config.p_source + 1.0)
 
 
 def _batches(seed: int, trials: int):
@@ -125,16 +125,11 @@ def _batches(seed: int, trials: int):
     )
 
 
-def _complex_gaussian(rng: np.random.Generator, variance: float, size) -> np.ndarray:
-    # circularly symmetric, E|h|^2 = variance; real part drawn before imag
+def _complex_gaussian(rng: np.random.Generator, size) -> np.ndarray:
+    # circularly symmetric, E|h|^2 = 1; real part drawn before imag
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
-    return (re + 1j * im) * math.sqrt(variance / 2.0)
-
-
-def _power_gain(rng: np.random.Generator, variance: float, size) -> np.ndarray:
-    # |h|^2 of a circularly symmetric Gaussian h with E|h|^2 = variance
-    return rng.standard_exponential(size) * variance
+    return (re + 1j * im) * math.sqrt(0.5)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,10 +146,10 @@ def sample_gains(config: SystemConfig, rng: np.random.Generator, size: int) -> G
     selection reads (the source->relay links, plus the relay->destination
     links under ANC)."""
     shape = (size, config.num_relays)
-    g1 = _power_gain(rng, config.variance_s_r, shape)
-    g2 = _power_gain(rng, config.variance_s_r, shape)
+    g1 = rng.standard_exponential(shape)
+    g2 = rng.standard_exponential(shape)
     if config.scheme is Scheme.ANC:
-        return GainBatch(g1, g2, _power_gain(rng, config.variance_r_d, shape))
+        return GainBatch(g1, g2, rng.standard_exponential(shape))
     return GainBatch(g1, g2, None)
 
 
@@ -218,23 +213,22 @@ def _selected_links(config: SystemConfig, gb: GainBatch, sel, rng: np.random.Gen
     rows = np.arange(size)
     psi = rng.uniform(0.0, 2.0 * np.pi, size)
     h2b = np.sqrt(gb.g_s2_r[rows, sel]) * np.exp(1j * psi)
-    g_rd = _power_gain(rng, config.variance_r_d, size) if gb.g_r_d is None else gb.g_r_d[rows, sel]
-    h_s1_d = _complex_gaussian(rng, config.variance_s_d, size)
-    h_s2_d = _complex_gaussian(rng, config.variance_s_d, size)
+    g_rd = rng.standard_exponential(size) if gb.g_r_d is None else gb.g_r_d[rows, sel]
+    h_s1_d = _complex_gaussian(rng, size)
+    h_s2_d = _complex_gaussian(rng, size)
     return _Links(np.sqrt(gb.g_s1_r[rows, sel]), h2b, np.sqrt(g_rd), h_s1_d, h_s2_d)
 
 
 def _draw_symbols(config: SystemConfig, size: int, rng: np.random.Generator) -> _Draws:
     """The rest of a round, drawn after the links: symbols and noises."""
     m = config.mod_order
-    n0 = config.noise_psd
     i1 = rng.integers(0, m, size)
     i2 = rng.integers(0, m, size)
     # selection depends on the gains only, so only the selected relay's
     # receiver noise is ever realized
-    n_relay = _complex_gaussian(rng, n0, size)
-    n_d1 = _complex_gaussian(rng, n0, size)
-    n_d2 = _complex_gaussian(rng, n0, size)
+    n_relay = _complex_gaussian(rng, size)
+    n_d1 = _complex_gaussian(rng, size)
+    n_d2 = _complex_gaussian(rng, size)
     return _Draws(i1, i2, n_relay, n_d1, n_d2)
 
 
@@ -277,7 +271,6 @@ def _decide(config: SystemConfig, links: _Links, draws: _Draws):
     m = config.mod_order
     const = modulate(np.arange(m), m)
     ci = const[:, None]  # row i of an (M, B) array holds the hypothesis x1 = c_i
-    n0 = config.noise_psd
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
     h1b, h2b, hrb, h_s1_d, h_s2_d = links
@@ -297,13 +290,13 @@ def _decide(config: SystemConfig, links: _Links, draws: _Draws):
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
         y2 = amp * hrb * y_relay + draws.n_d2
-        var2 = amp * amp * np.abs(hrb) ** 2 * n0 + n0
+        var2 = amp * amp * np.abs(hrb) ** 2 + 1.0
         w2 = np.conj(amp * hrb * sp * h2b) / var2
-        z = (p1 / n0 + w2 * y2) - (q1 / n0 + w2 * (amp * hrb * sp * h1b)) * ci
+        z = (p1 + w2 * y2) - (q1 + w2 * (amp * hrb * sp * h1b)) * ci
 
         def metric(j):
             mu2 = amp * hrb * sp * (h1b * ci + h2b * const[j])
-            return np.abs(y1 - mu1(j)) ** 2 / n0 + np.abs(y2 - mu2) ** 2 / var2
+            return np.abs(y1 - mu1(j)) ** 2 + np.abs(y2 - mu2) ** 2 / var2
 
     else:
         # relay jointly decodes the pair, then forwards the modulo-M combine

@@ -100,8 +100,8 @@ def ser_for_powers(
     p_source: float,
     p_relay: float,
     num_relays: int,
-    mod_order: int = 2,
-    scheme: Scheme = Scheme.ANC,
+    mod_order: int,
+    scheme: Scheme,
 ) -> float:
     """Quadrature SER of the scenario at an arbitrary (p_source, p_relay)
     pair; the rate structure is recomputed per candidate since it depends on

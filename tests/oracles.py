@@ -36,9 +36,9 @@ from marcsim.power import PowerSplit
 
 
 def config_at_snr_db(config: SystemConfig, snr_db: float) -> SystemConfig:
-    """``config`` at the equal split of the budget noise_psd * 10^(snr_db/10),
-    the operating point that an SNR-axis value stands for."""
-    split = PowerSplit.equal(config.noise_psd * 10.0 ** (snr_db / 10.0))
+    """``config`` at the equal split of the budget 10^(snr_db/10), the
+    operating point that an SNR-axis value stands for (N0 = 1)."""
+    split = PowerSplit.equal(10.0 ** (snr_db / 10.0))
     return dataclasses.replace(config, p_source=split.p_source, p_relay=split.p_relay)
 
 
@@ -95,11 +95,11 @@ def exact_best_bottleneck_cdf(config: SystemConfig, gamma):
     gamma_s, gamma_r = _gammas(config)
     n = config.num_relays
     if config.scheme is Scheme.DF_NC:
-        rate = 2.0 / (gamma_r * config.variance_s_r)
+        rate = 2.0 / gamma_r
         single = 1.0 - np.exp(-rate * gamma)
     else:
-        l1 = 2.0 / (gamma_s * config.variance_s_r)
-        l2 = 1.0 / (gamma_r * config.variance_r_d)
+        l1 = 2.0 / gamma_s
+        l2 = 1.0 / gamma_r
         single = 1.0 - af_path_survival(gamma, l1, l2)
     return single**n
 
@@ -108,7 +108,7 @@ def _crandn(rng, size):
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
-def direct_only_pair_ml_ser(p_source, trials, seed, mod_order=2, noise_psd=1.0):
+def direct_only_pair_ml_ser(p_source, trials, seed, mod_order=2):
     """Stripped-down baseline: joint ML of the two-user pair from the slot-1
     superposed observation alone.  Returns source-1 symbol error rate."""
     rng = np.random.default_rng(seed)
@@ -120,7 +120,7 @@ def direct_only_pair_ml_ser(p_source, trials, seed, mod_order=2, noise_psd=1.0):
     h2 = _crandn(rng, trials)
     i1 = rng.integers(0, m, trials)
     i2 = rng.integers(0, m, trials)
-    noise = _crandn(rng, trials) * np.sqrt(noise_psd)
+    noise = _crandn(rng, trials)
     y = sp * (h1 * const[i1] + h2 * const[i2]) + noise
     mu = sp * (h1[:, None] * const[ii] + h2[:, None] * const[jj])
     k = np.argmin(np.abs(y[:, None] - mu) ** 2, axis=1)
@@ -147,7 +147,6 @@ def brute_force_decide(config: SystemConfig, links, draws):
     and the destination's) taken by scoring all M^2 symbol pairs."""
     m = config.mod_order
     const, ii, jj = _pair_grid(m)
-    n0 = config.noise_psd
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
     h1b, h2b, hrb, h_s1_d, h_s2_d = links
@@ -161,9 +160,9 @@ def brute_force_decide(config: SystemConfig, links, draws):
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
         y2 = amp * hrb * y_relay + draws.n_d2
-        var2 = amp * amp * np.abs(hrb) ** 2 * n0 + n0
+        var2 = amp * amp * np.abs(hrb) ** 2 + 1.0
         mu2 = amp * hrb[:, None] * sp * (h1b[:, None] * const[ii] + h2b[:, None] * const[jj])
-        metric = np.abs(y1[:, None] - mu1) ** 2 / n0 + np.abs(y2[:, None] - mu2) ** 2 / var2[:, None]
+        metric = np.abs(y1[:, None] - mu1) ** 2 + np.abs(y2[:, None] - mu2) ** 2 / var2[:, None]
     else:
         r1, r2 = brute_force_pair(y_relay, h1b, h2b, sp, m)
         forwarded = const[(r1 + r2) % m]
@@ -201,11 +200,11 @@ def full_phase_gains(config: SystemConfig, rng, size: int) -> ComplexGains:
     circularly symmetric complex Gaussians."""
     n = config.num_relays
     return ComplexGains(
-        _complex_gaussian(rng, config.variance_s_r, (size, n)),
-        _complex_gaussian(rng, config.variance_s_r, (size, n)),
-        _complex_gaussian(rng, config.variance_r_d, (size, n)),
-        _complex_gaussian(rng, config.variance_s_d, size),
-        _complex_gaussian(rng, config.variance_s_d, size),
+        _complex_gaussian(rng, (size, n)),
+        _complex_gaussian(rng, (size, n)),
+        _complex_gaussian(rng, (size, n)),
+        _complex_gaussian(rng, size),
+        _complex_gaussian(rng, size),
     )
 
 
@@ -231,9 +230,9 @@ def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):
     const = modulate(np.arange(mod_order), mod_order)
     errors = done = 0
     for rng, size in batches:
-        h = _complex_gaussian(rng, 1.0, size)
+        h = _complex_gaussian(rng, size)
         idx = rng.integers(0, mod_order, size)
-        noise = _complex_gaussian(rng, 1.0, size)
+        noise = _complex_gaussian(rng, size)
         y = amp * h * const[idx] + noise
         k = np.argmin(np.abs(y[:, None] - amp * h[:, None] * const[None, :]) ** 2, axis=1)
         errors += int((k != idx).sum())

@@ -341,7 +341,7 @@ def test_criterion_8_power_allocation():
     worst_resid = 0.0
     ratios = []
     for n in (1, 2, 3, 4):
-        power_obj = functools.partial(ser_for_powers, num_relays=n, scheme=Scheme.ANC)
+        power_obj = functools.partial(ser_for_powers, num_relays=n, mod_order=2, scheme=Scheme.ANC)
         for snr in snrs:
             p_total = 10.0 ** (snr / 10.0)
             opt = numeric_allocation(p_total, power_obj)
@@ -358,7 +358,7 @@ def test_criterion_8_power_allocation():
 
     grid_ok = True
     for n in (1, 2, 3, 4):
-        power_obj = functools.partial(ser_for_powers, num_relays=n, scheme=Scheme.ANC)
+        power_obj = functools.partial(ser_for_powers, num_relays=n, mod_order=2, scheme=Scheme.ANC)
         opt = numeric_allocation(10.0, power_obj)
         ref, cell = brute_force_allocation(10.0, num_relays=n, grid_points=10_000)
         grid_ok = grid_ok and abs(opt.p_source - ref) <= cell

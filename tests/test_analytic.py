@@ -20,6 +20,7 @@ from marcsim.analytic import (
 )
 from marcsim.discrepancy import collect_all, mgf_pole_discrepancy
 from marcsim.model import Scheme, SystemConfig, compute_rate_params
+from marcsim.montecarlo import estimate_outage, estimate_ser
 from marcsim.power import PowerSplit, numeric_allocation, ser_for_powers
 
 GRID_N = [1, 2, 5, 10]
@@ -345,9 +346,42 @@ def test_analytic_bits_pinned():
         got.append(ser_quadrature(BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, m))
         want.append(expected)
     for n, expected in PINNED_P_SOURCE.items():
-        objective = functools.partial(ser_for_powers, num_relays=n, scheme=Scheme.ANC)
+        objective = functools.partial(ser_for_powers, num_relays=n, mod_order=2, scheme=Scheme.ANC)
         got.append(numeric_allocation(100.0, objective).p_source)
         want.append(expected)
     got += [rec.as_kv() for rec in collect_all()]
     want += PINNED_LEDGER
+    assert got == want
+
+
+# Recorded at commit 1937342.  The random stream (draw order, batch seeding) and
+# the float path of sampling, selection and detection fix these counts; a PR
+# that declares a stream change re-records them here.
+PINNED_MC_SER = [  # (scheme, M, N, seed, (errors, trials) of source 1, of source 2)
+    (Scheme.ANC, 2, 1, 1, (794, 20000), (812, 20000)),
+    (Scheme.ANC, 2, 3, 2, (522, 20000), (538, 20000)),
+    (Scheme.ANC, 8, 1, 3, (9356, 20000), (9385, 20000)),
+    (Scheme.ANC, 8, 3, 4, (8176, 20000), (8186, 20000)),
+    (Scheme.DF_NC, 2, 1, 5, (1515, 20000), (1561, 20000)),
+    (Scheme.DF_NC, 2, 3, 6, (985, 20000), (995, 20000)),
+    (Scheme.DF_NC, 8, 1, 7, (11718, 20000), (11811, 20000)),
+    (Scheme.DF_NC, 8, 3, 8, (11285, 20000), (11313, 20000)),
+]
+PINNED_MC_OUTAGE = {  # scheme: estimate_outage(N=3, gamma_th=1.0, 20,000 trials, seed 11)
+    Scheme.ANC: 0.77885,
+    Scheme.DF_NC: 0.09075,
+}
+
+
+def test_monte_carlo_bits_pinned():
+    split = PowerSplit.equal(10.0)  # 10 dB
+    got, want = [], []
+    for scheme, m, n, seed, *expected in PINNED_MC_SER:
+        cfg = SystemConfig(n, split.p_source, split.p_relay, mod_order=m, scheme=scheme)
+        got.append([(est.errors, est.trials) for est in estimate_ser(cfg, 20_000, seed, max_errors=None)])
+        want.append(expected)
+    for scheme, expected in PINNED_MC_OUTAGE.items():
+        cfg = SystemConfig(3, split.p_source, split.p_relay, scheme=scheme)
+        got.append(estimate_outage(cfg, 1.0, 20_000, 11))
+        want.append(expected)
     assert got == want

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -9,6 +10,7 @@ import tomllib
 import pytest
 
 import marcsim
+from marcsim.model import SystemConfig
 
 MODULES = ["analytic", "cli", "discrepancy", "experiment", "model", "montecarlo", "power"]
 PACKAGE = pathlib.Path(marcsim.__file__).parent
@@ -63,6 +65,27 @@ def test_every_export_has_a_caller(name):
     exports = set(importlib.import_module(f"marcsim.{name}").__all__)
     uncalled = sorted(exports & _uncalled_exports())
     assert not uncalled, f"marcsim.{name}.__all__ names nothing in the package uses: {uncalled}"
+
+
+def _keywords_passed_to(callees: set[str]) -> set[str]:
+    """Keyword names of every call in the package whose callee is named in
+    ``callees``."""
+    passed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in callees:
+                    passed |= {kw.arg for kw in node.keywords}
+    return passed
+
+
+def test_every_defaulted_config_field_is_set_somewhere():
+    # a default that no call overrides is a constant, not a setting
+    defaulted = {f.name for f in dataclasses.fields(SystemConfig) if f.default is not dataclasses.MISSING}
+    unset = sorted(defaulted - _keywords_passed_to({"SystemConfig", "replace"}))
+    assert not unset, f"SystemConfig fields that no call in the package sets: {unset}"
 
 
 def _modules_loaded_by(statement: str, prefixes: tuple[str, ...]) -> list[str]:

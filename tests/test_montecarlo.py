@@ -92,7 +92,7 @@ def test_trial_deterministic():
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_noiseless_detection_is_exact(scheme):
-    cfg = anc_config(scheme=scheme, noise_psd=1e-30, num_relays=2)
+    cfg = anc_config(scheme=scheme, p_source=1e30, p_relay=1e30, num_relays=2)
     rng = np.random.default_rng(77)
     e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), rng)
     assert not e1.any() and not e2.any()
@@ -119,7 +119,7 @@ def test_relay_decode_matches_brute_force(mod_order, snr_db):
     rng = np.random.default_rng(mod_order)
     size = 4096
     const = modulate(np.arange(mod_order), mod_order)
-    h1, h2, noise = (_complex_gaussian(rng, 1.0, size) for _ in range(3))
+    h1, h2, noise = (_complex_gaussian(rng, size) for _ in range(3))
     sp = math.sqrt(10.0 ** (snr_db / 10.0))
     x1, x2 = (const[rng.integers(0, mod_order, size)] for _ in range(2))
     y = sp * (h1 * x1 + h2 * x2) + noise
@@ -166,7 +166,7 @@ def test_decisions_invariant_under_receiver_rotations(scheme, mod_order, snr_db,
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), snr_db)
     rng = np.random.default_rng(mod_order)
     size = 4096
-    links = _Links(*(_complex_gaussian(rng, 1.0, size) for _ in range(5)))
+    links = _Links(*(_complex_gaussian(rng, size) for _ in range(5)))
     draws = _draw_symbols(cfg, size, rng)
     if rotation == "arbitrary":
         alpha, beta = (rng.uniform(0.0, 2.0 * np.pi, size) for _ in range(2))
@@ -227,8 +227,8 @@ def test_gain_first_sampler_matches_full_phase_oracle(scheme, mod_order, num_rel
 
 
 def test_relay_normalization_value():
-    cfg = anc_config(p_source=2.0, p_relay=2.0, variance_s_r=0.5)
-    assert relay_normalization(cfg) == pytest.approx(math.sqrt(2 * 2.0 * 0.5 + 1.0))
+    cfg = anc_config(p_source=1.0, p_relay=2.0)
+    assert relay_normalization(cfg) == pytest.approx(math.sqrt(2 * 1.0 + 1.0))
 
 
 # -- estimate_ser ------------------------------------------------------------------
@@ -242,7 +242,7 @@ def test_estimate_deterministic():
 
 
 def test_single_noiseless_trial():
-    cfg = config_at_snr_db(anc_config(noise_psd=1e-30), 10.0)
+    cfg = anc_config(p_source=1e30, p_relay=1e30)
     est1, est2 = estimate_ser(cfg, 1, seed=1)
     assert est1.ser == 0.0 and est2.ser == 0.0
     assert est1.trials == 1
@@ -290,7 +290,8 @@ def test_relay_power_off_reduces_to_direct_only():
 
 def test_dead_relay_destination_link_reduces_to_direct_only():
     p_total = 4.0
-    cfg = config_at_snr_db(df_config(variance_r_d=0.0, num_relays=3), 10 * math.log10(p_total))
+    # the relay hears the sources at the equal split but cannot reach the destination
+    cfg = df_config(num_relays=3, p_source=p_total / 3, p_relay=1e-30)
     trials = 150_000
     est1, _ = estimate_ser(cfg, trials, seed=31, max_errors=None)
     ref = direct_only_pair_ml_ser(p_total / 3, trials, seed=32)

@@ -68,7 +68,7 @@ def test_closed_form_rejects_bad_inputs():
 
 
 def anc_objective(num_relays):
-    return functools.partial(ser_for_powers, num_relays=num_relays, scheme=Scheme.ANC)
+    return functools.partial(ser_for_powers, num_relays=num_relays, mod_order=2, scheme=Scheme.ANC)
 
 
 def test_optimum_beats_equal_split():
