@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 invalid spec, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import sys
 
 from .experiment import (
@@ -67,6 +69,36 @@ def _parse_workers(raw: str) -> int:
     return workers
 
 
+# glibc mallopt(3) parameters and the values main() gives them.  The Monte
+# Carlo kernel frees multi-MB temporaries on every batch; by default glibc
+# returns them to the OS and the next batch faults them in again.  The mmap
+# threshold is glibc's own 64-bit cap for its dynamic threshold, the trim
+# threshold is twice it (the ratio of glibc's dynamic rule), and one arena
+# keeps the --workers threads from each holding its own high-water mark.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+_MALLOC_SETTINGS = (
+    (_M_MMAP_THRESHOLD, 32 << 20),
+    (_M_TRIM_THRESHOLD, 64 << 20),
+    (_M_ARENA_MAX, 1),
+)
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Set the allocator policy of a CLI process, once.  Results do not
+    depend on it; it is a no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no dlopen(NULL)
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -84,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
+    _keep_freed_memory()
     try:
         out = run_experiment(result.spec, workers=workers)
     except Exception as exc:  # CLI boundary: report and exit 2

@@ -456,7 +456,9 @@ class ExperimentResult:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run every sweep cell, journal rows as they complete, then write the
     CSV (deterministic order) and the metadata sidecar.  Cells run on up to
-    ``workers`` threads; rows are journaled in cell order."""
+    ``workers`` threads; rows are journaled in cell order.  When a cell fails
+    or the run is interrupted, no further cell starts, the running cells'
+    rows are journaled as they finish, and the exception is re-raised."""
     result = validate_spec(spec)
     if not result.ok:
         raise SpecValidationError("invalid experiment spec: " + "; ".join(result.errors))
@@ -493,8 +495,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         ]
         if workers > 1 and len(pending) > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                for key, row in pool.map(compute, cells_todo, seed_pairs):
-                    record(key, row)
+                futures = [pool.submit(compute, c, s) for c, s in zip(cells_todo, seed_pairs)]
+                recorded = 0
+                try:
+                    for future in futures:
+                        record(*future.result())
+                        recorded += 1
+                except BaseException:
+                    # a failed cell or Ctrl-C: start no more cells, and journal
+                    # the ones that finish meanwhile so a resume keeps them
+                    pool.shutdown(cancel_futures=True)
+                    for future in futures[recorded:]:
+                        if not future.cancelled() and future.exception() is None:
+                            record(*future.result())
+                    raise
         else:
             for key, row in map(compute, cells_todo, seed_pairs):
                 record(key, row)

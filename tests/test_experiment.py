@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import threading
@@ -243,8 +244,8 @@ def test_resume_skips_completed_cells(tmp_path):
 
 
 def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
-    # this stand-in records the pool's size and maps in this thread, so no
-    # test starts thousands of threads
+    # this stand-in records the pool's size and runs each cell in this
+    # thread, so no test starts thousands of threads
     opened = []
 
     class InlinePool:
@@ -257,8 +258,10 @@ def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(experiment.concurrent.futures, "ThreadPoolExecutor", InlinePool)
     spec = small_spec(tmp_path)
@@ -303,6 +306,37 @@ def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch)
         assert tab and row.count(",") == CSV_HEADER.count(",")
     monkeypatch.setattr(experiment, "_compute_cell", compute)
     run_experiment(spec, workers=2)
+    assert Path(spec.output_path).read_bytes() == Path(reference.output_path).read_bytes()
+
+
+def test_ctrl_c_journals_the_cells_that_finish_during_the_wait(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, snr_points_db=[0.0, 5.0, 10.0, 15.0, 20.0])
+    reference = small_spec(tmp_path, snr_points_db=spec.snr_points_db, output_path=str(tmp_path / "ref.csv"))
+    run_experiment(reference)
+    compute = experiment._compute_cell
+    next_cell_running = threading.Event()
+
+    # the 10 dB cell is interrupted while the 15 dB cell runs on the other thread
+    def interrupted(spec, cell, *args):
+        if cell.snr_db == 10.0:
+            assert next_cell_running.wait(timeout=60)
+            raise KeyboardInterrupt
+        if cell.snr_db == 15.0:
+            next_cell_running.set()
+        return compute(spec, cell, *args)
+
+    monkeypatch.setattr(experiment, "_compute_cell", interrupted)
+    threads_before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(spec, workers=2)
+    assert threading.active_count() == threads_before
+    journal = Path(spec.output_path + ".journal").read_text(encoding="utf-8")
+    journaled = {float(line.split(";")[3].removeprefix("snr=")) for line in journal.splitlines()[1:]}
+    assert {0.0, 5.0, 15.0} <= journaled and 10.0 not in journaled
+    monkeypatch.setattr(experiment, "_compute_cell", compute)
+    calls = count_computed_cells(monkeypatch)
+    run_experiment(spec, workers=2)
+    assert {cell.snr_db for _, cell, _ in calls} == set(spec.snr_points_db) - journaled
     assert Path(spec.output_path).read_bytes() == Path(reference.output_path).read_bytes()
 
 
