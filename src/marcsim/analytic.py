@@ -118,17 +118,13 @@ def _check_direct_eta(direct_eta: float) -> None:
 
 def ser_quadrature(
     dist: BestRelayDistribution,
-    direct_eta: float | None,
+    direct_eta: float,
     mod_order: int,
     tol: float = 1e-10,
 ) -> float:
     """Average MPSK SER of the selected relay path combined with the direct
-    path, by adaptive quadrature of the MGF product over (0, (M-1)pi/M].
-
-    ``direct_eta=None`` drops the direct branch (single-path reduction).
-    """
-    if direct_eta is not None:
-        _check_direct_eta(direct_eta)
+    path, by adaptive quadrature of the MGF product over (0, (M-1)pi/M]."""
+    _check_direct_eta(direct_eta)
     g = mpsk_g(mod_order)
     upper = (mod_order - 1) * math.pi / mod_order
 
@@ -137,10 +133,8 @@ def ser_quadrature(
         if sin2 == 0.0:
             return 0.0
         s = g / sin2
-        v = best_mgf(dist, s)
-        if direct_eta is not None:
-            v *= direct_eta / (s + direct_eta)  # the direct link's exponential MGF
-        return v
+        # the direct link's exponential MGF
+        return best_mgf(dist, s) * (direct_eta / (s + direct_eta))
 
     value, abserr = quad(integrand, 0.0, upper, epsabs=tol, epsrel=1e-12, limit=200)
     value /= math.pi

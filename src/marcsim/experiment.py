@@ -58,19 +58,23 @@ CSV_HEADER = (
 
 
 class _Figure(NamedTuple):
-    alias: str  # short name accepted on the command line
-    kind: str   # columns computed per cell: "ser", "outage", "both" or "power"
-    schemes: list[Scheme]
-    mod_orders: list[int]
-    relay_counts: list[int]
+    alias: str                # short name accepted on the command line
+    ser: bool                 # each cell fills the SER columns
+    outage: bool              # each cell fills the outage columns
+    allocs: tuple[str, ...]   # power splits, one cell each per point; "" = equal, unflagged
+    schemes: list[Scheme]     # default schemes
+    mod_orders: list[int]     # default PSK orders
+    relay_counts: list[int]   # default relay counts
 
 
 _FIGURES = {
-    "fig2_ser_vs_snr_mpsk": _Figure("fig2", "ser", [Scheme.ANC], [2, 8], [1, 2, 3, 4, 5]),
-    "fig3_anc_vs_df": _Figure("fig3", "ser", [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
-    "fig4_outage": _Figure("fig4", "outage", [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
-    "fig5_power_alloc": _Figure("fig5", "power", [Scheme.ANC], [2], [1, 2, 3, 4]),
-    "custom": _Figure("custom", "both", [Scheme.ANC], [2], [1]),
+    "fig2_ser_vs_snr_mpsk": _Figure("fig2", True, False, ("",), [Scheme.ANC], [2, 8], [1, 2, 3, 4, 5]),
+    "fig3_anc_vs_df": _Figure("fig3", True, False, ("",), [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
+    "fig4_outage": _Figure("fig4", False, True, ("",), [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
+    "fig5_power_alloc": _Figure(
+        "fig5", True, False, ("equal", "optimized"), [Scheme.ANC], [2], [1, 2, 3, 4]
+    ),
+    "custom": _Figure("custom", True, True, ("",), [Scheme.ANC], [2], [1]),
 }
 
 _DEFAULT_SNR_DB = [2.5 * k for k in range(11)]  # 0..25 dB
@@ -149,27 +153,23 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     if s.snr_points_db is None:
         s.snr_points_db = list(_DEFAULT_SNR_DB)
 
-    relays_ok = bool(s.relay_counts)
-    if not relays_ok:
-        errors.append("relay_counts: must be nonempty")
-    else:
-        for n in s.relay_counts:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                errors.append(f"relay_counts: entries must be integers >= 1, got {n!r}")
-                relays_ok = False
-                break
     # the analytic SER's alternating series over n = 1..N multiplies a rate
     # by up to max_n C(N, n)*n, which must stay finite; outage reads one rate
     rate_scale = 1.0
-    if relays_ok and fig.kind != "outage":
+    if not s.relay_counts:
+        errors.append("relay_counts: must be nonempty")
+    elif any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in s.relay_counts):
+        errors.append(f"relay_counts: entries must be integers >= 1, got {s.relay_counts!r}")
+    elif len(set(s.relay_counts)) < len(s.relay_counts):
+        errors.append(f"relay_counts: entries must be distinct, got {s.relay_counts!r}")
+    elif fig.ser and max(s.relay_counts) > _MAX_SERIES_ORDER:
+        errors.append(
+            f"relay_counts: SER figures allow at most {_MAX_SERIES_ORDER} relays "
+            f"(the analytic SER's alternating series), got {max(s.relay_counts)}"
+        )
+    elif fig.ser:
         n_max = max(s.relay_counts)
-        if n_max > _MAX_SERIES_ORDER:
-            errors.append(
-                f"relay_counts: SER figures allow at most {_MAX_SERIES_ORDER} relays "
-                f"(the analytic SER's alternating series), got {n_max}"
-            )
-        else:
-            rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
+        rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
     if not s.snr_points_db:
         errors.append("snr_points_db: must be nonempty")
     elif not all(math.isfinite(v) for v in s.snr_points_db):
@@ -181,7 +181,7 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
             try:
                 p_total = _budget(s, snr)
                 splits = [PowerSplit.equal(p_total)]
-                if fig.kind == "power":
+                if "optimized" in fig.allocs:
                     splits += allocation_edges(p_total)
                 for split in splits:
                     config = SystemConfig(1, split.p_source, split.p_relay)
@@ -197,15 +197,16 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
                 break
     if not s.mod_orders:
         errors.append("mod_orders: must be nonempty")
-    else:
-        for m in s.mod_orders:
-            if not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0:
-                errors.append(f"mod_orders: entries must be powers of two >= 2, got {m!r}")
-                break
+    elif any(not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0 for m in s.mod_orders):
+        errors.append(f"mod_orders: entries must be powers of two >= 2, got {s.mod_orders!r}")
+    elif len(set(s.mod_orders)) < len(s.mod_orders):
+        errors.append(f"mod_orders: entries must be distinct, got {s.mod_orders!r}")
     if not s.schemes:
         errors.append("schemes: must be nonempty")
     elif not all(isinstance(x, Scheme) for x in s.schemes):
         errors.append(f"schemes: entries must be Scheme members, got {s.schemes!r}")
+    elif len(set(s.schemes)) < len(s.schemes):
+        errors.append(f"schemes: entries must be distinct, got {[x.value for x in s.schemes]}")
     # bool is an int subclass; True must not pass as 1
     if isinstance(s.trials, bool) or not isinstance(s.trials, int) or s.trials < 1:
         errors.append(f"trials: must be an integer >= 1, got {s.trials!r}")
@@ -217,6 +218,8 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         errors.append(f"gamma_th: must be a finite nonnegative number, got {s.gamma_th!r}")
     if not s.output_path:
         errors.append("output_path: must be nonempty")
+    elif not os.path.basename(s.output_path) or os.path.isdir(s.output_path):
+        errors.append(f"output_path: must name a file, not a directory, got {s.output_path!r}")
 
     return ValidationResult(s, errors, warnings)
 
@@ -322,18 +325,15 @@ class _Cell:
 
 
 def _cells(spec: ExperimentSpec) -> list[_Cell]:
-    kind = _FIGURES[spec.figure].kind
-    cells = []
-    for scheme in spec.schemes:
-        for m in spec.mod_orders:
-            for n in spec.relay_counts:
-                for snr in spec.snr_points_db:
-                    if kind == "power":
-                        cells.append(_Cell(scheme, m, n, snr, "equal"))
-                        cells.append(_Cell(scheme, m, n, snr, "optimized"))
-                    else:
-                        cells.append(_Cell(scheme, m, n, snr, ""))
-    return cells
+    allocs = _FIGURES[spec.figure].allocs
+    return [
+        _Cell(scheme, m, n, snr, alloc)
+        for scheme in spec.schemes
+        for m in spec.mod_orders
+        for n in spec.relay_counts
+        for snr in spec.snr_points_db
+        for alloc in allocs
+    ]
 
 
 def _fmt(v) -> str:
@@ -357,7 +357,7 @@ def _cell_powers(spec: ExperimentSpec, cell: _Cell) -> PowerSplit:
 
 def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, str]:
     """The cell's journal key and CSV row."""
-    kind = _FIGURES[spec.figure].kind
+    fig = _FIGURES[spec.figure]
     seed_ser, seed_out = int(seed_pair[0]), int(seed_pair[1])
     split = _cell_powers(spec, cell)
     config = SystemConfig(
@@ -367,17 +367,17 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, st
         mod_order=cell.mod_order,
         scheme=cell.scheme,
     )
-    rates = compute_rate_params(config)
-    dist = BestRelayDistribution(cell.num_relays, rates.eta_relay_path)
 
     ser_mc = ser_ci = ser_quad = ser_closed = outage_mc = outage_an = None
     flags = []
     if cell.alloc:
         flags.append(f"alloc={cell.alloc}")
 
-    if kind in ("ser", "both", "power"):
+    if fig.ser:
         est_s1, _ = estimate_ser(config, spec.trials, seed_ser)
         ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
+        rates = compute_rate_params(config)
+        dist = BestRelayDistribution(cell.num_relays, rates.eta_relay_path)
         ser_quad = ser_quadrature(dist, rates.eta_direct, cell.mod_order)
         if cell.mod_order == 2:
             ser_closed = ser_closed_form(dist, rates.eta_direct)
@@ -386,7 +386,7 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, st
         flags.append("ser_model_gap")
         if cell.scheme is Scheme.DF_NC:
             flags.append("relay_mai")
-    if kind in ("outage", "both"):
+    if fig.outage:
         outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out)
         bn = BestRelayDistribution(cell.num_relays, bottleneck_rate(config))
         outage_an = best_cdf(bn, spec.gamma_th)
@@ -417,10 +417,7 @@ def _config_hash(spec: ExperimentSpec) -> str:
     """Hash of the spec and of the code that turns it into rows: the package
     version, the batch size that maps trials to random draws, and the
     early-stop policy."""
-    code = (
-        f"version={__version__}\nbatch_size={montecarlo.BATCH_SIZE}\n"
-        f"max_errors={montecarlo.MAX_ERRORS}\nmin_trials={montecarlo.MIN_TRIALS}\n"
-    )
+    code = f"version={__version__}\nbatch_size={montecarlo.BATCH_SIZE}\nmax_errors={montecarlo.MAX_ERRORS}\n"
     return hashlib.sha256((code + spec_to_text(spec)).encode()).hexdigest()[:16]
 
 
@@ -493,6 +490,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         seed_pairs = [
             np.random.SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(2) for idx, _ in pending
         ]
+        # no pool for one thread: it made perfbench's ser_mpsk_hi sweep 1.02-1.21x slower
         if workers > 1 and len(pending) > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(pending))) as pool:
                 futures = [pool.submit(compute, c, s) for c, s in zip(cells_todo, seed_pairs)]

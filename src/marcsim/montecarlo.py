@@ -49,7 +49,6 @@ from .model import Scheme, SystemConfig, _gammas
 __all__ = [
     "BATCH_SIZE",
     "MAX_ERRORS",
-    "MIN_TRIALS",
     "GainBatch",
     "SerEstimate",
     "modulate",
@@ -67,10 +66,9 @@ __all__ = [
 # Fixed so that the mapping from trial index to random draws never changes.
 BATCH_SIZE = 1 << 14
 
-# Default early stop of estimate_ser: both sources reached MAX_ERRORS errors
-# after at least MIN_TRIALS trials.
+# Default early stop of estimate_ser: the first batch boundary where both
+# sources have MAX_ERRORS errors.
 MAX_ERRORS = 400
-MIN_TRIALS = 10_000
 
 _Z95 = 1.959963984540054
 
@@ -206,7 +204,7 @@ class _Draws(NamedTuple):
     n_d2: np.ndarray
 
 
-def _selected_links(config: SystemConfig, gb: GainBatch, sel, rng: np.random.Generator) -> _Links:
+def _selected_links(gb: GainBatch, sel, rng: np.random.Generator) -> _Links:
     """Stage 2: the coefficients that detection sees, in the rotated form of
     the module docstring (h1b and hrb real, one phase on h2b)."""
     size = sel.shape[0]
@@ -321,7 +319,7 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
     selection-bottleneck SNR.  Under DF-NC relay decoding errors propagate
     into the forwarded symbol; there is no genie."""
     sel, best = select_relay(*relay_snrs(config, gb))
-    links = _selected_links(config, gb, sel, rng)
+    links = _selected_links(gb, sel, rng)
     draws = _draw_symbols(config, sel.shape[0], rng)
     k1, k2 = _decide(config, links, draws)
     return k1 != draws.i1, k2 != draws.i2, sel, best
@@ -336,8 +334,8 @@ def estimate_ser(
     """Per-source SER at the config's powers.
 
     With ``max_errors`` set, the trial loop stops at the first batch boundary
-    where both sources have accumulated that many errors (and at least
-    MIN_TRIALS trials ran); pass None to force the full trial count.
+    where both sources have ``max_errors`` errors; pass None to force the
+    full trial count.
     """
     batches = _batches(seed, trials)
     err1 = err2 = done = 0
@@ -347,7 +345,7 @@ def estimate_ser(
         err1 += int(e1.sum())
         err2 += int(e2.sum())
         done += size
-        if max_errors is not None and done >= MIN_TRIALS and min(err1, err2) >= max_errors:
+        if max_errors is not None and min(err1, err2) >= max_errors:
             break
     return _wilson_estimate(err1, done), _wilson_estimate(err2, done)
 

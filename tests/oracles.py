@@ -178,7 +178,7 @@ def brute_force_run_batch(config: SystemConfig, gb, rng):
     """``montecarlo.run_batch`` with ``brute_force_decide`` for the
     detection; the same draws, in the same order, as the kernel."""
     sel, best = select_relay(*relay_snrs(config, gb))
-    links = _selected_links(config, gb, sel, rng)
+    links = _selected_links(gb, sel, rng)
     draws = _draw_symbols(config, sel.shape[0], rng)
     k1, k2 = brute_force_decide(config, links, draws)
     return k1 != draws.i1, k2 != draws.i2, sel, best

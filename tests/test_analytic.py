@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -217,14 +218,19 @@ def test_ser_vanishes_at_high_snr():
     assert ser_quadrature(dist, 1e-6, 2) <= 1e-5
 
 
+# a direct link of rate float max has zero mean SNR: its MGF factor
+# eta/(s + eta) is exactly 1.0 at every quadrature node
+NO_DIRECT_LINK = sys.float_info.max
+
+
 def test_ser_single_path_reduces_to_integral_I():
     dist = BestRelayDistribution(1, 1.0)
-    assert ser_quadrature(dist, None, 2) == pytest.approx(integral_I(1.0), abs=1e-10)
+    assert ser_quadrature(dist, NO_DIRECT_LINK, 2) == pytest.approx(integral_I(1.0), abs=1e-10)
 
 
 def test_direct_branch_gives_diversity_gain():
     dist = BestRelayDistribution(1, 1.0)
-    assert ser_quadrature(dist, 1.0, 2) < ser_quadrature(dist, None, 2)
+    assert ser_quadrature(dist, 1.0, 2) < ser_quadrature(dist, NO_DIRECT_LINK, 2)
 
 
 def test_ser_bounded_by_guessing():

@@ -465,13 +465,16 @@ def test_cli_success(tmp_path, capsys):
         # finite rates, but gamma_s*g*gamma_r*g overflows in the Monte Carlo's ANC SNR
         (["--scheme", "anc,df", "--relays", "1,3", "--snr", "2000"], "snr_points_db"),
         (["--scheme", "anc,df", "--relays", "1", "--ptotal", "1e308"], "p_total"),
+        (["--relays", "1,1"], "relay_counts"),
+        (["--mod", "2,2"], "mod_orders"),
+        (["--scheme", "df,df"], "schemes"),
     ],
     ids=[
         "relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf",
         "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x", "ptotal-zz",
         "workers-abc", "workers-0", "snr-overflow", "snr-underflow", "ptotal-subnormal",
         "relays-65-ser", "ptotal-series-overflow", "ptotal-series-coefficient", "ptotal-allocator-edge",
-        "snr-mc-overflow", "ptotal-mc-overflow",
+        "snr-mc-overflow", "ptotal-mc-overflow", "relays-repeat", "mod-repeat", "scheme-repeat",
     ],
 )
 def test_cli_validation_failure(tmp_path, capsys, flags, field):
@@ -479,6 +482,18 @@ def test_cli_validation_failure(tmp_path, capsys, flags, field):
     code = main([*base, *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trailing_sep", [False, True], ids=["existing-dir", "trailing-sep"])
+def test_cli_rejects_a_directory_output_path(tmp_path, capsys, trailing_sep):
+    out = str(tmp_path / "new") + os.sep if trailing_sep else str(tmp_path)
+    code = main(["--figure", "custom", "--scheme", "df", "--relays", "1", "--snr", "10",
+                 "--trials", "1000", "--out", out])
+    assert code == 1
+    assert "output_path" in capsys.readouterr().err
+    # rejected before any cell runs: no journal, and no directory made
+    assert os.listdir(tmp_path) == []
+    assert not os.path.exists(str(tmp_path) + ".journal")
 
 
 def test_outage_figure_accepts_many_relays(tmp_path):

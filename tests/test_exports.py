@@ -88,6 +88,30 @@ def test_every_defaulted_config_field_is_set_somewhere():
     assert not unset, f"SystemConfig fields that no call in the package sets: {unset}"
 
 
+def _unread_parameters():
+    """``module.function.parameter`` of every parameter, of every function
+    and lambda in the package, that its body never reads; ``self`` and
+    ``cls`` are exempt."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg] if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = (n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}.{p}" for p in params if p not in read | {"self", "cls"}]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an option that changes nothing
+    assert _unread_parameters() == []
+
+
 def _modules_loaded_by(statement: str, prefixes: tuple[str, ...]) -> list[str]:
     """Modules under ``prefixes`` that a fresh interpreter has loaded after
     running ``statement``."""

@@ -68,8 +68,8 @@ def test_same_seed_same_gains():
     assert np.array_equal(g1.g_r_d, g2.g_r_d)
     # the direct links are drawn in stage 2, after selection
     sel = select_relay(*relay_snrs(cfg, g1))[0]
-    l1 = _selected_links(cfg, g1, sel, np.random.default_rng(5))
-    l2 = _selected_links(cfg, g2, sel, np.random.default_rng(5))
+    l1 = _selected_links(g1, sel, np.random.default_rng(5))
+    l2 = _selected_links(g2, sel, np.random.default_rng(5))
     assert np.array_equal(l1.h_s1_d, l2.h_s1_d) and np.array_equal(l1.h_s2_d, l2.h_s2_d)
 
 
@@ -80,7 +80,7 @@ def test_df_draws_destination_gain_after_selection():
     g = sample_gains(cfg, np.random.default_rng(0), 8)
     assert g.g_r_d is None
     sel = select_relay(*relay_snrs(cfg, g))[0]
-    links = _selected_links(cfg, g, sel, np.random.default_rng(1))
+    links = _selected_links(g, sel, np.random.default_rng(1))
     assert links.hrb.shape == (8,) and np.all(links.hrb > 0)
 
 

@@ -138,7 +138,7 @@ def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
     size = 512
     gains = sample_gains(cfg, np.random.default_rng(61), size)
     sel = select_relay(*relay_snrs(cfg, gains))[0]
-    links = _selected_links(cfg, gains, sel, np.random.default_rng(62))
+    links = _selected_links(gains, sel, np.random.default_rng(62))
     silent = dict(h2b=np.zeros_like(links.h2b), h_s2_d=np.zeros_like(links.h_s2_d))
     if scheme is Scheme.DF_NC:
         silent["hrb"] = np.zeros_like(links.hrb)
