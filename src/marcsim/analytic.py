@@ -88,18 +88,27 @@ def best_cdf(dist: BestRelayDistribution, gamma):
     return out if out.ndim else float(out)
 
 
+def _mgf_terms(dist: BestRelayDistribution) -> list[tuple[float, float]]:
+    # The (numerator, pole) pair of each of best_mgf's N terms; none depends
+    # on s, so a quadrature builds them once, not at every node.
+    _check_series_order(dist.num_relays)
+    eta = dist.eta
+    return [
+        (_float_binom(dist.num_relays, n) * n * (-1.0) ** (n - 1) * eta, n * eta)
+        for n in range(1, dist.num_relays + 1)
+    ]
+
+
 def best_mgf(dist: BestRelayDistribution, s: float) -> float:
     """E[exp(-s * best SNR)] as an alternating sum over the N order-statistic
     terms; integrating the density term by term puts the n-th pole at
     s = -n*eta."""
-    _check_series_order(dist.num_relays)
+    terms = _mgf_terms(dist)
     if not s >= 0:
         raise ValueError(f"s must be nonnegative, got {s!r}")
-    eta = dist.eta
     out = 0.0
-    for n in range(1, dist.num_relays + 1):
-        coeff = _float_binom(dist.num_relays, n) * n * (-1.0) ** (n - 1)
-        out += coeff * eta / (s + n * eta)
+    for num, pole in terms:
+        out += num / (s + pole)
     return out
 
 
@@ -127,14 +136,18 @@ def ser_quadrature(
     _check_direct_eta(direct_eta)
     g = mpsk_g(mod_order)
     upper = (mod_order - 1) * math.pi / mod_order
+    terms = _mgf_terms(dist)
 
     def integrand(theta: float) -> float:
         sin2 = math.sin(theta) ** 2
         if sin2 == 0.0:
             return 0.0
-        s = g / sin2
-        # the direct link's exponential MGF
-        return best_mgf(dist, s) * (direct_eta / (s + direct_eta))
+        s = g / sin2  # > 0, the range best_mgf checks
+        mgf = 0.0  # best_mgf(dist, s), summed as it sums
+        for num, pole in terms:
+            mgf += num / (s + pole)
+        # times the direct link's exponential MGF
+        return mgf * (direct_eta / (s + direct_eta))
 
     value, abserr = quad(integrand, 0.0, upper, epsabs=tol, epsrel=1e-12, limit=200)
     value /= math.pi

@@ -15,7 +15,7 @@ import functools
 
 from .analytic import (
     BestRelayDistribution,
-    _float_binom,
+    _mgf_terms,
     best_mgf,
     ser_closed_form,
     ser_quadrature,
@@ -62,13 +62,13 @@ def mgf_pole_discrepancy(num_relays: int = _NUM_RELAYS) -> DiscrepancyRecord:
     places every pole at s = -eta; it is not a valid MGF for N >= 2.  Reported
     at s = 0, where a valid MGF must equal 1 and the variant collapses to 0."""
     dist = BestRelayDistribution(num_relays, _ETA)
+    terms = _mgf_terms(dist)
     s_grid = [0.25 * k for k in range(41)]  # 0..10, exactly np.linspace(0, 10, 41)
     shared = []
     for s in s_grid:
         v = 0.0
-        for n in range(1, num_relays + 1):
-            coeff = _float_binom(num_relays, n) * n * (-1.0) ** (n - 1)
-            v += coeff * _ETA / (s + _ETA)
+        for num, _pole in terms:
+            v += num / (s + _ETA)
         shared.append(v)
     printed = shared[0]
     oracle = best_mgf(dist, 0.0)

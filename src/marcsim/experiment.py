@@ -82,6 +82,7 @@ _DEFAULT_TRIALS = 10**6
 _DEFAULT_SEED = 42
 _DEFAULT_GAMMA_TH = 1.0
 _TRIALS_RUNTIME_WARNING = 10**8
+_MAX_SNR_POINTS = 10_000  # more points than any sweep needs: a range that long has a mistyped step
 
 
 @dataclasses.dataclass
@@ -260,6 +261,8 @@ def _parse_snr(raw: str) -> list[float]:
     start, stop, step = (float(tok) for tok in raw.split(":"))
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step) and step > 0):
         raise ValueError(f"range {raw!r} needs finite bounds and a positive step")
+    if (stop - start) / step >= _MAX_SNR_POINTS:
+        raise ValueError(f"range {raw!r} has more than {_MAX_SNR_POINTS} points")
     out = []
     while (v := start + len(out) * step) <= stop + 1e-12:
         out.append(v)

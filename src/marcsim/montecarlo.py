@@ -365,7 +365,7 @@ def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
 
 def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:
     """Fraction of fading draws whose selected-relay SNR falls below gamma_th."""
-    if gamma_th < 0:
+    if not gamma_th >= 0:  # NaN fails the comparison too
         raise ValueError("gamma_th must be nonnegative")
     return float(np.mean(sample_best_snr(config, trials, seed) < gamma_th))
 

@@ -15,8 +15,10 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import k1
 
+from marcsim.analytic import QuadratureConvergenceError
 from marcsim.model import SystemConfig, Scheme, _gammas
 from marcsim.montecarlo import (
     GainBatch,
@@ -49,6 +51,43 @@ def best_pdf(dist, gamma):
     n, eta = dist.num_relays, dist.eta
     out = n * eta * np.exp(-eta * g) * (-np.expm1(-eta * g)) ** (n - 1)
     return out if out.ndim else float(out)
+
+
+def per_node_ser_quadrature(dist, direct_eta, mod_order, tol=1e-10):
+    """``analytic.ser_quadrature`` as it was before the MGF terms were built
+    once per call: every node re-derives the N binomial coefficients of the
+    alternating MGF sum.  Same float operations in the same order, so the
+    two agree bit for bit."""
+
+    def binom(n, k):
+        out = 1.0
+        for i in range(1, k + 1):
+            out *= (n - i + 1) / i
+        return out
+
+    def mgf(s):
+        eta, out = dist.eta, 0.0
+        for n in range(1, dist.num_relays + 1):
+            coeff = binom(dist.num_relays, n) * n * (-1.0) ** (n - 1)
+            out += coeff * eta / (s + n * eta)
+        return out
+
+    g = math.sin(math.pi / mod_order) ** 2
+    upper = (mod_order - 1) * math.pi / mod_order
+
+    def integrand(theta):
+        sin2 = math.sin(theta) ** 2
+        if sin2 == 0.0:
+            return 0.0
+        s = g / sin2
+        return mgf(s) * (direct_eta / (s + direct_eta))
+
+    value, abserr = quad(integrand, 0.0, upper, epsabs=tol, epsrel=1e-12, limit=200)
+    value /= math.pi
+    abserr /= math.pi
+    if abserr > tol:
+        raise QuadratureConvergenceError(abserr, tol)
+    return value
 
 
 def ser_power_gradient(split, ser_fn, rel_step=1e-5):

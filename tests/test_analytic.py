@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import best_pdf
+from oracles import best_pdf, per_node_ser_quadrature
+from marcsim import analytic
 from marcsim.analytic import (
     BestRelayDistribution,
     QuadratureConvergenceError,
@@ -269,6 +270,46 @@ def test_unreachable_tolerance_raises_with_achieved_error():
         ser_quadrature(dist, 1.0, 2, tol=1e-20)
     assert exc.value.achieved > 1e-20
     assert exc.value.requested == 1e-20
+
+
+# -- MGF terms built once per call ------------------------------------------------
+
+_BIT_RATES = [(2.0, 5.0), (0.5, 1.0), (0.1, 0.2), (0.02, 0.05), (1e-3, 1e-2)]  # (eta, direct eta)
+# N = 40 and 64 never converge and cost the reference up to 0.7 s a call, so
+# those orders take one rate pair per M
+_BIT_CASES = [(n, m, *r) for n in (1, 2, 3, 5, 10, 25) for m in (2, 4, 8, 16) for r in _BIT_RATES] + [
+    (n, m, *r) for n in (40, 64) for m, r in zip((2, 4, 8, 16), _BIT_RATES[1:])
+]
+
+
+def _quadrature_outcome(ser_fn, dist, direct_eta, mod_order):
+    try:
+        return ser_fn(dist, direct_eta, mod_order)
+    except QuadratureConvergenceError as exc:
+        return ("no convergence", exc.achieved)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_ser_quadrature_matches_per_node_reference_bit_for_bit():
+    cases = [(BestRelayDistribution(n, eta), direct_eta, m) for n, m, eta, direct_eta in _BIT_CASES]
+    # DF N=30 at 10 dB, a spec that fails to converge through the CLI
+    split = PowerSplit.equal(10.0)
+    rates = compute_rate_params(SystemConfig(30, split.p_source, split.p_relay, scheme=Scheme.DF_NC))
+    cases.append((BestRelayDistribution(30, rates.eta_relay_path), rates.eta_direct, 2))
+    got = [_quadrature_outcome(ser_quadrature, *case) for case in cases]
+    want = [_quadrature_outcome(per_node_ser_quadrature, *case) for case in cases]
+    assert got == want  # ==, not approx: the same float operations in the same order
+    assert isinstance(want[-1], tuple)
+    assert sum(isinstance(w, float) for w in want) > 100
+
+
+def test_ser_quadrature_derives_each_coefficient_once(monkeypatch):
+    # one binomial per series term per call, not per quadrature node
+    calls = []
+    binom = analytic._float_binom
+    monkeypatch.setattr(analytic, "_float_binom", lambda n, k: calls.append(k) or binom(n, k))
+    ser_quadrature(BestRelayDistribution(5, 1.0), 1.0, 2)
+    assert sorted(calls) == [1, 2, 3, 4, 5]
 
 
 # -- additive closed form ---------------------------------------------------------

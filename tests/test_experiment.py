@@ -13,6 +13,7 @@ from marcsim.experiment import (
     CSV_HEADER,
     ExperimentSpec,
     SpecValidationError,
+    parse_field,
     run_experiment,
     spec_from_text,
     spec_to_text,
@@ -89,6 +90,14 @@ def test_huge_trials_warn_but_valid():
 def test_unsorted_snr_rejected():
     res = validate_spec(ExperimentSpec(snr_points_db=[5.0, 5.0]))
     assert any("strictly increasing" in e for e in res.errors)
+
+
+def test_snr_range_point_count_is_capped():
+    # 100,001 points, which the parser builds quickly if the cap is gone; a
+    # step of 1e-300 would not finish
+    with pytest.raises(ValueError, match="snr_points_db"):
+        parse_field("snr_points_db", "0:1:1e-5")
+    assert len(parse_field("snr_points_db", "0:9999:1")) == 10_000
 
 
 def test_ptotal_replaces_snr_axis():

@@ -311,6 +311,12 @@ def test_outage_rejects_negative_threshold():
         estimate_outage(df_config(), -1.0, 100, seed=4)
 
 
+def test_outage_rejects_nan_threshold():
+    # as best_cdf does; NaN fails every comparison, so a `< 0` check lets it through
+    with pytest.raises(ValueError):
+        estimate_outage(SystemConfig(2, 3.0, 3.0), math.nan, 1000, seed=1)
+
+
 def test_df_outage_matches_order_statistics():
     cfg = config_at_snr_db(df_config(num_relays=2), 10.0)
     trials = 200_000
