@@ -50,7 +50,7 @@ class BestRelayDistribution:
     eta: float
 
     def __post_init__(self):
-        if not isinstance(self.num_relays, int) or self.num_relays < 1:
+        if isinstance(self.num_relays, bool) or not isinstance(self.num_relays, int) or self.num_relays < 1:
             raise ValueError(f"num_relays must be an integer >= 1, got {self.num_relays!r}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta!r}")

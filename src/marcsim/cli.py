@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Configuration comes from an optional key=value file plus flags; flags win.
-Exit codes: 0 success, 1 invalid spec, 2 runtime failure.
+Exit codes: 0 success, 1 invalid spec or command line, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -23,8 +23,14 @@ from .experiment import (
 __all__ = ["build_parser", "main", "entry"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad command line is a bad spec: main exits 1, where argparse exits 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="marcsim",
         description="Relay-selection sweeps for the two-source multiple-access "
         "relay channel; writes one CSV plus a metadata sidecar.",
@@ -39,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", help="Monte Carlo trials per cell")
     p.add_argument("--seed", help="master seed")
     p.add_argument("--gamma-th", dest="gamma_th", help="outage threshold")
-    p.add_argument("--ptotal", dest="p_total", help="fixed total power budget (replaces the SNR sweep)")
     p.add_argument("--out", dest="output_path", help="output CSV path")
     # not a spec field: the worker count does not change the output bytes
     p.add_argument("--workers", default="1", help="parallel cell threads, in one process (integer >= 1)")
@@ -100,8 +105,8 @@ def _keep_freed_memory() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         spec = _spec_from_args(args)
         workers = _parse_workers(args.workers)
     except (OSError, ValueError) as exc:

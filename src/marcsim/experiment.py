@@ -58,7 +58,6 @@ CSV_HEADER = (
 
 
 class _Figure(NamedTuple):
-    alias: str                # short name accepted on the command line
     ser: bool                 # each cell fills the SER columns
     outage: bool              # each cell fills the outage columns
     allocs: tuple[str, ...]   # power splits, one cell each per point; "" = equal, unflagged
@@ -68,13 +67,11 @@ class _Figure(NamedTuple):
 
 
 _FIGURES = {
-    "fig2_ser_vs_snr_mpsk": _Figure("fig2", True, False, ("",), [Scheme.ANC], [2, 8], [1, 2, 3, 4, 5]),
-    "fig3_anc_vs_df": _Figure("fig3", True, False, ("",), [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
-    "fig4_outage": _Figure("fig4", False, True, ("",), [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
-    "fig5_power_alloc": _Figure(
-        "fig5", True, False, ("equal", "optimized"), [Scheme.ANC], [2], [1, 2, 3, 4]
-    ),
-    "custom": _Figure("custom", True, True, ("",), [Scheme.ANC], [2], [1]),
+    "fig2": _Figure(True, False, ("",), [Scheme.ANC], [2, 8], [1, 2, 3, 4, 5]),
+    "fig3": _Figure(True, False, ("",), [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
+    "fig4": _Figure(False, True, ("",), [Scheme.ANC, Scheme.DF_NC], [2], [1, 2, 5, 10]),
+    "fig5": _Figure(True, False, ("equal", "optimized"), [Scheme.ANC], [2], [1, 2, 3, 4]),
+    "custom": _Figure(True, True, ("",), [Scheme.ANC], [2], [1]),
 }
 
 _DEFAULT_SNR_DB = [2.5 * k for k in range(11)]  # 0..25 dB
@@ -98,7 +95,6 @@ class ExperimentSpec:
     schemes: list[Scheme] | None = None
     mod_orders: list[int] | None = None
     gamma_th: float | None = None
-    p_total: float | None = None
     output_path: str | None = None
 
 
@@ -123,7 +119,6 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     warnings: list[str] = []
     s = dataclasses.replace(spec)
 
-    s.figure = next((name for name, f in _FIGURES.items() if f.alias == s.figure), s.figure)
     if s.figure not in _FIGURES:
         errors.append(f"figure: unknown value {s.figure!r}, expected one of {tuple(_FIGURES)}")
         return ValidationResult(s, errors, warnings)
@@ -143,14 +138,6 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         s.gamma_th = _DEFAULT_GAMMA_TH
     if s.output_path is None:
         s.output_path = f"results/{s.figure}.csv"
-    budget_ok = s.p_total is None or (
-        not isinstance(s.p_total, bool) and math.isfinite(s.p_total) and s.p_total > 0
-    )
-    if not budget_ok:
-        errors.append(f"p_total: must be a positive finite number, got {s.p_total!r}")
-    elif s.p_total is not None:
-        # a fixed budget replaces the SNR sweep by its single equivalent
-        s.snr_points_db = [10.0 * math.log10(s.p_total)]
     if s.snr_points_db is None:
         s.snr_points_db = list(_DEFAULT_SNR_DB)
 
@@ -177,10 +164,10 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         errors.append(f"snr_points_db: entries must be finite, got {s.snr_points_db!r}")
     elif any(b <= a for a, b in zip(s.snr_points_db, s.snr_points_db[1:])):
         errors.append("snr_points_db: must be strictly increasing")
-    elif budget_ok:
+    else:
         for snr in s.snr_points_db:
             try:
-                p_total = _budget(s, snr)
+                p_total = _budget(snr)
                 splits = [PowerSplit.equal(p_total)]
                 if "optimized" in fig.allocs:
                     splits += allocation_edges(p_total)
@@ -193,8 +180,7 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
                     # no rate the model derives from a split exceeds ANC's bottleneck rate
                     BestRelayDistribution(1, rate_scale * bottleneck_rate(config))
             except (OverflowError, ValueError) as exc:
-                where = f"snr_points_db: {snr!r} dB" if s.p_total is None else f"p_total: {s.p_total!r}"
-                errors.append(f"{where} gives a split outside the model's range ({exc})")
+                errors.append(f"snr_points_db: {snr!r} dB gives a split outside the model's range ({exc})")
                 break
     if not s.mod_orders:
         errors.append("mod_orders: must be nonempty")
@@ -225,10 +211,9 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     return ValidationResult(s, errors, warnings)
 
 
-def _budget(spec: ExperimentSpec, snr_db: float) -> float:
-    """Total power of a sweep point: a fixed budget is taken as given, not
-    through its dB value."""
-    return spec.p_total if spec.p_total is not None else 10.0 ** (snr_db / 10.0)
+def _budget(snr_db: float) -> float:
+    """Total power of a sweep point: its SNR in linear units (N0 = 1)."""
+    return 10.0 ** (snr_db / 10.0)
 
 
 # -- plain-text serialization (key=value per line) --------------------------
@@ -278,7 +263,6 @@ _PARSERS = {
     "schemes": lambda r: _parse_list(r, Scheme),
     "mod_orders": lambda r: _parse_list(r, int),
     "gamma_th": float,
-    "p_total": float,
     "output_path": str,
 }
 
@@ -347,9 +331,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _cell_powers(spec: ExperimentSpec, cell: _Cell) -> PowerSplit:
+def _cell_powers(cell: _Cell) -> PowerSplit:
     """The cell's operating point."""
-    p_total = _budget(spec, cell.snr_db)
+    p_total = _budget(cell.snr_db)
     if cell.alloc == "optimized":
         objective = functools.partial(
             ser_for_powers, num_relays=cell.num_relays, mod_order=cell.mod_order, scheme=cell.scheme
@@ -362,7 +346,7 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, st
     """The cell's journal key and CSV row."""
     fig = _FIGURES[spec.figure]
     seed_ser, seed_out = int(seed_pair[0]), int(seed_pair[1])
-    split = _cell_powers(spec, cell)
+    split = _cell_powers(cell)
     config = SystemConfig(
         num_relays=cell.num_relays,
         p_source=split.p_source,

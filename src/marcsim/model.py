@@ -53,7 +53,7 @@ class SystemConfig:
     scheme: Scheme = Scheme.ANC
 
     def __post_init__(self):
-        if not isinstance(self.num_relays, int) or self.num_relays < 1:
+        if isinstance(self.num_relays, bool) or not isinstance(self.num_relays, int) or self.num_relays < 1:
             raise ValueError(f"num_relays must be an integer >= 1, got {self.num_relays!r}")
         _require_positive("p_source", self.p_source)
         _require_positive("p_relay", self.p_relay)

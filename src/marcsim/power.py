@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import BestRelayDistribution, ser_quadrature
-from .model import Scheme, SystemConfig, compute_rate_params
+from .model import Scheme, SystemConfig, _require_positive, compute_rate_params
 
 __all__ = [
     "PowerSplit",
@@ -50,8 +50,8 @@ class PowerSplit:
     p_total: float
 
     def __post_init__(self):
-        if not (self.p_source > 0 and self.p_relay > 0):
-            raise ValueError("both power components must be strictly positive")
+        for f in dataclasses.fields(self):
+            _require_positive(f.name, getattr(self, f.name))
         if abs(2.0 * self.p_source + self.p_relay - self.p_total) > _CONSTRAINT_RTOL * self.p_total:
             raise ValueError(
                 f"2*p_source + p_relay = {2 * self.p_source + self.p_relay!r} "
@@ -79,8 +79,8 @@ def closed_form_source_power(p_total: float, b: float) -> float:
     Real cube roots are used for negative bases.  No feasibility is implied;
     discrepancy.allocation_discrepancy tests the value against (0, p_total/2).
     """
-    if not (p_total > 0 and b > 0):
-        raise ValueError("p_total and b must be positive")
+    _require_positive("p_total", p_total)
+    _require_positive("b", b)
     p = p_total
     inner = (
         -486.0 * p * b
@@ -150,8 +150,7 @@ def numeric_allocation(
     Separated grid minima within 1e-12 of the best trigger a
     MultimodalObjectiveWarning and the global grid winner's basin is used.
     """
-    if p_total <= 0:
-        raise ValueError("p_total must be positive")
+    _require_positive("p_total", p_total)
     f = lambda ps: objective(ps, p_total - 2.0 * ps)
     lo, hi = allocation_edges(p_total)
     grid = np.linspace(lo.p_source, hi.p_source, _GRID_POINTS).tolist()

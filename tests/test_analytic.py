@@ -54,6 +54,12 @@ def test_cdf_three_relays_value():
     assert abs(emp - 0.25258045782764715) < 4 * se
 
 
+def test_distribution_rejects_bool_relay_count():
+    # bool is an int subclass; validate_spec rejects True as a relay count too
+    with pytest.raises(ValueError, match="num_relays"):
+        BestRelayDistribution(True, 1.0)
+
+
 def test_cdf_rejects_negative_gamma():
     with pytest.raises(ValueError):
         best_cdf(BestRelayDistribution(2, 1.0), -0.1)

@@ -21,7 +21,6 @@ from marcsim.experiment import (
 )
 from marcsim.cli import main
 from marcsim.model import Scheme, SystemConfig, bottleneck_rate
-from marcsim.power import PowerSplit
 
 
 def small_spec(tmp_path, **kw):
@@ -46,7 +45,7 @@ def test_defaults_filled():
     res = validate_spec(ExperimentSpec(figure="fig2"))
     assert res.ok
     s = res.spec
-    assert s.figure == "fig2_ser_vs_snr_mpsk"
+    assert s.figure == "fig2"
     assert s.trials == 10**6 and s.seed == 42 and s.gamma_th == 1.0
     assert s.mod_orders == [2, 8]
     assert s.relay_counts == [1, 2, 3, 4, 5]
@@ -75,8 +74,6 @@ def test_bool_counts_rejected():
     assert "trials" in joined and "seed" in joined
     res = validate_spec(ExperimentSpec(relay_counts=[True]))
     assert any("relay_counts" in e for e in res.errors)
-    res = validate_spec(ExperimentSpec(p_total=True))
-    assert any("p_total" in e for e in res.errors)
     res = validate_spec(ExperimentSpec(gamma_th=True))
     assert any("gamma_th" in e for e in res.errors)
 
@@ -100,17 +97,12 @@ def test_snr_range_point_count_is_capped():
     assert len(parse_field("snr_points_db", "0:9999:1")) == 10_000
 
 
-def test_ptotal_replaces_snr_axis():
-    res = validate_spec(ExperimentSpec(figure="fig5", p_total=9.0))
-    assert res.ok
-    assert res.spec.snr_points_db == [10.0 * math.log10(9.0)]
-
-
-@pytest.mark.parametrize("p_total", [None, 5.0])
-@pytest.mark.parametrize("figure", [f.alias for f in experiment._FIGURES.values()])
-def test_validate_spec_is_idempotent(figure, p_total):
+@pytest.mark.parametrize("snr_db", [None, 5.0])
+@pytest.mark.parametrize("figure", list(experiment._FIGURES))
+def test_validate_spec_is_idempotent(figure, snr_db):
     # run_experiment validates the spec that main has already validated
-    first = validate_spec(ExperimentSpec(figure=figure, p_total=p_total))
+    snr_points_db = None if snr_db is None else [snr_db]
+    first = validate_spec(ExperimentSpec(figure=figure, snr_points_db=snr_points_db))
     assert first.ok
     again = validate_spec(first.spec)
     assert again.errors == []
@@ -453,37 +445,41 @@ def test_cli_success(tmp_path, capsys):
         (["--relays", "0"], "relay_counts"),
         (["--gamma-th", "nan"], "gamma_th"),
         (["--snr", "0,nan"], "snr_points_db"),
-        (["--ptotal", "nan"], "p_total"),
-        (["--ptotal", "inf"], "p_total"),
         (["--relays", "abc"], "relay_counts"),
         (["--trials", "abc"], "trials"),
         (["--trials", "1.5"], "trials"),
         (["--seed", "-"], "seed"),
         (["--gamma-th", "x"], "gamma_th"),
-        (["--ptotal", "zz"], "p_total"),
         (["--workers", "abc"], "workers"),
         (["--workers", "0"], "workers"),
         (["--snr=4000"], "snr_points_db"),
         (["--snr=-4000"], "snr_points_db"),
-        (["--ptotal", "1e-320"], "p_total"),
+        # the ptotal-* cases set the total power budget p_total = 10**(snr/10)
+        # through the SNR axis: 1e-320, 1e-307, 2.6e-307, 1e-305 and 1e308
+        (["--snr=-3200"], "snr_points_db"),
         (["--relays", "65"], "relay_counts"),
-        (["--scheme", "anc,df", "--relays", "1,3", "--ptotal", "1e-307"], "p_total"),
+        (["--scheme", "anc,df", "--relays", "1,3", "--snr=-3070"], "snr_points_db"),
         # N*eta is finite here, but the series' coefficient C(3,2)*2 = 6 times eta is not
-        (["--scheme", "anc,df", "--relays", "1,3", "--ptotal", "2.6e-307"], "p_total"),
-        (["--figure", "fig5", "--ptotal", "1e-305"], "p_total"),
+        (["--scheme", "anc,df", "--relays", "1,3", "--snr=-3065.85"], "snr_points_db"),
+        (["--figure", "fig5", "--snr=-3050"], "snr_points_db"),
         # finite rates, but gamma_s*g*gamma_r*g overflows in the Monte Carlo's ANC SNR
         (["--scheme", "anc,df", "--relays", "1,3", "--snr", "2000"], "snr_points_db"),
-        (["--scheme", "anc,df", "--relays", "1", "--ptotal", "1e308"], "p_total"),
+        (["--scheme", "anc,df", "--relays", "1", "--snr", "3080"], "snr_points_db"),
         (["--relays", "1,1"], "relay_counts"),
         (["--mod", "2,2"], "mod_orders"),
         (["--scheme", "df,df"], "schemes"),
+        # a bad command line exits 1 like a bad spec, not with argparse's 2
+        (["--bogus", "1"], "--bogus"),
+        (["--snr"], "--snr"),
+        (["--ptotal", "5"], "--ptotal"),
     ],
     ids=[
-        "relays-0", "gamma_th-nan", "snr-nan", "ptotal-nan", "ptotal-inf",
-        "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x", "ptotal-zz",
+        "relays-0", "gamma_th-nan", "snr-nan",
+        "relays-abc", "trials-abc", "trials-1.5", "seed-dash", "gamma_th-x",
         "workers-abc", "workers-0", "snr-overflow", "snr-underflow", "ptotal-subnormal",
         "relays-65-ser", "ptotal-series-overflow", "ptotal-series-coefficient", "ptotal-allocator-edge",
         "snr-mc-overflow", "ptotal-mc-overflow", "relays-repeat", "mod-repeat", "scheme-repeat",
+        "unknown-flag", "snr-no-value", "ptotal-unknown",
     ],
 )
 def test_cli_validation_failure(tmp_path, capsys, flags, field):
@@ -517,19 +513,6 @@ def csv_rows(path):
     return [r.split(",") for r in open(path).read().splitlines()[1:]]
 
 
-def test_cli_ptotal_is_the_budget(tmp_path):
-    # 5 does not survive the round trip through dB: 10 ** (10 * log10(5) / 10) != 5
-    out = str(tmp_path / "pt.csv")
-    code = main(
-        ["--figure", "custom", "--scheme", "df", "--relays", "1", "--ptotal", "5",
-         "--trials", "1000", "--out", out]
-    )
-    assert code == 0
-    ((*_, p_s, p_r, _flags),) = csv_rows(out)
-    split = PowerSplit.equal(5.0)
-    assert (float(p_s), float(p_r)) == (split.p_source, split.p_relay)
-
-
 def test_outage_analytic_at_the_row_powers(tmp_path):
     out = str(tmp_path / "fig4.csv")
     code = main(
@@ -549,6 +532,26 @@ def test_outage_analytic_at_the_row_powers(tmp_path):
 def test_cli_unknown_figure(tmp_path, capsys):
     code = main(["--figure", "fig9", "--out", str(tmp_path / "x.csv")])
     assert code == 1
+    # the error lists the names --help shows, and each figure has only that name
+    assert "('fig2', 'fig3', 'fig4', 'fig5', 'custom')" in capsys.readouterr().err
+    assert main(["--figure", "fig2_ser_vs_snr_mpsk", "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--snr" in capsys.readouterr().out
+
+
+def test_cli_config_file_rejects_p_total(tmp_path, capsys):
+    # the SNR axis is the only statement of the budget; a leftover key must not pass
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text("figure=custom\np_total=5\n")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "p_total" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["spec.cfg"]
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

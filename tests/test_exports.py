@@ -10,6 +10,8 @@ import tomllib
 import pytest
 
 import marcsim
+from marcsim.cli import build_parser
+from marcsim.experiment import ExperimentSpec
 from marcsim.model import SystemConfig
 
 MODULES = ["analytic", "cli", "discrepancy", "experiment", "model", "montecarlo", "power"]
@@ -86,6 +88,13 @@ def test_every_defaulted_config_field_is_set_somewhere():
     defaulted = {f.name for f in dataclasses.fields(SystemConfig) if f.default is not dataclasses.MISSING}
     unset = sorted(defaulted - _keywords_passed_to({"SystemConfig", "replace"}))
     assert not unset, f"SystemConfig fields that no call in the package sets: {unset}"
+
+
+def test_every_cli_option_is_a_spec_field():
+    # a removed field must take its flag with it, and a flag needs a field to
+    # set; --config and --workers are the two options that set no field
+    dests = {a.dest for a in build_parser()._actions if a.dest != "help"}
+    assert dests == {f.name for f in dataclasses.fields(ExperimentSpec)} | {"config", "workers"}
 
 
 def _unread_parameters():

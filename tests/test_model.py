@@ -13,7 +13,7 @@ from marcsim.model import (
     bottleneck_rate,
     compute_rate_params,
 )
-from marcsim.experiment import ExperimentSpec, _Cell, _cell_powers
+from marcsim.experiment import _Cell, _cell_powers
 from marcsim.montecarlo import (
     GainBatch,
     _selected_links,
@@ -49,6 +49,7 @@ def test_gammas_from_power_ratio():
         dict(mod_order=3),
         dict(mod_order=1),
         dict(scheme="anc"),
+        dict(num_relays=True),
     ],
 )
 def test_invalid_configs_rejected(kw):
@@ -253,9 +254,9 @@ def test_selection_invariant_under_increasing_transform(snrs, scale, shift):
 
 
 def test_equal_split_at_unit_kappa():
-    # a fixed budget is split equally: p_source / p_relay == 1
+    # the budget is split equally: p_source / p_relay == 1
     cell = _Cell(Scheme.ANC, 2, 2, 10.0 * math.log10(9.0), "")
-    split = _cell_powers(ExperimentSpec(p_total=9.0), cell)
+    split = _cell_powers(cell)
     assert split.p_source == pytest.approx(3.0)
     assert split.p_relay == pytest.approx(3.0)
     assert 2 * split.p_source + split.p_relay == pytest.approx(9.0)
@@ -263,6 +264,6 @@ def test_equal_split_at_unit_kappa():
 
 def test_snr_axis_mapping():
     cell = _Cell(Scheme.ANC, 2, 2, 10.0, "")
-    split = _cell_powers(ExperimentSpec(), cell)
+    split = _cell_powers(cell)
     assert 2 * split.p_source + split.p_relay == pytest.approx(10.0)
     assert split.p_source == pytest.approx(split.p_relay)

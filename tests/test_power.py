@@ -33,6 +33,9 @@ def test_split_rejects_violation():
 def test_split_rejects_nonpositive_components():
     with pytest.raises(ValueError):
         PowerSplit.from_source(2.0, 4.0)  # relay power would be 0
+    # inf - inf leaves a NaN constraint residual, which no tolerance check catches
+    with pytest.raises(ValueError, match="p_source"):
+        PowerSplit(math.inf, 1.0, math.inf)
 
 
 def test_equal_split():
@@ -62,6 +65,10 @@ def test_closed_form_finite_over_b_sweep():
 def test_closed_form_rejects_bad_inputs():
     with pytest.raises(ValueError):
         closed_form_source_power(-1.0, 1.0)
+    with pytest.raises(ValueError, match="p_total"):
+        closed_form_source_power(math.inf, 1.0)
+    with pytest.raises(ValueError, match="p_total"):
+        numeric_allocation(math.inf, anc_objective(1))
 
 
 # -- numeric allocation ---------------------------------------------------------------
