@@ -11,7 +11,9 @@ journaled as they complete, so an interrupted sweep resumes where it stopped;
 the final CSV is always written in deterministic cell order with shortest
 round-trip float formatting, making runs byte-identical for a given spec and
 seed regardless of worker count.  Workers are threads of the one process,
-each running whole cells.
+each running whole units of work: one cell, or on a figure with outage
+columns a group of cells that differ only in SNR and share their fading
+draws.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -36,7 +39,7 @@ from .analytic import (
     ser_quadrature,
 )
 from .model import Scheme, SystemConfig, _gammas, bottleneck_rate, compute_rate_params
-from .montecarlo import estimate_outage, estimate_ser
+from .montecarlo import estimate_outage_group, estimate_ser
 from .power import PowerSplit, allocation_edges, numeric_allocation, ser_for_powers
 
 __all__ = [
@@ -342,12 +345,10 @@ def _cell_powers(cell: _Cell) -> PowerSplit:
     return PowerSplit.equal(p_total)
 
 
-def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, str]:
-    """The cell's journal key and CSV row."""
-    fig = _FIGURES[spec.figure]
-    seed_ser, seed_out = int(seed_pair[0]), int(seed_pair[1])
+def _cell_config(cell: _Cell) -> SystemConfig:
+    """The scenario at the cell's operating point."""
     split = _cell_powers(cell)
-    config = SystemConfig(
+    return SystemConfig(
         num_relays=cell.num_relays,
         p_source=split.p_source,
         p_relay=split.p_relay,
@@ -355,7 +356,15 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, st
         scheme=cell.scheme,
     )
 
-    ser_mc = ser_ci = ser_quad = ser_closed = outage_mc = outage_an = None
+
+def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
+    """The cell's journal key and CSV row.  ``mc`` is the pair (SER seed,
+    outage estimate); the outage is None on figures without that column."""
+    fig = _FIGURES[spec.figure]
+    seed_ser, outage_mc = mc
+    config = _cell_config(cell)
+
+    ser_mc = ser_ci = ser_quad = ser_closed = outage_an = None
     flags = []
     if cell.alloc:
         flags.append(f"alloc={cell.alloc}")
@@ -374,7 +383,6 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, st
         if cell.scheme is Scheme.DF_NC:
             flags.append("relay_mai")
     if fig.outage:
-        outage_mc = estimate_outage(config, spec.gamma_th, spec.trials, seed_out)
         bn = BestRelayDistribution(cell.num_relays, bottleneck_rate(config))
         outage_an = best_cdf(bn, spec.gamma_th)
         if cell.scheme is Scheme.ANC:
@@ -392,12 +400,45 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, seed_pair) -> tuple[str, st
             _fmt(ser_closed),
             _fmt(outage_mc),
             _fmt(outage_an),
-            _fmt(split.p_source),
-            _fmt(split.p_relay),
+            _fmt(config.p_source),
+            _fmt(config.p_relay),
             ";".join(flags),
         ]
     )
     return cell.key(), row
+
+
+def _units(spec: ExperimentSpec, cells: list[_Cell]) -> list[list[int]]:
+    """Indices of ``cells`` in units of work, each a run of consecutive
+    cells.  On a figure with outage columns a unit is a group: the cells that
+    differ only in SNR, whose outage estimates share one draw of stage-1
+    gains.  On any other figure a unit is one cell."""
+    outage = _FIGURES[spec.figure].outage
+
+    def group(i):
+        c = cells[i]
+        return (c.scheme, c.mod_order, c.num_relays, c.alloc) if outage else i
+
+    return [list(run) for _, run in itertools.groupby(range(len(cells)), group)]
+
+
+def _seeds(spec: ExperimentSpec, index: int) -> tuple[int, int]:
+    """(SER seed, outage seed) of the cell at ``index`` in full cell order."""
+    state = np.random.SeedSequence(spec.seed, spawn_key=(index,)).generate_state(2)
+    return int(state[0]), int(state[1])
+
+
+def _run_unit(spec: ExperimentSpec, first: int, pending: list[tuple[int, _Cell]], emit) -> None:
+    """Compute a unit's pending cells, given as (index, cell) in cell order,
+    and pass each one's journal key and row to ``emit`` as it completes.  An
+    outage group draws its gains once for all its pending cells, from the
+    outage seed of its first cell (index ``first``), pending or not."""
+    outages = [None] * len(pending)
+    if _FIGURES[spec.figure].outage:
+        configs = [_cell_config(cell) for _, cell in pending]
+        outages = estimate_outage_group(configs, spec.gamma_th, spec.trials, _seeds(spec, first)[1])
+    for (i, cell), outage in zip(pending, outages):
+        emit(_compute_cell(spec, cell, (_seeds(spec, i)[0], outage)))
 
 
 def _config_hash(spec: ExperimentSpec) -> str:
@@ -458,7 +499,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     cells = _cells(spec)
     done, intact = _load_journal(journal_path, chash)
-    pending = [(i, c) for i, c in enumerate(cells) if c.key() not in done]
+    units = []
+    for unit in _units(spec, cells):
+        pending = [(i, cells[i]) for i in unit if cells[i].key() not in done]
+        if pending:
+            units.append((unit[0], pending))
 
     if intact:
         os.truncate(journal_path, intact)
@@ -467,36 +512,40 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             journal.write(f"#config={chash}\n")
             journal.flush()
 
-        def record(key: str, row: str) -> None:
+        def record(entry: tuple[str, str]) -> None:
+            key, row = entry
             done[key] = row
             journal.write(f"{key}\t{row}\n")
             journal.flush()
 
-        compute = functools.partial(_compute_cell, spec)
-        cells_todo = [cell for _, cell in pending]
-        seed_pairs = [
-            np.random.SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(2) for idx, _ in pending
-        ]
+        run = functools.partial(_run_unit, spec)
         # no pool for one thread: it made perfbench's ser_mpsk_hi sweep 1.02-1.21x slower
-        if workers > 1 and len(pending) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = [pool.submit(compute, c, s) for c, s in zip(cells_todo, seed_pairs)]
+        if workers > 1 and len(units) > 1:
+            # each unit collects its rows, journaled once the units before it are
+            outs = [[] for _ in units]
+            with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(units))) as pool:
+                futures = [
+                    pool.submit(run, first, pending, out.append) for (first, pending), out in zip(units, outs)
+                ]
                 recorded = 0
                 try:
-                    for future in futures:
-                        record(*future.result())
+                    for future, out in zip(futures, outs):
+                        future.result()
+                        for entry in out:
+                            record(entry)
                         recorded += 1
                 except BaseException:
-                    # a failed cell or Ctrl-C: start no more cells, and journal
-                    # the ones that finish meanwhile so a resume keeps them
+                    # a failed cell or Ctrl-C: start no more units, and journal
+                    # every row finished meanwhile, a failed unit's earlier
+                    # cells included, so a resume keeps them
                     pool.shutdown(cancel_futures=True)
-                    for future in futures[recorded:]:
-                        if not future.cancelled() and future.exception() is None:
-                            record(*future.result())
+                    for out in outs[recorded:]:
+                        for entry in out:
+                            record(entry)
                     raise
         else:
-            for key, row in map(compute, cells_todo, seed_pairs):
-                record(key, row)
+            for first, pending in units:
+                run(first, pending, record)
 
     rows = [done[c.key()] for c in cells]
     _write_atomic(out_path, "".join(line + "\n" for line in [CSV_HEADER, *rows]))

@@ -12,7 +12,12 @@ the first symbol, the best second symbol is the PSK point nearest one angle
 Fading is drawn gain first, in two stages.  Stage 1 (``sample_gains``)
 draws only what relay selection reads: the power gains |h|^2 of the
 source->relay links and, under ANC, of the relay->destination links, as
-unit-mean exponentials.  Outage estimation stops there.
+unit-mean exponentials.  Outage estimation stops there.  As the gains do
+not depend on the powers, the outage cells of a group that differ only in
+SNR share them (``estimate_outage_group``): each batch is drawn once and
+every SNR point selects on it.  For fixed gains every relay's bottleneck SNR
+rises with the budget, so a group's outage estimates are nonincreasing in
+SNR by construction.
 Stage 2 (``run_batch``, after selection) draws only what detection can see:
 h1b = sqrt(g1) and h2b = sqrt(g2)*exp(j*psi) with one uniform psi for the
 selected relay's source links, hrb = sqrt(g_rd) for its destination link
@@ -59,8 +64,7 @@ __all__ = [
     "select_relay",
     "run_batch",
     "estimate_ser",
-    "estimate_outage",
-    "sample_best_snr",
+    "estimate_outage_group",
 ]
 
 # Fixed so that the mapping from trial index to random draws never changes.
@@ -363,9 +367,36 @@ def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     return out
 
 
-def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:
-    """Fraction of fading draws whose selected-relay SNR falls below gamma_th."""
+def estimate_outage_group(
+    configs: list[SystemConfig], gamma_th: float, trials: int, seed: int
+) -> list[float]:
+    """Outage at each config of a group that shares one draw of stage-1 gains.
+
+    The configs must agree on scheme and relay count, the only inputs of
+    ``sample_gains``; they differ in powers.  Each batch draws the gains
+    once, and every config selects its relay on them and counts the draws
+    whose selected-relay SNR falls below gamma_th.  So each estimate is
+    bit for bit the one ``estimate_outage`` gives alone at ``seed``, and as
+    every relay's bottleneck SNR rises with p_source and with p_relay, a
+    config with no less of either power has no more outage.
+    """
+    if not configs:
+        raise ValueError("an outage group needs at least one config")
+    head = configs[0]
+    if any(c.scheme is not head.scheme or c.num_relays != head.num_relays for c in configs):
+        raise ValueError("configs of an outage group must share scheme and relay count")
     if not gamma_th >= 0:  # NaN fails the comparison too
         raise ValueError("gamma_th must be nonnegative")
-    return float(np.mean(sample_best_snr(config, trials, seed) < gamma_th))
+    counts = [0] * len(configs)
+    for rng, size in _batches(seed, trials):
+        gb = sample_gains(head, rng, size)
+        for k, config in enumerate(configs):
+            best = select_relay(*relay_snrs(config, gb))[1]
+            counts[k] += int(np.count_nonzero(best < gamma_th))
+    return [count / trials for count in counts]
 
+
+def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:
+    """Fraction of fading draws whose selected-relay SNR falls below gamma_th:
+    an outage group of one."""
+    return estimate_outage_group([config], gamma_th, trials, seed)[0]

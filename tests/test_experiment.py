@@ -2,8 +2,10 @@ import concurrent.futures
 import math
 import os
 import threading
+import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import marcsim
@@ -21,6 +23,7 @@ from marcsim.experiment import (
 )
 from marcsim.cli import main
 from marcsim.model import Scheme, SystemConfig, bottleneck_rate
+from marcsim.montecarlo import sample_best_snr
 
 
 def small_spec(tmp_path, **kw):
@@ -222,7 +225,11 @@ def test_worker_count_does_not_change_output(tmp_path):
         small_spec(tmp_path, output_path=out),
         ExperimentSpec(figure="fig2", snr_points_db=[10.0], trials=3000, seed=7, output_path=out),
         ExperimentSpec(figure="fig3", snr_points_db=[0.0, 10.0], trials=3000, seed=7, output_path=out),
-        ExperimentSpec(figure="fig4", snr_points_db=[5.0], trials=3000, seed=7, output_path=out),
+        # four outage groups of three SNR points each, split across the threads
+        ExperimentSpec(
+            figure="fig4", snr_points_db=[5.0, 10.0, 15.0], relay_counts=[1, 2], trials=3000, seed=7,
+            output_path=out,
+        ),
         ExperimentSpec(figure="fig5", snr_points_db=[10.0], trials=3000, seed=7, output_path=out),
     ]
     for spec in specs:
@@ -242,6 +249,84 @@ def test_resume_skips_completed_cells(tmp_path):
     os.remove(spec.output_path)
     run_experiment(spec)
     assert open(spec.output_path, "rb").read() == csv_first
+
+
+# -- outage groups ------------------------------------------------------------------
+
+
+def fig4_spec(tmp_path, **kw):
+    base = dict(
+        figure="fig4",
+        snr_points_db=[10.0, 15.0, 20.0],
+        relay_counts=[1, 2, 5],
+        trials=3000,
+        seed=7,
+        output_path=str(tmp_path / "fig4.csv"),
+    )
+    base.update(kw)
+    return ExperimentSpec(**base)
+
+
+# fig4_spec's rows at each group's first SNR point, as written before the
+# groups shared their fading draws: sharing must not move them
+FIRST_SNR_ROWS = [
+    "anc,2,1,10.0,,,,,0.9253333333333333,0.7768698398515702,3.3333333333333335,3.333333333333333,outage_exp_approx",
+    "anc,2,2,10.0,,,,,0.8483333333333334,0.6035267480710044,3.3333333333333335,3.333333333333333,outage_exp_approx",
+    "anc,2,5,10.0,,,,,0.667,0.2829705940672512,3.3333333333333335,3.333333333333333,outage_exp_approx",
+    "df,2,1,10.0,,,,,0.43033333333333335,0.4511883639059736,3.3333333333333335,3.333333333333333,",
+    "df,2,2,10.0,,,,,0.18866666666666668,0.20357093972414927,3.3333333333333335,3.333333333333333,",
+    "df,2,5,10.0,,,,,0.018666666666666668,0.018697754515222004,3.3333333333333335,3.333333333333333,",
+]
+
+
+def test_outage_group_rows_match_a_per_cell_oracle(tmp_path):
+    spec = validate_spec(fig4_spec(tmp_path)).spec
+    rows = run_experiment(spec).rows
+    snrs = spec.snr_points_db
+    assert len(rows) == 2 * len(spec.relay_counts) * len(snrs)
+    for index, row in enumerate(rows):
+        cols = row.split(",")
+        # a group's seed is the outage seed of its first cell in cell order
+        first = index - snrs.index(float(cols[3]))
+        seed = int(np.random.SeedSequence(spec.seed, spawn_key=(first,)).generate_state(2)[1])
+        config = SystemConfig(int(cols[2]), float(cols[10]), float(cols[11]), scheme=Scheme(cols[0]))
+        assert float(cols[8]) == np.mean(sample_best_snr(config, spec.trials, seed) < spec.gamma_th), row
+    assert [row for row in rows if row.split(",")[3] == repr(snrs[0])] == FIRST_SNR_ROWS
+
+
+def test_outage_nonincreasing_in_snr_within_each_group(tmp_path):
+    # for fixed gains every relay's bottleneck SNR rises with the budget, so
+    # a group's shared draws give a nonincreasing outage curve
+    out = str(tmp_path / "fig4.csv")
+    argv = ["--figure", "fig4", "--snr", "0:20:5", "--relays", "1,2,5,10", "--trials", "4000", "--out", out]
+    assert main(argv) == 0
+    curves = {}
+    for row in Path(out).read_text(encoding="utf-8").splitlines()[1:]:
+        cols = row.split(",")
+        curves.setdefault((cols[0], cols[2]), []).append(float(cols[8]))
+    assert len(curves) == 8
+    for key, curve in curves.items():
+        assert len(curve) == 5 and all(b <= a for a, b in zip(curve, curve[1:])), key
+
+
+def test_group_resume_recomputes_only_the_missing_cells(tmp_path, monkeypatch):
+    spec = fig4_spec(tmp_path, relay_counts=[1, 2])
+    run_experiment(spec)
+    csv_first = Path(spec.output_path).read_bytes()
+    journal = Path(spec.output_path + ".journal")
+    header, *lines = journal.read_text(encoding="utf-8").splitlines()
+    # drop the middle row of the first group and tear the last line, which
+    # belongs to another group
+    del lines[1]
+    journal.write_text("\n".join([header, *lines[:-1], lines[-1][:-5]]), encoding="utf-8")
+    os.remove(spec.output_path)
+    calls = count_computed_cells(monkeypatch)
+    run_experiment(spec, workers=2)
+    assert Path(spec.output_path).read_bytes() == csv_first
+    assert sorted((c.scheme.value, c.num_relays, c.snr_db) for _, c, _ in calls) == [
+        ("anc", 1, 15.0),
+        ("df", 2, 20.0),
+    ]
 
 
 def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
@@ -265,9 +350,13 @@ def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
             return future
 
     monkeypatch.setattr(experiment.concurrent.futures, "ThreadPoolExecutor", InlinePool)
-    spec = small_spec(tmp_path)
+    spec = small_spec(tmp_path, figure="fig3")
     run_experiment(spec, workers=5000)
     assert opened == [len(spec.snr_points_db)]
+    # on an outage figure a unit is a group: the cells of one relay count
+    spec = small_spec(tmp_path, relay_counts=[1, 2, 3], output_path=str(tmp_path / "groups.csv"))
+    run_experiment(spec, workers=5000)
+    assert opened[1:] == [len(spec.relay_counts)]
 
 
 def count_computed_cells(monkeypatch):
@@ -282,14 +371,24 @@ def count_computed_cells(monkeypatch):
     return calls
 
 
+def keyed_cells(lines):
+    """(num_relays, snr_db) of each journal line's cell key."""
+    fields = [dict(kv.split("=") for kv in line.split("\t")[0].split(";")) for line in lines]
+    return {(int(f["n"]), float(f["snr"])) for f in fields}
+
+
 def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch):
-    spec = small_spec(tmp_path, snr_points_db=[0.0, 5.0, 10.0, 15.0, 20.0])
-    reference = small_spec(tmp_path, snr_points_db=spec.snr_points_db, output_path=str(tmp_path / "ref.csv"))
+    # two outage groups, N=1 and N=2, run on the two threads
+    snrs = [0.0, 5.0, 10.0, 15.0, 20.0]
+    spec = small_spec(tmp_path, relay_counts=[1, 2], snr_points_db=snrs)
+    reference = small_spec(
+        tmp_path, relay_counts=[1, 2], snr_points_db=snrs, output_path=str(tmp_path / "ref.csv")
+    )
     run_experiment(reference)
     compute = experiment._compute_cell
 
     def failing(spec, cell, *args):
-        if cell.snr_db == 10.0:
+        if (cell.num_relays, cell.snr_db) == (1, 10.0):
             raise RuntimeError("simulated cell failure")
         return compute(spec, cell, *args)
 
@@ -301,29 +400,34 @@ def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch)
     journal = Path(spec.output_path + ".journal").read_text(encoding="utf-8")
     header, *lines = journal.split("\n")
     assert header.startswith("#config=") and lines[-1] == ""
-    assert 0 < len(lines) - 1 < len(spec.snr_points_db)
     for line in lines[:-1]:
         key, tab, row = line.partition("\t")
         assert tab and row.count(",") == CSV_HEADER.count(",")
+    # the failed group keeps the cells it finished before the failure
+    assert keyed_cells(lines[:-1]) == {(1, 0.0), (1, 5.0)} | {(2, snr) for snr in snrs}
     monkeypatch.setattr(experiment, "_compute_cell", compute)
     run_experiment(spec, workers=2)
     assert Path(spec.output_path).read_bytes() == Path(reference.output_path).read_bytes()
 
 
 def test_ctrl_c_journals_the_cells_that_finish_during_the_wait(tmp_path, monkeypatch):
-    spec = small_spec(tmp_path, snr_points_db=[0.0, 5.0, 10.0, 15.0, 20.0])
-    reference = small_spec(tmp_path, snr_points_db=spec.snr_points_db, output_path=str(tmp_path / "ref.csv"))
+    snrs = [0.0, 10.0, 20.0]
+    spec = small_spec(tmp_path, relay_counts=[1, 2], snr_points_db=snrs)
+    reference = small_spec(
+        tmp_path, relay_counts=[1, 2], snr_points_db=snrs, output_path=str(tmp_path / "ref.csv")
+    )
     run_experiment(reference)
     compute = experiment._compute_cell
-    next_cell_running = threading.Event()
+    other_group_running = threading.Event()
 
-    # the 10 dB cell is interrupted while the 15 dB cell runs on the other thread
+    # the N=1 group is interrupted at its 10 dB cell while the N=2 group runs
+    # on the other thread
     def interrupted(spec, cell, *args):
-        if cell.snr_db == 10.0:
-            assert next_cell_running.wait(timeout=60)
+        if (cell.num_relays, cell.snr_db) == (1, 10.0):
+            assert other_group_running.wait(timeout=60)
             raise KeyboardInterrupt
-        if cell.snr_db == 15.0:
-            next_cell_running.set()
+        if cell.num_relays == 2:
+            other_group_running.set()
         return compute(spec, cell, *args)
 
     monkeypatch.setattr(experiment, "_compute_cell", interrupted)
@@ -332,12 +436,12 @@ def test_ctrl_c_journals_the_cells_that_finish_during_the_wait(tmp_path, monkeyp
         run_experiment(spec, workers=2)
     assert threading.active_count() == threads_before
     journal = Path(spec.output_path + ".journal").read_text(encoding="utf-8")
-    journaled = {float(line.split(";")[3].removeprefix("snr=")) for line in journal.splitlines()[1:]}
-    assert {0.0, 5.0, 15.0} <= journaled and 10.0 not in journaled
+    journaled = keyed_cells(journal.splitlines()[1:])
+    assert journaled == {(1, 0.0)} | {(2, snr) for snr in snrs}
     monkeypatch.setattr(experiment, "_compute_cell", compute)
     calls = count_computed_cells(monkeypatch)
     run_experiment(spec, workers=2)
-    assert {cell.snr_db for _, cell, _ in calls} == set(spec.snr_points_db) - journaled
+    assert {(cell.num_relays, cell.snr_db) for _, cell, _ in calls} == {(1, 10.0), (1, 20.0)}
     assert Path(spec.output_path).read_bytes() == Path(reference.output_path).read_bytes()
 
 
@@ -389,11 +493,12 @@ def test_batch_size_change_invalidates_journal(tmp_path, monkeypatch):
 
 
 def test_journal_of_previous_version_not_resumed(tmp_path, monkeypatch):
-    # 0.3.0 draws fading gain first: a 0.2.0 journal holds rows of the old
-    # random stream and must be recomputed, not resumed
-    assert marcsim.__version__ != "0.2.0"
+    # 0.4.0 draws each outage group's fading gains once for all its SNR
+    # points: a 0.3.0 journal holds rows of the old random stream and must be
+    # recomputed, not resumed
+    assert marcsim.__version__ != "0.3.0"
     spec = small_spec(tmp_path)
-    monkeypatch.setattr(experiment, "__version__", "0.2.0")
+    monkeypatch.setattr(experiment, "__version__", "0.3.0")
     run_experiment(spec)
     journal = spec.output_path + ".journal"
     header = open(journal).readline()
@@ -402,6 +507,13 @@ def test_journal_of_previous_version_not_resumed(tmp_path, monkeypatch):
     run_experiment(spec)
     assert open(journal).readline() != header
     assert len(calls) == len(spec.snr_points_db)
+
+
+def test_package_version_matches_pyproject():
+    # the journal's config hash reads __version__, so a release that bumps
+    # only pyproject.toml would resume journals of the old random stream
+    pyproject = tomllib.loads((Path(marcsim.__file__).parents[2] / "pyproject.toml").read_text())
+    assert marcsim.__version__ == pyproject["project"]["version"]
 
 
 def test_stale_journal_discarded(tmp_path):

@@ -24,6 +24,7 @@ from marcsim.montecarlo import (
     BATCH_SIZE,
     SerEstimate,
     estimate_outage,
+    estimate_outage_group,
     estimate_ser,
     modulate,
     relay_normalization,
@@ -315,6 +316,34 @@ def test_outage_rejects_nan_threshold():
     # as best_cdf does; NaN fails every comparison, so a `< 0` check lets it through
     with pytest.raises(ValueError):
         estimate_outage(SystemConfig(2, 3.0, 3.0), math.nan, 1000, seed=1)
+
+
+@pytest.mark.parametrize("gamma_th", [-1.0, math.nan], ids=["negative", "nan"])
+def test_outage_group_rejects_bad_threshold(gamma_th):
+    configs = [config_at_snr_db(df_config(), snr) for snr in (5.0, 10.0)]
+    with pytest.raises(ValueError, match="gamma_th"):
+        estimate_outage_group(configs, gamma_th, 1000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [[], [df_config(), anc_config()], [df_config(), df_config(num_relays=3)]],
+    ids=["empty", "scheme", "relay-count"],
+)
+def test_outage_group_rejects_configs_that_cannot_share_gains(configs):
+    with pytest.raises(ValueError, match="outage group"):
+        estimate_outage_group(configs, 1.0, 1000, seed=1)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_outage_group_matches_each_config_alone(scheme):
+    # one draw of gains per batch serves every config; each estimate keeps
+    # the bits it has alone, over whole batches and a partial last one
+    configs = [config_at_snr_db(anc_config(num_relays=3, scheme=scheme), snr) for snr in (5.0, 10.0, 15.0)]
+    trials = 2 * BATCH_SIZE + 5
+    group = estimate_outage_group(configs, 1.0, trials, seed=3)
+    assert group == [estimate_outage(c, 1.0, trials, seed=3) for c in configs]
+    assert group == [float(np.mean(sample_best_snr(c, trials, 3) < 1.0)) for c in configs]
 
 
 def test_df_outage_matches_order_statistics():
