@@ -15,6 +15,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from .model import _require_positive, _require_relay_count
+
 __all__ = [
     "BestRelayDistribution",
     "QuadratureConvergenceError",
@@ -50,10 +52,8 @@ class BestRelayDistribution:
     eta: float
 
     def __post_init__(self):
-        if isinstance(self.num_relays, bool) or not isinstance(self.num_relays, int) or self.num_relays < 1:
-            raise ValueError(f"num_relays must be an integer >= 1, got {self.num_relays!r}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        _require_relay_count(self.num_relays)
+        _require_positive("eta", self.eta)
 
 
 def mpsk_g(mod_order: int) -> float:
@@ -120,11 +120,6 @@ def integral_I(c: float) -> float:
     return 0.5 * (1.0 - math.sqrt(c / (1.0 + c)))
 
 
-def _check_direct_eta(direct_eta: float) -> None:
-    if not (math.isfinite(direct_eta) and direct_eta > 0):
-        raise ValueError(f"direct_eta must be positive and finite, got {direct_eta!r}")
-
-
 def ser_quadrature(
     dist: BestRelayDistribution,
     direct_eta: float,
@@ -133,7 +128,7 @@ def ser_quadrature(
 ) -> float:
     """Average MPSK SER of the selected relay path combined with the direct
     path, by adaptive quadrature of the MGF product over (0, (M-1)pi/M]."""
-    _check_direct_eta(direct_eta)
+    _require_positive("direct_eta", direct_eta)
     g = mpsk_g(mod_order)
     upper = (mod_order - 1) * math.pi / mod_order
     terms = _mgf_terms(dist)
@@ -166,7 +161,7 @@ def ser_closed_form(dist: BestRelayDistribution, direct_eta: float) -> float:
     discrepancy.additive_ser_discrepancy measures the gap to ser_quadrature,
     which is the ground truth everywhere in this package.
     """
-    _check_direct_eta(direct_eta)
+    _require_positive("direct_eta", direct_eta)
     _check_series_order(dist.num_relays)
     g = mpsk_g(2)
     term = integral_I(g / dist.eta) + integral_I(g / direct_eta)

@@ -10,10 +10,10 @@ Inapplicable cells stay empty.  Rows are keyed by their sweep cell and
 journaled as they complete, so an interrupted sweep resumes where it stopped;
 the final CSV is always written in deterministic cell order with shortest
 round-trip float formatting, making runs byte-identical for a given spec and
-seed regardless of worker count.  Workers are threads of the one process,
-each running whole units of work: one cell, or on a figure with outage
-columns a group of cells that differ only in SNR and share their fading
-draws.
+seed regardless of worker count.  Every sweep runs on one pool of threads of
+the one process: each pending cell is a job, and on a figure with outage
+columns so is each group of cells that differ only in SNR, whose one draw of
+fading gains its cells share.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import concurrent.futures
 import dataclasses
 import functools
 import hashlib
-import itertools
 import math
 import os
 import sys
@@ -408,37 +407,33 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
     return cell.key(), row
 
 
-def _units(spec: ExperimentSpec, cells: list[_Cell]) -> list[list[int]]:
-    """Indices of ``cells`` in units of work, each a run of consecutive
-    cells.  On a figure with outage columns a unit is a group: the cells that
-    differ only in SNR, whose outage estimates share one draw of stage-1
-    gains.  On any other figure a unit is one cell."""
-    outage = _FIGURES[spec.figure].outage
-
-    def group(i):
-        c = cells[i]
-        return (c.scheme, c.mod_order, c.num_relays, c.alloc) if outage else i
-
-    return [list(run) for _, run in itertools.groupby(range(len(cells)), group)]
-
-
 def _seeds(spec: ExperimentSpec, index: int) -> tuple[int, int]:
     """(SER seed, outage seed) of the cell at ``index`` in full cell order."""
     state = np.random.SeedSequence(spec.seed, spawn_key=(index,)).generate_state(2)
     return int(state[0]), int(state[1])
 
 
-def _run_unit(spec: ExperimentSpec, first: int, pending: list[tuple[int, _Cell]], emit) -> None:
-    """Compute a unit's pending cells, given as (index, cell) in cell order,
-    and pass each one's journal key and row to ``emit`` as it completes.  An
-    outage group draws its gains once for all its pending cells, from the
-    outage seed of its first cell (index ``first``), pending or not."""
-    outages = [None] * len(pending)
-    if _FIGURES[spec.figure].outage:
-        configs = [_cell_config(cell) for _, cell in pending]
-        outages = estimate_outage_group(configs, spec.gamma_th, spec.trials, _seeds(spec, first)[1])
-    for (i, cell), outage in zip(pending, outages):
-        emit(_compute_cell(spec, cell, (_seeds(spec, i)[0], outage)))
+def _group(cell: _Cell) -> tuple:
+    """The cell's outage group: the cells that differ from it only in SNR."""
+    return cell.scheme, cell.mod_order, cell.num_relays, cell.alloc
+
+
+def _run_group(spec: ExperimentSpec, first: int, cells: list[_Cell]) -> dict[_Cell, float]:
+    """Outage estimates of an outage group's pending ``cells``, which share
+    one draw of stage-1 gains seeded by the outage seed of the group's first
+    cell (index ``first``), pending or not."""
+    configs = [_cell_config(cell) for cell in cells]
+    outages = estimate_outage_group(configs, spec.gamma_th, spec.trials, _seeds(spec, first)[1])
+    return dict(zip(cells, outages))
+
+
+def _run_cell(
+    spec: ExperimentSpec, index: int, cell: _Cell, group: concurrent.futures.Future | None
+) -> tuple[str, str]:
+    """Journal key and row of the cell at ``index``; ``group`` is the future
+    of its outage group's estimates, or None on a figure without outage."""
+    outage = group.result()[cell] if group else None
+    return _compute_cell(spec, cell, (_seeds(spec, index)[0], outage))
 
 
 def _config_hash(spec: ExperimentSpec) -> str:
@@ -479,11 +474,13 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Run every sweep cell, journal rows as they complete, then write the
-    CSV (deterministic order) and the metadata sidecar.  Cells run on up to
-    ``workers`` threads; rows are journaled in cell order.  When a cell fails
-    or the run is interrupted, no further cell starts, the running cells'
-    rows are journaled as they finish, and the exception is re-raised."""
+    """Run every pending sweep cell, journal its row, then write the CSV
+    (deterministic order) and the metadata sidecar.  Each cell is one job on
+    a pool of up to ``workers`` threads; on a figure with outage columns each
+    group with a pending cell is one more job, whose draws its cells read.
+    Rows are journaled in cell order.  When a job fails or the run is
+    interrupted, no further job starts, the rows of the running ones are
+    journaled as they finish, and the exception is re-raised."""
     result = validate_spec(spec)
     if not result.ok:
         raise SpecValidationError("invalid experiment spec: " + "; ".join(result.errors))
@@ -499,11 +496,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     cells = _cells(spec)
     done, intact = _load_journal(journal_path, chash)
-    units = []
-    for unit in _units(spec, cells):
-        pending = [(i, cells[i]) for i in unit if cells[i].key() not in done]
-        if pending:
-            units.append((unit[0], pending))
+    pending = [(i, cell) for i, cell in enumerate(cells) if cell.key() not in done]
+    # each outage group's first cell in full cell order, and its pending cells
+    groups: dict[tuple, tuple[int, list[_Cell]]] = {}
+    if _FIGURES[spec.figure].outage:
+        for i, cell in enumerate(cells):
+            _, members = groups.setdefault(_group(cell), (i, []))
+            if cell.key() not in done:
+                members.append(cell)
 
     if intact:
         os.truncate(journal_path, intact)
@@ -518,34 +518,29 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             journal.write(f"{key}\t{row}\n")
             journal.flush()
 
-        run = functools.partial(_run_unit, spec)
-        # no pool for one thread: it made perfbench's ser_mpsk_hi sweep 1.02-1.21x slower
-        if workers > 1 and len(units) > 1:
-            # each unit collects its rows, journaled once the units before it are
-            outs = [[] for _ in units]
-            with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(units))) as pool:
-                futures = [
-                    pool.submit(run, first, pending, out.append) for (first, pending), out in zip(units, outs)
-                ]
-                recorded = 0
-                try:
-                    for future, out in zip(futures, outs):
-                        future.result()
-                        for entry in out:
-                            record(entry)
-                        recorded += 1
-                except BaseException:
-                    # a failed cell or Ctrl-C: start no more units, and journal
-                    # every row finished meanwhile, a failed unit's earlier
-                    # cells included, so a resume keeps them
-                    pool.shutdown(cancel_futures=True)
-                    for out in outs[recorded:]:
-                        for entry in out:
-                            record(entry)
-                    raise
-        else:
-            for first, pending in units:
-                run(first, pending, record)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, min(workers, len(pending)))) as pool:
+            # every group job is queued before any cell job, and the pool takes
+            # jobs first in, first out, so a cell only waits on a group that a
+            # thread has already taken: no worker count can deadlock
+            outages = {
+                key: pool.submit(_run_group, spec, first, members)
+                for key, (first, members) in groups.items()
+                if members
+            }
+            futures = [pool.submit(_run_cell, spec, i, cell, outages.get(_group(cell))) for i, cell in pending]
+            recorded = 0
+            try:
+                for future in futures:
+                    record(future.result())
+                    recorded += 1
+            except BaseException:
+                # a failed cell or Ctrl-C: start no more jobs, and journal
+                # every row finished meanwhile, so a resume keeps them
+                pool.shutdown(cancel_futures=True)
+                for future in futures[recorded:]:
+                    if not future.cancelled() and future.exception() is None:
+                        record(future.result())
+                raise
 
     rows = [done[c.key()] for c in cells]
     _write_atomic(out_path, "".join(line + "\n" for line in [CSV_HEADER, *rows]))

@@ -38,6 +38,12 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_relay_count(num_relays) -> None:
+    # bool is an int subclass; True must not pass as one relay
+    if isinstance(num_relays, bool) or not isinstance(num_relays, int) or num_relays < 1:
+        raise ValueError(f"num_relays must be an integer >= 1, got {num_relays!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class SystemConfig:
     """All scenario parameters for one run.
@@ -53,8 +59,7 @@ class SystemConfig:
     scheme: Scheme = Scheme.ANC
 
     def __post_init__(self):
-        if isinstance(self.num_relays, bool) or not isinstance(self.num_relays, int) or self.num_relays < 1:
-            raise ValueError(f"num_relays must be an integer >= 1, got {self.num_relays!r}")
+        _require_relay_count(self.num_relays)
         _require_positive("p_source", self.p_source)
         _require_positive("p_relay", self.p_relay)
         m = self.mod_order

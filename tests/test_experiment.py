@@ -1,6 +1,8 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
+import sys
 import threading
 import tomllib
 from pathlib import Path
@@ -223,6 +225,11 @@ def test_worker_count_does_not_change_output(tmp_path):
     out = str(tmp_path / "w.csv")
     specs = [
         small_spec(tmp_path, output_path=out),
+        # four outage groups whose SER cells spread over the threads
+        small_spec(
+            tmp_path, schemes=[Scheme.ANC, Scheme.DF_NC], relay_counts=[1, 2], snr_points_db=[0.0, 10.0, 20.0],
+            trials=3000, output_path=out,
+        ),
         ExperimentSpec(figure="fig2", snr_points_db=[10.0], trials=3000, seed=7, output_path=out),
         ExperimentSpec(figure="fig3", snr_points_db=[0.0, 10.0], trials=3000, seed=7, output_path=out),
         # four outage groups of three SNR points each, split across the threads
@@ -236,6 +243,22 @@ def test_worker_count_does_not_change_output(tmp_path):
         serial = sweep_bytes(spec, 1)
         assert sweep_bytes(spec, 2) == serial, spec.figure
         assert sweep_bytes(spec, 3) == serial, spec.figure
+
+
+def test_cells_read_their_groups_under_fast_thread_switching(tmp_path):
+    # eight threads on a small box, switching as often as the interpreter
+    # allows, while every cell reads its outage from its group's future
+    spec = small_spec(
+        tmp_path, schemes=[Scheme.ANC, Scheme.DF_NC], relay_counts=[1, 2, 3], snr_points_db=[0.0, 10.0],
+        trials=2000, output_path=str(tmp_path / "s.csv"),
+    )
+    serial = sweep_bytes(spec, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert sweep_bytes(spec, 8) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_resume_skips_completed_cells(tmp_path):
@@ -330,7 +353,7 @@ def test_group_resume_recomputes_only_the_missing_cells(tmp_path, monkeypatch):
 
 
 def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
-    # this stand-in records the pool's size and runs each cell in this
+    # this stand-in records the pool's size and runs each job in this
     # thread, so no test starts thousands of threads
     opened = []
 
@@ -353,10 +376,30 @@ def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, figure="fig3")
     run_experiment(spec, workers=5000)
     assert opened == [len(spec.snr_points_db)]
-    # on an outage figure a unit is a group: the cells of one relay count
+    # on an outage figure too the pool is sized by cells, not by groups
     spec = small_spec(tmp_path, relay_counts=[1, 2, 3], output_path=str(tmp_path / "groups.csv"))
     run_experiment(spec, workers=5000)
-    assert opened[1:] == [len(spec.relay_counts)]
+    assert opened[1:] == [len(spec.relay_counts) * len(spec.snr_points_db)]
+    # a sweep with nothing left to compute still opens a pool of one
+    run_experiment(spec, workers=5000)
+    assert opened[2:] == [1]
+
+
+def test_cells_of_one_group_run_on_separate_threads(tmp_path, monkeypatch):
+    # one outage group, as in the default custom figure: its first two SER
+    # cells can only meet at the barrier if they run on two threads
+    spec = small_spec(tmp_path, schemes=[Scheme.ANC], relay_counts=[1], snr_points_db=[0.0, 5.0, 10.0])
+    barrier = threading.Barrier(2, timeout=30)
+    compute = experiment._compute_cell
+
+    def meet(spec, cell, *args):
+        if cell.snr_db in (0.0, 5.0):
+            barrier.wait()
+        return compute(spec, cell, *args)
+
+    monkeypatch.setattr(experiment, "_compute_cell", meet)
+    run_experiment(spec, workers=2)
+    assert len(Path(spec.output_path).read_text(encoding="utf-8").splitlines()) == 1 + 3
 
 
 def count_computed_cells(monkeypatch):
@@ -371,31 +414,37 @@ def count_computed_cells(monkeypatch):
     return calls
 
 
+def cell_id(cell):
+    return cell.scheme.value, cell.num_relays, cell.snr_db
+
+
 def keyed_cells(lines):
-    """(num_relays, snr_db) of each journal line's cell key."""
+    """(scheme, num_relays, snr_db) of each journal line's cell key."""
     fields = [dict(kv.split("=") for kv in line.split("\t")[0].split(";")) for line in lines]
-    return {(int(f["n"]), float(f["snr"])) for f in fields}
+    return {(f["scheme"], int(f["n"]), float(f["snr"])) for f in fields}
 
 
-def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch):
-    # two outage groups, N=1 and N=2, run on the two threads
-    snrs = [0.0, 5.0, 10.0, 15.0, 20.0]
-    spec = small_spec(tmp_path, relay_counts=[1, 2], snr_points_db=snrs)
-    reference = small_spec(
-        tmp_path, relay_counts=[1, 2], snr_points_db=snrs, output_path=str(tmp_path / "ref.csv")
-    )
+def interrupt_and_resume(spec, workers, monkeypatch, failing, error, before=lambda cell: None):
+    """Run ``spec`` with ``error`` raised at the cell whose ``cell_id`` is
+    ``failing`` (``before(cell)`` runs ahead of every cell), check what the
+    journal holds, then resume and check that the resume computes exactly
+    the cells the journal lacks and writes a clean run's bytes.  Returns the
+    journaled cells."""
+    reference = dataclasses.replace(spec, output_path=spec.output_path + ".ref.csv")
     run_experiment(reference)
+    cells = [cell_id(cell) for cell in experiment._cells(validate_spec(spec).spec)]
     compute = experiment._compute_cell
 
-    def failing(spec, cell, *args):
-        if (cell.num_relays, cell.snr_db) == (1, 10.0):
-            raise RuntimeError("simulated cell failure")
+    def interrupted(spec, cell, *args):
+        before(cell)
+        if cell_id(cell) == failing:
+            raise error
         return compute(spec, cell, *args)
 
-    monkeypatch.setattr(experiment, "_compute_cell", failing)
+    monkeypatch.setattr(experiment, "_compute_cell", interrupted)
     threads_before = threading.active_count()
-    with pytest.raises(RuntimeError, match="simulated"):
-        run_experiment(spec, workers=2)
+    with pytest.raises(type(error)):
+        run_experiment(spec, workers=workers)
     assert threading.active_count() == threads_before
     journal = Path(spec.output_path + ".journal").read_text(encoding="utf-8")
     header, *lines = journal.split("\n")
@@ -403,46 +452,44 @@ def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch)
     for line in lines[:-1]:
         key, tab, row = line.partition("\t")
         assert tab and row.count(",") == CSV_HEADER.count(",")
-    # the failed group keeps the cells it finished before the failure
-    assert keyed_cells(lines[:-1]) == {(1, 0.0), (1, 5.0)} | {(2, snr) for snr in snrs}
+    journaled = keyed_cells(lines[:-1])
+    assert failing not in journaled
+    # rows are journaled in cell order, so every cell before the failing one
+    # is journaled by the time its failure surfaces
+    assert set(cells[: cells.index(failing)]) <= journaled
     monkeypatch.setattr(experiment, "_compute_cell", compute)
-    run_experiment(spec, workers=2)
+    calls = count_computed_cells(monkeypatch)
+    run_experiment(spec, workers=workers)
+    assert sorted(cell_id(cell) for _, cell, _ in calls) == sorted(set(cells) - journaled)
     assert Path(spec.output_path).read_bytes() == Path(reference.output_path).read_bytes()
+    return journaled
+
+
+def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch):
+    # two outage groups, N=1 and N=2, on two threads
+    spec = small_spec(tmp_path, relay_counts=[1, 2], snr_points_db=[0.0, 5.0, 10.0, 15.0, 20.0])
+    interrupt_and_resume(spec, 2, monkeypatch, ("df", 1, 10.0), RuntimeError("simulated cell failure"))
+
+
+def test_interrupted_fig4_sweep_at_one_worker_resumes_to_same_bytes(tmp_path, monkeypatch):
+    spec = fig4_spec(tmp_path, relay_counts=[1, 2])
+    interrupt_and_resume(spec, 1, monkeypatch, ("anc", 2, 15.0), RuntimeError("simulated cell failure"))
 
 
 def test_ctrl_c_journals_the_cells_that_finish_during_the_wait(tmp_path, monkeypatch):
-    snrs = [0.0, 10.0, 20.0]
-    spec = small_spec(tmp_path, relay_counts=[1, 2], snr_points_db=snrs)
-    reference = small_spec(
-        tmp_path, relay_counts=[1, 2], snr_points_db=snrs, output_path=str(tmp_path / "ref.csv")
-    )
-    run_experiment(reference)
-    compute = experiment._compute_cell
+    spec = small_spec(tmp_path, relay_counts=[1, 2], snr_points_db=[0.0, 10.0, 20.0])
     other_group_running = threading.Event()
 
-    # the N=1 group is interrupted at its 10 dB cell while the N=2 group runs
-    # on the other thread
-    def interrupted(spec, cell, *args):
-        if (cell.num_relays, cell.snr_db) == (1, 10.0):
+    # the N=1 10 dB cell is interrupted once an N=2 cell runs on the other
+    # thread; that cell finishes while the run waits, and is journaled
+    def before(cell):
+        if cell_id(cell) == ("df", 1, 10.0):
             assert other_group_running.wait(timeout=60)
-            raise KeyboardInterrupt
-        if cell.num_relays == 2:
+        elif cell.num_relays == 2:
             other_group_running.set()
-        return compute(spec, cell, *args)
 
-    monkeypatch.setattr(experiment, "_compute_cell", interrupted)
-    threads_before = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        run_experiment(spec, workers=2)
-    assert threading.active_count() == threads_before
-    journal = Path(spec.output_path + ".journal").read_text(encoding="utf-8")
-    journaled = keyed_cells(journal.splitlines()[1:])
-    assert journaled == {(1, 0.0)} | {(2, snr) for snr in snrs}
-    monkeypatch.setattr(experiment, "_compute_cell", compute)
-    calls = count_computed_cells(monkeypatch)
-    run_experiment(spec, workers=2)
-    assert {(cell.num_relays, cell.snr_db) for _, cell, _ in calls} == {(1, 10.0), (1, 20.0)}
-    assert Path(spec.output_path).read_bytes() == Path(reference.output_path).read_bytes()
+    journaled = interrupt_and_resume(spec, 2, monkeypatch, ("df", 1, 10.0), KeyboardInterrupt(), before)
+    assert ("df", 2, 0.0) in journaled
 
 
 def test_torn_journal_resumes_to_original_bytes(tmp_path, monkeypatch):

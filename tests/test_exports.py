@@ -138,6 +138,6 @@ def test_package_import_loads_neither_scipy_nor_thread_pools():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # scipy brings concurrent.futures itself, but only a threaded run may
-    # load its ThreadPoolExecutor
+    # scipy brings concurrent.futures itself, but only a sweep, which runs on
+    # a thread pool at any worker count, may load its ThreadPoolExecutor
     assert _modules_loaded_by("import marcsim.cli", ("concurrent.futures.thread",)) == []
