@@ -1,0 +1,429 @@
+"""QUADPACK's QAGS in pure Python: adaptive 21-point Gauss–Kronrod quadrature
+with bisection and Wynn's epsilon-algorithm extrapolation.
+
+A line-by-line port of ``dqagse`` with its helpers ``dqk21``, ``dqpsrt`` and
+``dqelg`` (R. Piessens, E. de Doncker-Kapenga, C. W. Überhuber and
+D. K. Kahaner, *QUADPACK*, Springer 1983).  Every floating-point operation is
+done in the Fortran's order, with ``d1mach`` taken from ``sys.float_info``, so
+for a pure integrand the result and error estimate equal, bit for bit, those
+of the compiled routine behind ``scipy.integrate.quad``.  Arrays keep
+Fortran's 1-based indexing (slot 0 is unused) so the code reads against the
+original.
+"""
+
+from __future__ import annotations
+
+import sys
+
+__all__ = ["qags"]
+
+_EPMACH = sys.float_info.epsilon  # d1mach(4)
+_UFLOW = sys.float_info.min  # d1mach(1)
+_OFLOW = sys.float_info.max  # d1mach(2)
+
+# dqk21's abscissae and weights, as written in QUADPACK: xgk(2), xgk(4), ...
+# are the 10-point Gauss nodes, the odd ones the Kronrod extension, xgk(11)
+# the centre.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# (slot in fv1/fv2, xgk, wgk, wg) of the Gauss nodes and (slot, xgk, wgk) of
+# the Kronrod ones, 0-based; dqk21 sums the Gauss nodes first
+_GAUSS = tuple((2 * j + 1, _XGK[2 * j + 1], _WGK[2 * j + 1], _WG[j]) for j in range(5))
+_KRONROD = tuple((2 * j, _XGK[2 * j], _WGK[2 * j]) for j in range(5))
+
+
+def _qk21(f, a, b):
+    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule on [a, b]."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    resg = 0.0
+    fc = f(centr)
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    for j, x, wk, wg in _GAUSS:
+        absc = hlgth * x
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j] = fval1
+        fv2[j] = fval2
+        fsum = fval1 + fval2
+        resg = resg + wg * fsum
+        resk = resk + wk * fsum
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    for j, x, wk in _KRONROD:
+        absc = hlgth * x
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j] = fval1
+        fv2[j] = fval2
+        fsum = fval1 + fval2
+        resk = resk + wk * fsum
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+    """dqpsrt: keep iord descending in elist; returns (maxerr, errmax, nrmax)."""
+    if last <= 2:
+        iord[1] = 1
+        iord[2] = 2
+        maxerr = iord[nrmax]
+        return maxerr, elist[maxerr], nrmax
+    errmax = elist[maxerr]
+    for _ in range(nrmax - 1):
+        isucc = iord[nrmax - 1]
+        if errmax <= elist[isucc]:
+            break
+        iord[nrmax] = isucc
+        nrmax -= 1
+    jupbn = last
+    if last > limit // 2 + 2:
+        jupbn = limit + 3 - last
+    errmin = elist[last]
+    jbnd = jupbn - 1
+    for i in range(nrmax + 1, jbnd + 1):
+        isucc = iord[i]
+        if errmax >= elist[isucc]:
+            # insert errmax here, then errmin by traversing the list bottom-up
+            iord[i - 1] = maxerr
+            k = jbnd
+            for _ in range(i, jbnd + 1):
+                isucc = iord[k]
+                if errmin < elist[isucc]:
+                    iord[k + 1] = last
+                    break
+                iord[k + 1] = isucc
+                k -= 1
+            else:
+                iord[i] = last
+            break
+        iord[i - 1] = isucc
+    else:
+        iord[jbnd] = maxerr
+        iord[jupbn] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n, epstab, res3la, nres):
+    """dqelg, Wynn's epsilon algorithm on epstab[1..n]; returns
+    (n, result, abserr, nres).  epstab and res3la are updated in place."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n < 3:
+        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    limexp = 50
+    epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = _OFLOW
+    num = n
+    k1 = n
+    for i in range(1, newelm + 1):
+        k2 = k1 - 1
+        k3 = k1 - 2
+        res = epstab[k1 + 2]
+        e0 = epstab[k3]
+        e1 = epstab[k2]
+        e2 = res
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), e1abs) * _EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(e1abs, abs(e0)) * _EPMACH
+        if not (err2 > tol2 or err3 > tol3):
+            # e0, e1 and e2 are equal to within machine accuracy
+            result = res
+            abserr = err2 + err3
+            return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+        e3 = epstab[k1]
+        epstab[k1] = e1
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(e1abs, abs(e3)) * _EPMACH
+        # two elements very close, or irregular behaviour: omit a part of the table
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1
+            break
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        epsinf = abs(ss * e1)
+        if not epsinf > 1e-4:
+            n = i + i - 1
+            break
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 = k1 - 2
+        error = err2 + abs(res - e2) + err3
+        if error > abserr:
+            continue
+        abserr = error
+        result = res
+    # shift the table
+    if n == limexp:
+        n = 2 * (limexp // 2) - 1
+    ib = 2 if num % 2 == 0 else 1
+    for _ in range(newelm + 1):
+        ib2 = ib + 2
+        epstab[ib] = epstab[ib2]
+        ib = ib2
+    if num != n:
+        indx = num - n + 1
+        for i in range(1, n + 1):
+            epstab[i] = epstab[indx]
+            indx += 1
+    if nres < 4:
+        res3la[nres] = result
+        abserr = _OFLOW
+    else:
+        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+        res3la[1] = res3la[2]
+        res3la[2] = res3la[3]
+        res3la[3] = result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+def qags(f, a, b, epsabs, epsrel, limit):
+    """dqagse: integral of the scalar function ``f`` over [a, b], to
+    max(epsabs, epsrel*|integral|), bisecting at most ``limit`` - 1 times.
+
+    Returns (value, abserr) as QUADPACK computes them.  A run that stops
+    short of the tolerance (its ``ier`` code, which this port does not
+    return) still returns its best estimate; the caller compares abserr with
+    what it needs.  Raises ValueError for the inputs QUADPACK rejects
+    (``ier`` = 6).
+    """
+    if limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
+        raise ValueError(
+            "qags needs limit >= 1, and epsrel >= max(50*eps, 5e-29) when epsabs <= 0; "
+            f"got limit={limit!r}, epsabs={epsabs!r}, epsrel={epsrel!r}"
+        )
+    # first approximation to the integral
+    ier = 0
+    ierro = 0
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr
+
+    # the interval list, built only when the first rule is not enough
+    alist = [0.0] * (limit + 1)
+    blist = [0.0] * (limit + 1)
+    rlist = [0.0] * (limit + 1)
+    elist = [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    alist[1] = a
+    blist[1] = b
+    rlist[1] = result
+    elist[1] = abserr
+    iord[1] = 1
+    rlist2[1] = result
+    errmax = abserr
+    maxerr = 1
+    area = result
+    errsum = abserr
+    abserr = _OFLOW
+    nrmax = 1
+    nres = 0
+    numrl2 = 2
+    ktmin = 0
+    extrap = False
+    noext = False
+    iroff1 = iroff2 = iroff3 = 0
+    small = erlarg = ertest = correc = 0.0
+    summed = False  # leave by label 115: the result is the sum of rlist
+
+    for last in range(2, limit + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        area1, error1, resabs, defab1 = _qk21(f, a1, b1)
+        area2, error2, resabs, defab2 = _qk21(f, a2, b2)
+
+        # improve previous approximations to integral and error and test for accuracy
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr] = area1
+        rlist[last] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+
+        # roundoff error, the subdivision limit, or a bad point in the range
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+
+        # append the newly-created intervals to the list
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist[last] = a1
+            blist[last] = b1
+            rlist[maxerr] = area2
+            rlist[last] = area1
+            elist[maxerr] = error2
+            elist[last] = error1
+        else:
+            alist[last] = a2
+            blist[maxerr] = b1
+            blist[last] = b2
+            elist[maxerr] = error1
+            elist[last] = error2
+
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            summed = True
+            break
+        if ier != 0:
+            break
+        if last == 2:
+            small = abs(b - a) * 0.375
+            erlarg = errsum
+            ertest = errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # is the interval to be bisected next the smallest interval?
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if not (ierro == 3 or erlarg <= ertest):
+            # the smallest interval has the largest error: before bisecting,
+            # decrease the error over the larger intervals (erlarg)
+            jupbnd = last
+            if last > 2 + limit // 2:
+                jupbnd = limit + 3 - last
+            larger = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    larger = True
+                    break
+                nrmax += 1
+            if larger:
+                continue
+
+        # perform extrapolation
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if not abseps >= abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+
+        # prepare bisection of the smallest interval
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small = small * 0.5
+        erlarg = errsum
+
+    if not summed and abserr != _OFLOW:
+        # label 100: keep the extrapolated result unless the sum of the
+        # subintervals has the smaller relative error.  What follows in
+        # dqagse (the divergence test) changes only ier.
+        if ier + ierro == 0:
+            return result, abserr
+        if ierro == 3:
+            abserr = abserr + correc
+        if result != 0.0 and area != 0.0:
+            if not abserr / abs(result) > errsum / abs(area):
+                return result, abserr
+        elif not abserr > errsum:
+            return result, abserr
+
+    # label 115: the global sum, in list order
+    result = 0.0
+    for k in range(1, last + 1):
+        result = result + rlist[k]
+    return result, errsum

@@ -114,10 +114,16 @@ def allocation_discrepancy() -> DiscrepancyRecord:
     )
 
 
-def collect_all() -> list[DiscrepancyRecord]:
-    """All three records at reference parameters."""
-    return [
+@functools.cache
+def collect_all() -> tuple[DiscrepancyRecord, ...]:
+    """All three records at reference parameters.  They have no inputs, so
+    each process computes them once.  A CLI process runs one sweep, so the
+    cache pays off only where one process runs several sweeps (a library
+    caller of run_experiment, the test suite, perfbench's sweep-then-resume
+    cycles), each of which would otherwise spend about 97 QAGS quadratures
+    on an identical `.meta` ledger."""
+    return (
         mgf_pole_discrepancy(),
         additive_ser_discrepancy(),
         allocation_discrepancy(),
-    ]
+    )

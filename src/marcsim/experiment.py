@@ -563,8 +563,6 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_meta(path: str, spec: ExperimentSpec, chash: str) -> None:
-    import scipy
-
     lines = [
         f"config_hash={chash}",
         f"figure={spec.figure}",
@@ -579,7 +577,6 @@ def _write_meta(path: str, spec: ExperimentSpec, chash: str) -> None:
         "analytic_outage_rate=pair_min_bottleneck",
         f"python_version={sys.version.split()[0]}",
         f"numpy_version={np.__version__}",
-        f"scipy_version={scipy.__version__}",
     ]
     for rec in discrepancy.collect_all():
         lines.append(rec.as_kv())

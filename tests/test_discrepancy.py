@@ -1,5 +1,6 @@
 import pytest
 
+from marcsim import discrepancy
 from marcsim.discrepancy import (
     additive_ser_discrepancy,
     allocation_discrepancy,
@@ -41,3 +42,19 @@ def test_collect_all_names():
     }
     for rec in collect_all():
         assert "magnitude" in rec.as_kv()
+
+
+def test_collect_all_runs_its_collectors_once_per_process(monkeypatch):
+    before = collect_all()
+    calls = []
+    for name in ("mgf_pole_discrepancy", "additive_ser_discrepancy", "allocation_discrepancy"):
+        collector = getattr(discrepancy, name)
+        monkeypatch.setattr(discrepancy, name, lambda f=collector, n=name: calls.append(n) or f())
+    collect_all.cache_clear()
+    try:
+        first, second = collect_all(), collect_all()
+    finally:
+        collect_all.cache_clear()  # the counting collectors leave with monkeypatch
+    assert sorted(calls) == ["additive_ser_discrepancy", "allocation_discrepancy", "mgf_pole_discrepancy"]
+    assert second is first
+    assert first == before  # the same records, value for value

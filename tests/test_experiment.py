@@ -138,7 +138,7 @@ def test_invalid_spec_creates_no_file(tmp_path):
 def test_custom_run_layout_and_agreement(tmp_path):
     spec = small_spec(tmp_path, trials=40_000)
     result = run_experiment(spec)
-    lines = open(spec.output_path).read().splitlines()
+    lines = Path(spec.output_path).read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 2  # two SNR points
     # unflagged-model row check: DF outage within 4 standard errors
@@ -150,7 +150,7 @@ def test_custom_run_layout_and_agreement(tmp_path):
         assert abs(outage_mc - outage_an) < 4 * se
         assert "relay_mai" in cols[12]
     assert os.path.exists(spec.output_path + ".meta")
-    meta = open(spec.output_path + ".meta").read()
+    meta = Path(spec.output_path + ".meta").read_text()
     assert "discrepancy.mgf_shared_pole" in meta
     assert "discrepancy.power_allocation_closed_form" in meta
 
@@ -164,7 +164,7 @@ def test_fig2_row_count(tmp_path):
         output_path=str(tmp_path / "fig2.csv"),
     )
     run_experiment(spec)
-    lines = open(spec.output_path).read().splitlines()
+    lines = Path(spec.output_path).read_text().splitlines()
     assert len(lines) == 1 + 2 * 2 * 2  # (M=2,8) x (N=1,2) x 2 SNRs
     closed_col = [line.split(",")[7] for line in lines[1:]]
     m_col = [line.split(",")[1] for line in lines[1:]]
@@ -189,7 +189,7 @@ def test_fig5_rows_have_allocations(tmp_path):
         output_path=str(tmp_path / "fig5.csv"),
     )
     run_experiment(spec)
-    rows = open(spec.output_path).read().splitlines()[1:]
+    rows = Path(spec.output_path).read_text().splitlines()[1:]
     flags = [r.split(",")[12] for r in rows]
     assert any("alloc=equal" in f for f in flags)
     assert any("alloc=optimized" in f for f in flags)
@@ -208,7 +208,7 @@ def test_byte_identical_reruns(tmp_path):
     spec_b = small_spec(tmp_path, output_path=str(tmp_path / "b.csv"))
     run_experiment(spec_a)
     run_experiment(spec_b)
-    assert open(spec_a.output_path, "rb").read() == open(spec_b.output_path, "rb").read()
+    assert Path(spec_a.output_path).read_bytes() == Path(spec_b.output_path).read_bytes()
 
 
 def sweep_bytes(spec, workers):
@@ -264,14 +264,14 @@ def test_cells_read_their_groups_under_fast_thread_switching(tmp_path):
 def test_resume_skips_completed_cells(tmp_path):
     spec = small_spec(tmp_path)
     run_experiment(spec)
-    csv_first = open(spec.output_path, "rb").read()
+    csv_first = Path(spec.output_path).read_bytes()
     journal = spec.output_path + ".journal"
-    lines = open(journal).read().splitlines()
+    lines = Path(journal).read_text().splitlines()
     # drop the last completed cell and rerun; only that cell is redone
-    open(journal, "w").write("\n".join(lines[:-1]) + "\n")
+    Path(journal).write_text("\n".join(lines[:-1]) + "\n")
     os.remove(spec.output_path)
     run_experiment(spec)
-    assert open(spec.output_path, "rb").read() == csv_first
+    assert Path(spec.output_path).read_bytes() == csv_first
 
 
 # -- outage groups ------------------------------------------------------------------
@@ -495,26 +495,26 @@ def test_ctrl_c_journals_the_cells_that_finish_during_the_wait(tmp_path, monkeyp
 def test_torn_journal_resumes_to_original_bytes(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, schemes=[Scheme.ANC])
     run_experiment(spec)
-    csv_first = open(spec.output_path, "rb").read()
+    csv_first = Path(spec.output_path).read_bytes()
     journal = spec.output_path + ".journal"
-    journal_first = open(journal, "rb").read()
+    journal_first = Path(journal).read_bytes()
     # an interrupted write leaves the last row without its last five bytes;
     # its comma count still matches the schema
-    open(journal, "wb").write(journal_first[:-5])
+    Path(journal).write_bytes(journal_first[:-5])
     os.remove(spec.output_path)
     run_experiment(spec)
-    assert open(spec.output_path, "rb").read() == csv_first
-    assert open(journal, "rb").read() == journal_first
+    assert Path(spec.output_path).read_bytes() == csv_first
+    assert Path(journal).read_bytes() == journal_first
     calls = count_computed_cells(monkeypatch)
     run_experiment(spec)
     assert calls == []
-    assert open(spec.output_path, "rb").read() == csv_first
+    assert Path(spec.output_path).read_bytes() == csv_first
 
 
 def test_failed_replace_keeps_previous_csv(tmp_path, monkeypatch):
     spec = small_spec(tmp_path)
     run_experiment(spec)
-    csv_first = open(spec.output_path, "rb").read()
+    csv_first = Path(spec.output_path).read_bytes()
     listing = sorted(os.listdir(tmp_path))
 
     def failing_replace(src, dst):
@@ -523,7 +523,7 @@ def test_failed_replace_keeps_previous_csv(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment.os, "replace", failing_replace)
     with pytest.raises(OSError, match="simulated"):
         run_experiment(spec)
-    assert open(spec.output_path, "rb").read() == csv_first
+    assert Path(spec.output_path).read_bytes() == csv_first
     assert sorted(os.listdir(tmp_path)) == listing
 
 
@@ -531,11 +531,11 @@ def test_batch_size_change_invalidates_journal(tmp_path, monkeypatch):
     spec = small_spec(tmp_path)
     run_experiment(spec)
     journal = spec.output_path + ".journal"
-    header = open(journal).readline()
+    header = Path(journal).read_text().splitlines()[0]
     monkeypatch.setattr(montecarlo, "BATCH_SIZE", montecarlo.BATCH_SIZE // 2)
     calls = count_computed_cells(monkeypatch)
     run_experiment(spec)
-    assert open(journal).readline() != header
+    assert Path(journal).read_text().splitlines()[0] != header
     assert len(calls) == len(spec.snr_points_db)
 
 
@@ -548,11 +548,11 @@ def test_journal_of_previous_version_not_resumed(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "__version__", "0.3.0")
     run_experiment(spec)
     journal = spec.output_path + ".journal"
-    header = open(journal).readline()
+    header = Path(journal).read_text().splitlines()[0]
     monkeypatch.setattr(experiment, "__version__", marcsim.__version__)
     calls = count_computed_cells(monkeypatch)
     run_experiment(spec)
-    assert open(journal).readline() != header
+    assert Path(journal).read_text().splitlines()[0] != header
     assert len(calls) == len(spec.snr_points_db)
 
 
@@ -567,9 +567,9 @@ def test_stale_journal_discarded(tmp_path):
     spec = small_spec(tmp_path)
     journal = spec.output_path + ".journal"
     os.makedirs(tmp_path, exist_ok=True)
-    open(journal, "w").write("#config=deadbeef\nbogus\tline\n")
+    Path(journal).write_text("#config=deadbeef\nbogus\tline\n")
     run_experiment(spec)
-    assert "#config=deadbeef" not in open(journal).read()
+    assert "#config=deadbeef" not in Path(journal).read_text()
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -669,7 +669,7 @@ def test_outage_figure_accepts_many_relays(tmp_path):
 
 
 def csv_rows(path):
-    return [r.split(",") for r in open(path).read().splitlines()[1:]]
+    return [r.split(",") for r in Path(path).read_text().splitlines()[1:]]
 
 
 def test_outage_analytic_at_the_row_powers(tmp_path):
@@ -723,7 +723,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code = main(["--config", str(cfg), "--out", out, "--snr", "5"])
     assert code == 0
     assert os.path.exists(out)
-    rows = open(out).read().splitlines()[1:]
+    rows = Path(out).read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].split(",")[3] == "5.0"
 
 
@@ -734,7 +734,7 @@ def test_cli_snr_range_syntax(tmp_path):
          "--trials", "1000", "--out", out]
     )
     assert code == 0
-    snrs = [r.split(",")[3] for r in open(out).read().splitlines()[1:]]
+    snrs = [r.split(",")[3] for r in Path(out).read_text().splitlines()[1:]]
     assert snrs == ["0.0", "5.0", "10.0"]
 
 

@@ -123,14 +123,14 @@ def test_every_parameter_is_read():
 
 def _modules_loaded_by(statement: str, prefixes: tuple[str, ...]) -> list[str]:
     """Modules under ``prefixes`` that a fresh interpreter has loaded after
-    running ``statement``."""
+    running ``statement``; what the statement prints is ignored."""
     code = f"import sys; {statement}; print(' '.join(m for m in sys.modules if m.startswith({prefixes!r})))"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
-    return run.stdout.split()
+    return run.stdout.splitlines()[-1].split()
 
 
 def test_package_import_loads_neither_scipy_nor_thread_pools():
@@ -138,6 +138,18 @@ def test_package_import_loads_neither_scipy_nor_thread_pools():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # scipy brings concurrent.futures itself, but only a sweep, which runs on
-    # a thread pool at any worker count, may load its ThreadPoolExecutor
+    # experiment imports concurrent.futures, whose ThreadPoolExecutor loads
+    # lazily; only a sweep, which runs on a thread pool at any worker count,
+    # may load it
     assert _modules_loaded_by("import marcsim.cli", ("concurrent.futures.thread",)) == []
+
+
+def test_cli_import_and_a_sweep_load_no_scipy(tmp_path):
+    # the quadrature is a port of QUADPACK, so neither the console entry point
+    # nor a run, allocator, .meta and discrepancy ledger included, loads scipy
+    assert _modules_loaded_by("import marcsim.cli", ("scipy",)) == []
+    out = tmp_path / "fig5.csv"
+    argv = ["--figure", "fig5", "--snr", "10", "--trials", "1000", "--out", str(out)]
+    sweep = f"import marcsim.cli; assert marcsim.cli.main({argv!r}) == 0"
+    assert _modules_loaded_by(sweep, ("scipy",)) == []
+    assert out.read_text().count("\n") == 9  # header and 8 cells: 4 N x 2 splits
