@@ -2,6 +2,6 @@
 closed-form SER/outage analysis, symbol-level Monte Carlo cross-validation,
 and constrained power allocation."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .montecarlo import estimate_ser

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-th", dest="gamma_th", help="outage threshold")
     p.add_argument("--out", dest="output_path", help="output CSV path")
     # not a spec field: the worker count does not change the output bytes
-    p.add_argument("--workers", default="1", help="parallel cell threads, in one process (integer >= 1)")
+    p.add_argument("--workers", default="1", help="parallel group threads, in one process (integer >= 1)")
     return p
 
 

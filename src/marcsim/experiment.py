@@ -7,13 +7,13 @@ One fixed schema serves every figure:
     ser_paper_closed,outage_mc,outage_analytic,p_s,p_r,flags
 
 Inapplicable cells stay empty.  Rows are keyed by their sweep cell and
-journaled as they complete, so an interrupted sweep resumes where it stopped;
+journaled as their group completes, so an interrupted sweep resumes there;
 the final CSV is always written in deterministic cell order with shortest
 round-trip float formatting, making runs byte-identical for a given spec and
-seed regardless of worker count.  Every sweep runs on one pool of threads of
-the one process: each pending cell is a job, and on a figure with outage
-columns so is each group of cells that differ only in SNR, whose one draw of
-fading gains its cells share.
+seed regardless of worker count.  The cells of one (scheme, M, N), across
+SNR and power split, form a group that shares its Monte Carlo draws (common
+random numbers).  Every sweep runs on one pool of threads of the one
+process, and each group with a pending cell is one job on it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .analytic import (
     ser_quadrature,
 )
 from .model import Scheme, SystemConfig, _gammas, bottleneck_rate, compute_rate_params
-from .montecarlo import estimate_outage_group, estimate_ser
+from .montecarlo import estimate_group
 from .power import PowerSplit, allocation_edges, numeric_allocation, ser_for_powers
 
 __all__ = [
@@ -357,11 +357,11 @@ def _cell_config(cell: _Cell) -> SystemConfig:
 
 
 def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
-    """The cell's journal key and CSV row.  ``mc`` is the pair (SER seed,
-    outage estimate); the outage is None on figures without that column."""
+    """The cell's journal key and CSV row.  ``mc`` is (config, SER pair,
+    outage) from its group's ``estimate_group``; an estimate is None on
+    figures without its column."""
     fig = _FIGURES[spec.figure]
-    seed_ser, outage_mc = mc
-    config = _cell_config(cell)
+    config, ser, outage_mc = mc
 
     ser_mc = ser_ci = ser_quad = ser_closed = outage_an = None
     flags = []
@@ -369,8 +369,7 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
         flags.append(f"alloc={cell.alloc}")
 
     if fig.ser:
-        est_s1, _ = estimate_ser(config, spec.trials, seed_ser)
-        ser_mc, ser_ci = est_s1.ser, est_s1.ci_halfwidth
+        ser_mc, ser_ci = ser[0].ser, ser[0].ci_halfwidth
         rates = compute_rate_params(config)
         dist = BestRelayDistribution(cell.num_relays, rates.eta_relay_path)
         ser_quad = ser_quadrature(dist, rates.eta_direct, cell.mod_order)
@@ -407,33 +406,19 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
     return cell.key(), row
 
 
-def _seeds(spec: ExperimentSpec, index: int) -> tuple[int, int]:
-    """(SER seed, outage seed) of the cell at ``index`` in full cell order."""
-    state = np.random.SeedSequence(spec.seed, spawn_key=(index,)).generate_state(2)
-    return int(state[0]), int(state[1])
+def _seed(spec: ExperimentSpec, index: int) -> int:
+    """Seed of the group whose first cell is at ``index`` in full cell order."""
+    return int(np.random.SeedSequence(spec.seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _group(cell: _Cell) -> tuple:
-    """The cell's outage group: the cells that differ from it only in SNR."""
-    return cell.scheme, cell.mod_order, cell.num_relays, cell.alloc
-
-
-def _run_group(spec: ExperimentSpec, first: int, cells: list[_Cell]) -> dict[_Cell, float]:
-    """Outage estimates of an outage group's pending ``cells``, which share
-    one draw of stage-1 gains seeded by the outage seed of the group's first
-    cell (index ``first``), pending or not."""
+def _run_group(spec: ExperimentSpec, first: int, cells: list[_Cell]) -> list[tuple[str, str]]:
+    """Journal keys and rows of a group's pending ``cells``, on the draws
+    seeded by its first cell (index ``first``), pending or not."""
+    fig = _FIGURES[spec.figure]
     configs = [_cell_config(cell) for cell in cells]
-    outages = estimate_outage_group(configs, spec.gamma_th, spec.trials, _seeds(spec, first)[1])
-    return dict(zip(cells, outages))
-
-
-def _run_cell(
-    spec: ExperimentSpec, index: int, cell: _Cell, group: concurrent.futures.Future | None
-) -> tuple[str, str]:
-    """Journal key and row of the cell at ``index``; ``group`` is the future
-    of its outage group's estimates, or None on a figure without outage."""
-    outage = group.result()[cell] if group else None
-    return _compute_cell(spec, cell, (_seeds(spec, index)[0], outage))
+    gamma_th = spec.gamma_th if fig.outage else None
+    estimates = estimate_group(configs, spec.trials, _seed(spec, first), ser=fig.ser, gamma_th=gamma_th)
+    return [_compute_cell(spec, cell, (config, *est)) for cell, config, est in zip(cells, configs, estimates)]
 
 
 def _config_hash(spec: ExperimentSpec) -> str:
@@ -475,12 +460,13 @@ class ExperimentResult:
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run every pending sweep cell, journal its row, then write the CSV
-    (deterministic order) and the metadata sidecar.  Each cell is one job on
-    a pool of up to ``workers`` threads; on a figure with outage columns each
-    group with a pending cell is one more job, whose draws its cells read.
-    Rows are journaled in cell order.  When a job fails or the run is
-    interrupted, no further job starts, the rows of the running ones are
-    journaled as they finish, and the exception is re-raised."""
+    (deterministic order) and the metadata sidecar.  Each group with a
+    pending cell is one job on a pool of up to ``workers`` threads: it
+    computes only its pending cells, on the draws that all its cells share.
+    A group's cells are contiguous in cell order and its rows are journaled
+    together, so rows are journaled in cell order.  When a job fails or the
+    run is interrupted, no further job starts, the rows of the running ones
+    are journaled as they finish, and the exception is re-raised."""
     result = validate_spec(spec)
     if not result.ok:
         raise SpecValidationError("invalid experiment spec: " + "; ".join(result.errors))
@@ -496,14 +482,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     cells = _cells(spec)
     done, intact = _load_journal(journal_path, chash)
-    pending = [(i, cell) for i, cell in enumerate(cells) if cell.key() not in done]
-    # each outage group's first cell in full cell order, and its pending cells
+    # a group is the cells of one (scheme, M, N); each group's first cell in
+    # full cell order, and its pending cells
     groups: dict[tuple, tuple[int, list[_Cell]]] = {}
-    if _FIGURES[spec.figure].outage:
-        for i, cell in enumerate(cells):
-            _, members = groups.setdefault(_group(cell), (i, []))
-            if cell.key() not in done:
-                members.append(cell)
+    for i, cell in enumerate(cells):
+        _, members = groups.setdefault((cell.scheme, cell.mod_order, cell.num_relays), (i, []))
+        if cell.key() not in done:
+            members.append(cell)
+    jobs = [(first, members) for first, members in groups.values() if members]
 
     if intact:
         os.truncate(journal_path, intact)
@@ -512,29 +498,21 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             journal.write(f"#config={chash}\n")
             journal.flush()
 
-        def record(entry: tuple[str, str]) -> None:
-            key, row = entry
-            done[key] = row
-            journal.write(f"{key}\t{row}\n")
+        def record(entries: list[tuple[str, str]]) -> None:
+            for key, row in entries:
+                done[key] = row
+                journal.write(f"{key}\t{row}\n")
             journal.flush()
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, min(workers, len(pending)))) as pool:
-            # every group job is queued before any cell job, and the pool takes
-            # jobs first in, first out, so a cell only waits on a group that a
-            # thread has already taken: no worker count can deadlock
-            outages = {
-                key: pool.submit(_run_group, spec, first, members)
-                for key, (first, members) in groups.items()
-                if members
-            }
-            futures = [pool.submit(_run_cell, spec, i, cell, outages.get(_group(cell))) for i, cell in pending]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
+            futures = [pool.submit(_run_group, spec, first, members) for first, members in jobs]
             recorded = 0
             try:
                 for future in futures:
                     record(future.result())
                     recorded += 1
             except BaseException:
-                # a failed cell or Ctrl-C: start no more jobs, and journal
+                # a failed group or Ctrl-C: start no more jobs, and journal
                 # every row finished meanwhile, so a resume keeps them
                 pool.shutdown(cancel_futures=True)
                 for future in futures[recorded:]:

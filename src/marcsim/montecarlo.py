@@ -12,17 +12,17 @@ the first symbol, the best second symbol is the PSK point nearest one angle
 Fading is drawn gain first, in two stages.  Stage 1 (``sample_gains``)
 draws only what relay selection reads: the power gains |h|^2 of the
 source->relay links and, under ANC, of the relay->destination links, as
-unit-mean exponentials.  Outage estimation stops there.  As the gains do
-not depend on the powers, the outage cells of a group that differ only in
-SNR share them (``estimate_outage_group``): each batch is drawn once and
-every SNR point selects on it.  For fixed gains every relay's bottleneck SNR
-rises with the budget, so a group's outage estimates are nonincreasing in
-SNR by construction.
-Stage 2 (``run_batch``, after selection) draws only what detection can see:
-h1b = sqrt(g1) and h2b = sqrt(g2)*exp(j*psi) with one uniform psi for the
-selected relay's source links, hrb = sqrt(g_rd) for its destination link
-(under DF-NC a fresh exponential for the selected relay alone, as DF
-selection never reads it), and the two direct links as complex Gaussians.
+unit-mean exponentials.  Outage estimation stops there.  Stage 2
+(``_draw_stage2``) draws only what detection can see: one uniform phase psi,
+under DF-NC one relay->destination gain g_rd (DF selection never reads it),
+the two direct links as complex Gaussians, then symbols and noises.  The
+kernel gathers h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and, under ANC,
+hrb = sqrt(g_rd) from the selected relay's gains.  No draw depends on
+selection or on the powers, so the configs of a group, one scheme, PSK order
+and relay count, share them (``estimate_group``, common random numbers):
+each batch is drawn once and every config selects and detects on it.  For
+fixed gains every relay's bottleneck SNR rises with the budget, so a group's
+outage estimates are nonincreasing in SNR by construction.
 
 This is exact in distribution, not an approximation.  A Rayleigh coefficient
 is sqrt(gain) times an independent uniform phase.  The noise is circular and
@@ -62,15 +62,13 @@ __all__ = [
     "anc_snr",
     "relay_snrs",
     "select_relay",
-    "run_batch",
-    "estimate_ser",
-    "estimate_outage_group",
+    "estimate_group",
 ]
 
 # Fixed so that the mapping from trial index to random draws never changes.
 BATCH_SIZE = 1 << 14
 
-# Default early stop of estimate_ser: the first batch boundary where both
+# Default early stop of a SER estimate: the first batch boundary where both
 # sources have MAX_ERRORS errors.
 MAX_ERRORS = 400
 
@@ -208,19 +206,6 @@ class _Draws(NamedTuple):
     n_d2: np.ndarray
 
 
-def _selected_links(gb: GainBatch, sel, rng: np.random.Generator) -> _Links:
-    """Stage 2: the coefficients that detection sees, in the rotated form of
-    the module docstring (h1b and hrb real, one phase on h2b)."""
-    size = sel.shape[0]
-    rows = np.arange(size)
-    psi = rng.uniform(0.0, 2.0 * np.pi, size)
-    h2b = np.sqrt(gb.g_s2_r[rows, sel]) * np.exp(1j * psi)
-    g_rd = rng.standard_exponential(size) if gb.g_r_d is None else gb.g_r_d[rows, sel]
-    h_s1_d = _complex_gaussian(rng, size)
-    h_s2_d = _complex_gaussian(rng, size)
-    return _Links(np.sqrt(gb.g_s1_r[rows, sel]), h2b, np.sqrt(g_rd), h_s1_d, h_s2_d)
-
-
 def _draw_symbols(config: SystemConfig, size: int, rng: np.random.Generator) -> _Draws:
     """The rest of a round, drawn after the links: symbols and noises."""
     m = config.mod_order
@@ -232,6 +217,26 @@ def _draw_symbols(config: SystemConfig, size: int, rng: np.random.Generator) -> 
     n_d1 = _complex_gaussian(rng, size)
     n_d2 = _complex_gaussian(rng, size)
     return _Draws(i1, i2, n_relay, n_d1, n_d2)
+
+
+def _draw_stage2(config: SystemConfig, size: int, rng: np.random.Generator):
+    """Stage 2 of ``size`` rounds, none of it read by selection, in a fixed
+    order: the phase exp(j*psi) of h2b, DF-NC's relay->destination gain
+    (None under ANC), the two direct links, then symbols and noises."""
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+    g_rd = rng.standard_exponential(size) if config.scheme is Scheme.DF_NC else None
+    direct = _complex_gaussian(rng, size), _complex_gaussian(rng, size)
+    return phase, g_rd, direct, _draw_symbols(config, size, rng)
+
+
+def _selected_links(gb: GainBatch, sel, stage2) -> _Links:
+    """The coefficients that detection sees, in the rotated form of the
+    module docstring (h1b and hrb real, one phase on h2b)."""
+    phase, g_rd, direct, _ = stage2
+    rows = np.arange(sel.shape[0])
+    g_rd = g_rd if gb.g_r_d is None else gb.g_r_d[rows, sel]
+    h2b = np.sqrt(gb.g_s2_r[rows, sel]) * phase
+    return _Links(np.sqrt(gb.g_s1_r[rows, sel]), h2b, np.sqrt(g_rd), *direct)
 
 
 def _pair_ml(z, score):
@@ -316,6 +321,13 @@ def _decide(config: SystemConfig, links: _Links, draws: _Draws):
     return _pair_ml(z, metric)
 
 
+def _errors(config: SystemConfig, gb: GainBatch, sel, stage2):
+    """The per-config kernel: gather, detect and flag each source's errors."""
+    draws = stage2[-1]
+    k1, k2 = _decide(config, _selected_links(gb, sel, stage2), draws)
+    return k1 != draws.i1, k2 != draws.i2
+
+
 def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
     """One vectorized batch of protocol rounds on the stage-1 gains ``gb``:
     select, draw stage 2 from ``rng``, detect.  Returns per-trial source-1
@@ -323,10 +335,63 @@ def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
     selection-bottleneck SNR.  Under DF-NC relay decoding errors propagate
     into the forwarded symbol; there is no genie."""
     sel, best = select_relay(*relay_snrs(config, gb))
-    links = _selected_links(gb, sel, rng)
-    draws = _draw_symbols(config, sel.shape[0], rng)
-    k1, k2 = _decide(config, links, draws)
-    return k1 != draws.i1, k2 != draws.i2, sel, best
+    return (*_errors(config, gb, sel, _draw_stage2(config, sel.shape[0], rng)), sel, best)
+
+
+def _count(config: SystemConfig, gb: GainBatch, stage2, gamma_th: float | None) -> tuple[int, int, int]:
+    """One config's outages below ``gamma_th`` and errors per source on
+    ``stage2`` in one batch (0 for what is None), its arrays freed on return."""
+    sel, best = select_relay(*relay_snrs(config, gb))
+    below = 0 if gamma_th is None else int(np.count_nonzero(best < gamma_th))
+    if stage2 is None:
+        return below, 0, 0
+    e1, e2 = _errors(config, gb, sel, stage2)
+    return below, int(e1.sum()), int(e2.sum())
+
+
+def estimate_group(
+    configs: list[SystemConfig],
+    trials: int,
+    seed: int,
+    *,
+    ser: bool = True,
+    gamma_th: float | None = None,
+    max_errors: int | None = MAX_ERRORS,
+) -> list[tuple[tuple[SerEstimate, SerEstimate] | None, float | None]]:
+    """(SER pair, outage) of each config of a group, configs of one scheme,
+    PSK order and relay count at any powers; an estimate is None unless
+    ``ser`` or ``gamma_th`` asks for it.  Each batch draws the stage-1 gains
+    once and, while any config counts symbol errors, stage 2 once.  A config
+    counts outages (selected-relay SNR below ``gamma_th``) over all
+    ``trials``, and errors through ``run_batch``'s kernel up to its own stop:
+    the first batch boundary where both sources have ``max_errors`` errors
+    (None: no stop).  No draw depends on selection, the powers or the other
+    configs, so each estimate is bit for bit the one its config gets alone."""
+    if len({(c.scheme, c.mod_order, c.num_relays) for c in configs}) != 1:
+        raise ValueError("a group needs one or more configs, all of one scheme, PSK order and relay count")
+    if gamma_th is not None and not gamma_th >= 0:  # NaN fails the comparison too
+        raise ValueError("gamma_th must be nonnegative")
+    n = len(configs)
+    err1, err2, done, below = [0] * n, [0] * n, [0] * n, [0] * n
+    counting = list(range(n)) if ser else []
+    for rng, size in _batches(seed, trials):
+        gb = sample_gains(configs[0], rng, size)
+        stage2 = _draw_stage2(configs[0], size, rng) if counting else None
+        for k in range(n) if gamma_th is not None else counting:
+            outages, e1, e2 = _count(configs[k], gb, stage2 if k in counting else None, gamma_th)
+            below[k] += outages
+            if k in counting:
+                err1[k], err2[k], done[k] = err1[k] + e1, err2[k] + e2, done[k] + size
+        del gb, stage2  # free this batch before the next is drawn
+        if max_errors is not None:
+            counting = [k for k in counting if min(err1[k], err2[k]) < max_errors]
+        if not counting and gamma_th is None:
+            break
+    return [
+        ((_wilson_estimate(err1[k], done[k]), _wilson_estimate(err2[k], done[k])) if ser else None,
+         below[k] / trials if gamma_th is not None else None)
+        for k in range(n)
+    ]
 
 
 def estimate_ser(
@@ -335,23 +400,9 @@ def estimate_ser(
     seed: int,
     max_errors: int | None = MAX_ERRORS,
 ) -> tuple[SerEstimate, SerEstimate]:
-    """Per-source SER at the config's powers.
-
-    With ``max_errors`` set, the trial loop stops at the first batch boundary
-    where both sources have ``max_errors`` errors; pass None to force the
-    full trial count.
-    """
-    batches = _batches(seed, trials)
-    err1 = err2 = done = 0
-    for rng, size in batches:
-        gb = sample_gains(config, rng, size)
-        e1, e2, _, _ = run_batch(config, gb, rng)
-        err1 += int(e1.sum())
-        err2 += int(e2.sum())
-        done += size
-        if max_errors is not None and min(err1, err2) >= max_errors:
-            break
-    return _wilson_estimate(err1, done), _wilson_estimate(err2, done)
+    """Per-source SER at the config's powers, stopping as ``estimate_group``
+    does at ``max_errors``: a group of one."""
+    return estimate_group([config], trials, seed, max_errors=max_errors)[0][0]
 
 
 def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
@@ -367,36 +418,7 @@ def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     return out
 
 
-def estimate_outage_group(
-    configs: list[SystemConfig], gamma_th: float, trials: int, seed: int
-) -> list[float]:
-    """Outage at each config of a group that shares one draw of stage-1 gains.
-
-    The configs must agree on scheme and relay count, the only inputs of
-    ``sample_gains``; they differ in powers.  Each batch draws the gains
-    once, and every config selects its relay on them and counts the draws
-    whose selected-relay SNR falls below gamma_th.  So each estimate is
-    bit for bit the one ``estimate_outage`` gives alone at ``seed``, and as
-    every relay's bottleneck SNR rises with p_source and with p_relay, a
-    config with no less of either power has no more outage.
-    """
-    if not configs:
-        raise ValueError("an outage group needs at least one config")
-    head = configs[0]
-    if any(c.scheme is not head.scheme or c.num_relays != head.num_relays for c in configs):
-        raise ValueError("configs of an outage group must share scheme and relay count")
-    if not gamma_th >= 0:  # NaN fails the comparison too
-        raise ValueError("gamma_th must be nonnegative")
-    counts = [0] * len(configs)
-    for rng, size in _batches(seed, trials):
-        gb = sample_gains(head, rng, size)
-        for k, config in enumerate(configs):
-            best = select_relay(*relay_snrs(config, gb))[1]
-            counts[k] += int(np.count_nonzero(best < gamma_th))
-    return [count / trials for count in counts]
-
-
 def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:
     """Fraction of fading draws whose selected-relay SNR falls below gamma_th:
-    an outage group of one."""
-    return estimate_outage_group([config], gamma_th, trials, seed)[0]
+    a group of one."""
+    return estimate_group([config], trials, seed, ser=False, gamma_th=gamma_th)[0][1]

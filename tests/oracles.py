@@ -26,6 +26,7 @@ from marcsim.montecarlo import (
     _batches,
     _complex_gaussian,
     _decide,
+    _draw_stage2,
     _draw_symbols,
     _selected_links,
     _wilson_estimate,
@@ -217,9 +218,9 @@ def brute_force_run_batch(config: SystemConfig, gb, rng):
     """``montecarlo.run_batch`` with ``brute_force_decide`` for the
     detection; the same draws, in the same order, as the kernel."""
     sel, best = select_relay(*relay_snrs(config, gb))
-    links = _selected_links(gb, sel, rng)
-    draws = _draw_symbols(config, sel.shape[0], rng)
-    k1, k2 = brute_force_decide(config, links, draws)
+    stage2 = _draw_stage2(config, sel.shape[0], rng)
+    draws = stage2[-1]
+    k1, k2 = brute_force_decide(config, _selected_links(gb, sel, stage2), draws)
     return k1 != draws.i1, k2 != draws.i2, sel, best
 
 

@@ -25,7 +25,7 @@ from marcsim.experiment import (
 )
 from marcsim.cli import main
 from marcsim.model import Scheme, SystemConfig, bottleneck_rate
-from marcsim.montecarlo import sample_best_snr
+from marcsim.montecarlo import estimate_ser, sample_best_snr
 
 
 def small_spec(tmp_path, **kw):
@@ -225,14 +225,14 @@ def test_worker_count_does_not_change_output(tmp_path):
     out = str(tmp_path / "w.csv")
     specs = [
         small_spec(tmp_path, output_path=out),
-        # four outage groups whose SER cells spread over the threads
+        # four groups, one per (scheme, N), spread over the threads
         small_spec(
             tmp_path, schemes=[Scheme.ANC, Scheme.DF_NC], relay_counts=[1, 2], snr_points_db=[0.0, 10.0, 20.0],
             trials=3000, output_path=out,
         ),
         ExperimentSpec(figure="fig2", snr_points_db=[10.0], trials=3000, seed=7, output_path=out),
         ExperimentSpec(figure="fig3", snr_points_db=[0.0, 10.0], trials=3000, seed=7, output_path=out),
-        # four outage groups of three SNR points each, split across the threads
+        # four groups of three SNR points each, split across the threads
         ExperimentSpec(
             figure="fig4", snr_points_db=[5.0, 10.0, 15.0], relay_counts=[1, 2], trials=3000, seed=7,
             output_path=out,
@@ -247,7 +247,7 @@ def test_worker_count_does_not_change_output(tmp_path):
 
 def test_cells_read_their_groups_under_fast_thread_switching(tmp_path):
     # eight threads on a small box, switching as often as the interpreter
-    # allows, while every cell reads its outage from its group's future
+    # allows, while six groups run on them
     spec = small_spec(
         tmp_path, schemes=[Scheme.ANC, Scheme.DF_NC], relay_counts=[1, 2, 3], snr_points_db=[0.0, 10.0],
         trials=2000, output_path=str(tmp_path / "s.csv"),
@@ -290,31 +290,66 @@ def fig4_spec(tmp_path, **kw):
     return ExperimentSpec(**base)
 
 
-# fig4_spec's rows at each group's first SNR point, as written before the
-# groups shared their fading draws: sharing must not move them
+# fig4_spec's rows at each group's first SNR point, as recorded at 0.5.0,
+# whose group seed is the first word of the first cell's seed sequence
 FIRST_SNR_ROWS = [
-    "anc,2,1,10.0,,,,,0.9253333333333333,0.7768698398515702,3.3333333333333335,3.333333333333333,outage_exp_approx",
-    "anc,2,2,10.0,,,,,0.8483333333333334,0.6035267480710044,3.3333333333333335,3.333333333333333,outage_exp_approx",
-    "anc,2,5,10.0,,,,,0.667,0.2829705940672512,3.3333333333333335,3.333333333333333,outage_exp_approx",
-    "df,2,1,10.0,,,,,0.43033333333333335,0.4511883639059736,3.3333333333333335,3.333333333333333,",
-    "df,2,2,10.0,,,,,0.18866666666666668,0.20357093972414927,3.3333333333333335,3.333333333333333,",
-    "df,2,5,10.0,,,,,0.018666666666666668,0.018697754515222004,3.3333333333333335,3.333333333333333,",
+    "anc,2,1,10.0,,,,,0.9266666666666666,0.7768698398515702,3.3333333333333335,3.333333333333333,outage_exp_approx",
+    "anc,2,2,10.0,,,,,0.8513333333333334,0.6035267480710044,3.3333333333333335,3.333333333333333,outage_exp_approx",
+    "anc,2,5,10.0,,,,,0.664,0.2829705940672512,3.3333333333333335,3.333333333333333,outage_exp_approx",
+    "df,2,1,10.0,,,,,0.448,0.4511883639059736,3.3333333333333335,3.333333333333333,",
+    "df,2,2,10.0,,,,,0.20566666666666666,0.20357093972414927,3.3333333333333335,3.333333333333333,",
+    "df,2,5,10.0,,,,,0.02,0.018697754515222004,3.3333333333333335,3.333333333333333,",
 ]
 
 
-def test_outage_group_rows_match_a_per_cell_oracle(tmp_path):
-    spec = validate_spec(fig4_spec(tmp_path)).spec
+def assert_rows_match_a_per_cell_oracle(spec):
+    """Run ``spec`` and check each row's Monte Carlo columns against its
+    cell alone at its group's seed: ``estimate_ser`` for ser_mc/ser_ci, and
+    the sampled selection SNR for outage_mc.  Returns the rows."""
+    spec = validate_spec(spec).spec
+    fig = experiment._FIGURES[spec.figure]
     rows = run_experiment(spec).rows
-    snrs = spec.snr_points_db
-    assert len(rows) == 2 * len(spec.relay_counts) * len(snrs)
-    for index, row in enumerate(rows):
+    assert len(rows) == len(experiment._cells(spec))
+    for row in rows:
         cols = row.split(",")
-        # a group's seed is the outage seed of its first cell in cell order
-        first = index - snrs.index(float(cols[3]))
-        seed = int(np.random.SeedSequence(spec.seed, spawn_key=(first,)).generate_state(2)[1])
-        config = SystemConfig(int(cols[2]), float(cols[10]), float(cols[11]), scheme=Scheme(cols[0]))
-        assert float(cols[8]) == np.mean(sample_best_snr(config, spec.trials, seed) < spec.gamma_th), row
-    assert [row for row in rows if row.split(",")[3] == repr(snrs[0])] == FIRST_SNR_ROWS
+        # a group is the cells of one (scheme, M, N), and its seed is the
+        # first word of its first cell's seed sequence
+        first = next(i for i, other in enumerate(rows) if other.split(",")[:3] == cols[:3])
+        seed = int(np.random.SeedSequence(spec.seed, spawn_key=(first,)).generate_state(1)[0])
+        config = SystemConfig(
+            int(cols[2]), float(cols[10]), float(cols[11]), mod_order=int(cols[1]), scheme=Scheme(cols[0])
+        )
+        if fig.ser:
+            est, _ = estimate_ser(config, spec.trials, seed)
+            assert (float(cols[4]), float(cols[5])) == (est.ser, est.ci_halfwidth), row
+        if fig.outage:
+            assert float(cols[8]) == np.mean(sample_best_snr(config, spec.trials, seed) < spec.gamma_th), row
+        assert (cols[4] != "", cols[8] != "") == (fig.ser, fig.outage), row
+    return rows
+
+
+def test_outage_group_rows_match_a_per_cell_oracle(tmp_path):
+    spec = fig4_spec(tmp_path)
+    rows = assert_rows_match_a_per_cell_oracle(spec)
+    assert [row for row in rows if row.split(",")[3] == repr(spec.snr_points_db[0])] == FIRST_SNR_ROWS
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(figure="fig3", snr_points_db=[0.0, 10.0, 20.0], relay_counts=[1, 2]),
+        ExperimentSpec(figure="fig5", snr_points_db=[5.0, 15.0], relay_counts=[1, 2]),
+        ExperimentSpec(
+            figure="custom", snr_points_db=[0.0, 10.0, 20.0], relay_counts=[1, 2], schemes=[Scheme.ANC, Scheme.DF_NC]
+        ),
+    ],
+    ids=lambda spec: spec.figure,
+)
+def test_group_rows_match_a_per_cell_oracle(tmp_path, spec):
+    # the SER cells of a group stop at different batches: 0 dB after the
+    # first, 20 dB at the cap, past a partial last batch
+    spec = dataclasses.replace(spec, trials=2 * montecarlo.BATCH_SIZE + 7, seed=7, output_path=str(tmp_path / "g.csv"))
+    assert_rows_match_a_per_cell_oracle(spec)
 
 
 def test_outage_nonincreasing_in_snr_within_each_group(tmp_path):
@@ -352,7 +387,7 @@ def test_group_resume_recomputes_only_the_missing_cells(tmp_path, monkeypatch):
     ]
 
 
-def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
+def test_pool_capped_at_pending_groups(tmp_path, monkeypatch):
     # this stand-in records the pool's size and runs each job in this
     # thread, so no test starts thousands of threads
     opened = []
@@ -373,33 +408,35 @@ def test_pool_capped_at_pending_cells(tmp_path, monkeypatch):
             return future
 
     monkeypatch.setattr(experiment.concurrent.futures, "ThreadPoolExecutor", InlinePool)
-    spec = small_spec(tmp_path, figure="fig3")
+    # three groups, one per relay count, of two SNR points each
+    spec = small_spec(tmp_path, figure="fig3", relay_counts=[1, 2, 3])
     run_experiment(spec, workers=5000)
-    assert opened == [len(spec.snr_points_db)]
-    # on an outage figure too the pool is sized by cells, not by groups
-    spec = small_spec(tmp_path, relay_counts=[1, 2, 3], output_path=str(tmp_path / "groups.csv"))
+    assert opened == [len(spec.relay_counts)]
+    # a resume with one cell missing has one pending group
+    journal = Path(spec.output_path + ".journal")
+    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:-1]))
     run_experiment(spec, workers=5000)
-    assert opened[1:] == [len(spec.relay_counts) * len(spec.snr_points_db)]
+    assert opened[1:] == [1]
     # a sweep with nothing left to compute still opens a pool of one
     run_experiment(spec, workers=5000)
     assert opened[2:] == [1]
 
 
-def test_cells_of_one_group_run_on_separate_threads(tmp_path, monkeypatch):
-    # one outage group, as in the default custom figure: its first two SER
-    # cells can only meet at the barrier if they run on two threads
-    spec = small_spec(tmp_path, schemes=[Scheme.ANC], relay_counts=[1], snr_points_db=[0.0, 5.0, 10.0])
+def test_groups_run_on_separate_threads(tmp_path, monkeypatch):
+    # two groups, N=1 and N=2: their first cells can only meet at the
+    # barrier if the groups run on two threads
+    spec = small_spec(tmp_path, schemes=[Scheme.ANC], relay_counts=[1, 2], snr_points_db=[0.0, 5.0])
     barrier = threading.Barrier(2, timeout=30)
     compute = experiment._compute_cell
 
     def meet(spec, cell, *args):
-        if cell.snr_db in (0.0, 5.0):
+        if cell.snr_db == 0.0:
             barrier.wait()
         return compute(spec, cell, *args)
 
     monkeypatch.setattr(experiment, "_compute_cell", meet)
     run_experiment(spec, workers=2)
-    assert len(Path(spec.output_path).read_text(encoding="utf-8").splitlines()) == 1 + 3
+    assert len(Path(spec.output_path).read_text(encoding="utf-8").splitlines()) == 1 + 4
 
 
 def count_computed_cells(monkeypatch):
@@ -454,9 +491,12 @@ def interrupt_and_resume(spec, workers, monkeypatch, failing, error, before=lamb
         assert tab and row.count(",") == CSV_HEADER.count(",")
     journaled = keyed_cells(lines[:-1])
     assert failing not in journaled
-    # rows are journaled in cell order, so every cell before the failing one
-    # is journaled by the time its failure surfaces
-    assert set(cells[: cells.index(failing)]) <= journaled
+    # a group's rows are journaled together and groups in cell order, so
+    # every cell of every group before the failing cell's is journaled by
+    # the time its failure surfaces; these specs have one PSK order, so a
+    # group is one (scheme, N)
+    first = next(i for i, cell in enumerate(cells) if cell[:2] == failing[:2])
+    assert set(cells[:first]) <= journaled
     monkeypatch.setattr(experiment, "_compute_cell", compute)
     calls = count_computed_cells(monkeypatch)
     run_experiment(spec, workers=workers)
@@ -466,7 +506,7 @@ def interrupt_and_resume(spec, workers, monkeypatch, failing, error, before=lamb
 
 
 def test_interrupted_threaded_sweep_resumes_to_same_bytes(tmp_path, monkeypatch):
-    # two outage groups, N=1 and N=2, on two threads
+    # two groups, N=1 and N=2, on two threads
     spec = small_spec(tmp_path, relay_counts=[1, 2], snr_points_db=[0.0, 5.0, 10.0, 15.0, 20.0])
     interrupt_and_resume(spec, 2, monkeypatch, ("df", 1, 10.0), RuntimeError("simulated cell failure"))
 

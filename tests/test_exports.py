@@ -137,6 +137,14 @@ def test_package_import_loads_neither_scipy_nor_thread_pools():
     assert _modules_loaded_by("import marcsim", ("scipy", "concurrent")) == []
 
 
+def test_package_import_loads_only_the_model_and_the_monte_carlo():
+    # a ratchet on what `import marcsim` costs a fresh process: of the
+    # package only the model and the Monte Carlo, and neither scipy nor
+    # concurrent.futures
+    loaded = _modules_loaded_by("import marcsim", ("marcsim", "scipy", "concurrent"))
+    assert sorted(loaded) == ["marcsim", "marcsim.model", "marcsim.montecarlo"]
+
+
 def test_cli_import_loads_no_thread_pool():
     # experiment imports concurrent.futures, whose ThreadPoolExecutor loads
     # lazily; only a sweep, which runs on a thread pool at any worker count,

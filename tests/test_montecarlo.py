@@ -22,9 +22,10 @@ from marcsim.analytic import BestRelayDistribution, best_cdf
 from marcsim.model import Scheme, SystemConfig, bottleneck_rate
 from marcsim.montecarlo import (
     BATCH_SIZE,
+    MAX_ERRORS,
     SerEstimate,
+    estimate_group,
     estimate_outage,
-    estimate_outage_group,
     estimate_ser,
     modulate,
     relay_normalization,
@@ -34,8 +35,10 @@ from marcsim.montecarlo import (
     sample_gains,
     select_relay,
     _Links,
+    _batches,
     _complex_gaussian,
     _decide,
+    _draw_stage2,
     _draw_symbols,
     _relay_decode,
     _selected_links,
@@ -139,12 +142,13 @@ def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
     size = 512
     gains = sample_gains(cfg, np.random.default_rng(61), size)
     sel = select_relay(*relay_snrs(cfg, gains))[0]
-    links = _selected_links(gains, sel, np.random.default_rng(62))
+    stage2 = _draw_stage2(cfg, size, np.random.default_rng(62))
+    links = _selected_links(gains, sel, stage2)
     silent = dict(h2b=np.zeros_like(links.h2b), h_s2_d=np.zeros_like(links.h_s2_d))
     if scheme is Scheme.DF_NC:
         silent["hrb"] = np.zeros_like(links.hrb)
     links = links._replace(**silent)
-    draws = _draw_symbols(cfg, size, np.random.default_rng(63))
+    draws = stage2[-1]
     _, k2 = _decide(cfg, links, draws)
     assert np.array_equal(k2 != draws.i2, draws.i2 != 0)
     assert np.array_equal(k2, brute_force_decide(cfg, links, draws)[1])
@@ -322,17 +326,24 @@ def test_outage_rejects_nan_threshold():
 def test_outage_group_rejects_bad_threshold(gamma_th):
     configs = [config_at_snr_db(df_config(), snr) for snr in (5.0, 10.0)]
     with pytest.raises(ValueError, match="gamma_th"):
-        estimate_outage_group(configs, gamma_th, 1000, seed=1)
+        estimate_group(configs, 1000, seed=1, gamma_th=gamma_th)
 
 
 @pytest.mark.parametrize(
     "configs",
-    [[], [df_config(), anc_config()], [df_config(), df_config(num_relays=3)]],
-    ids=["empty", "scheme", "relay-count"],
+    [
+        [],
+        [df_config(), anc_config()],
+        [df_config(), df_config(mod_order=4)],
+        [df_config(), df_config(num_relays=3)],
+    ],
+    ids=["empty", "scheme", "mod-order", "relay-count"],
 )
 def test_outage_group_rejects_configs_that_cannot_share_gains(configs):
-    with pytest.raises(ValueError, match="outage group"):
-        estimate_outage_group(configs, 1.0, 1000, seed=1)
+    # the symbols that stage 2 draws depend on the PSK order, so a group
+    # shares it too
+    with pytest.raises(ValueError, match="group"):
+        estimate_group(configs, 1000, seed=1, gamma_th=1.0)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
@@ -341,9 +352,48 @@ def test_outage_group_matches_each_config_alone(scheme):
     # the bits it has alone, over whole batches and a partial last one
     configs = [config_at_snr_db(anc_config(num_relays=3, scheme=scheme), snr) for snr in (5.0, 10.0, 15.0)]
     trials = 2 * BATCH_SIZE + 5
-    group = estimate_outage_group(configs, 1.0, trials, seed=3)
+    group = [outage for _, outage in estimate_group(configs, trials, seed=3, ser=False, gamma_th=1.0)]
     assert group == [estimate_outage(c, 1.0, trials, seed=3) for c in configs]
     assert group == [float(np.mean(sample_best_snr(c, trials, 3) < 1.0)) for c in configs]
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 25.0])
+@pytest.mark.parametrize("num_relays", [1, 3, 10])
+@pytest.mark.parametrize("mod_order", [2, 8])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_estimate_ser_is_a_loop_of_run_batch(scheme, mod_order, num_relays, snr_db):
+    # the estimator behind every SER row runs run_batch's draws and kernel,
+    # so the brute-force checks of run_batch cover it: a whole batch and a
+    # partial last one, with the early stop
+    cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), snr_db)
+    trials = BATCH_SIZE + 5
+    err1 = err2 = done = 0
+    for rng, size in _batches(9, trials):
+        e1, e2, _, _ = run_batch(cfg, sample_gains(cfg, rng, size), rng)
+        err1, err2, done = err1 + int(e1.sum()), err2 + int(e2.sum()), done + size
+        if min(err1, err2) >= MAX_ERRORS:
+            break
+    est1, est2 = estimate_ser(cfg, trials, seed=9)
+    assert (est1.errors, est2.errors, est1.trials, est2.trials) == (err1, err2, done, done)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_group_estimates_do_not_depend_on_group_mates(scheme):
+    # each config gets alone what it gets in a group of mixed SNR and split,
+    # whose SER configs stop at different batches, in any order, with and
+    # without outage: so a resume that recomputes only a group's missing
+    # cells writes the bytes of a full run
+    base = anc_config(scheme=scheme, num_relays=2)
+    configs = [config_at_snr_db(base, snr) for snr in (0.0, 10.0, 18.0)]
+    configs.append(SystemConfig(2, 2.0, 6.0, scheme=scheme))  # 10 dB, unequal split
+    trials, seed, stop = 4 * BATCH_SIZE + 3, 5, 1000
+    alone = [estimate_ser(c, trials, seed, stop) for c in configs]
+    assert len({est.trials for est, _ in alone}) >= 3
+    group = estimate_group(configs, trials, seed, max_errors=stop)
+    assert group == [(est, None) for est in alone]
+    assert estimate_group(configs[::-1], trials, seed, max_errors=stop) == group[::-1]
+    with_outage = estimate_group(configs[1:], trials, seed, gamma_th=1.0, max_errors=stop)
+    assert with_outage == [(est, estimate_outage(c, 1.0, trials, seed)) for est, c in zip(alone[1:], configs[1:])]
 
 
 def test_df_outage_matches_order_statistics():
