@@ -81,7 +81,7 @@ def _check_series_order(n: int) -> None:
     if n > _MAX_SERIES_ORDER:
         raise ValueError(
             f"alternating series is numerically unstable beyond N={_MAX_SERIES_ORDER}; "
-            "use the product-form functions"
+            f"best_cdf has no order limit, but the SER chain has no form past N={_MAX_SERIES_ORDER} yet"
         )
 
 

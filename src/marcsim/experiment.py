@@ -162,8 +162,8 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
     if not s.snr_points_db:
         errors.append("snr_points_db: must be nonempty")
-    elif not all(math.isfinite(v) for v in s.snr_points_db):
-        errors.append(f"snr_points_db: entries must be finite, got {s.snr_points_db!r}")
+    elif any(isinstance(v, bool) or not math.isfinite(v) for v in s.snr_points_db):
+        errors.append(f"snr_points_db: entries must be finite numbers, got {s.snr_points_db!r}")
     elif any(b <= a for a, b in zip(s.snr_points_db, s.snr_points_db[1:])):
         errors.append("snr_points_db: must be strictly increasing")
     else:
@@ -333,20 +333,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _cell_powers(cell: _Cell) -> PowerSplit:
-    """The cell's operating point."""
+def _cell_config(cell: _Cell) -> SystemConfig:
+    """The scenario at the cell's operating point: the equal split of its
+    budget, or the numeric allocation under ``alloc=optimized``."""
     p_total = _budget(cell.snr_db)
     if cell.alloc == "optimized":
         objective = functools.partial(
             ser_for_powers, num_relays=cell.num_relays, mod_order=cell.mod_order, scheme=cell.scheme
         )
-        return numeric_allocation(p_total, objective)
-    return PowerSplit.equal(p_total)
-
-
-def _cell_config(cell: _Cell) -> SystemConfig:
-    """The scenario at the cell's operating point."""
-    split = _cell_powers(cell)
+        split = numeric_allocation(p_total, objective)
+    else:
+        split = PowerSplit.equal(p_total)
     return SystemConfig(
         num_relays=cell.num_relays,
         p_source=split.p_source,

@@ -16,11 +16,13 @@ unit-mean exponentials.  Outage estimation stops there.  Stage 2
 (``_draw_stage2``) draws only what detection can see: one uniform phase psi,
 under DF-NC one relay->destination gain g_rd (DF selection never reads it),
 the two direct links as complex Gaussians, then symbols and noises.  The
-kernel gathers h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and, under ANC,
-hrb = sqrt(g_rd) from the selected relay's gains.  No draw depends on
-selection or on the powers, so the configs of a group, one scheme, PSK order
-and relay count, share them (``estimate_group``, common random numbers):
-each batch is drawn once and every config selects and detects on it.  For
+one per-config kernel, ``run_batch``, selects a relay on stage 1 and, given
+stage 2, gathers h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and, under ANC,
+hrb = sqrt(g_rd) from the selected relay's gains, then detects.  No draw
+depends on selection or on the powers, so the configs of a group, one
+scheme, PSK order and relay count, share them (``estimate_group``, common
+random numbers): each batch is drawn once and every config runs
+``run_batch`` on it.  Sweeps and tests run this same kernel.  For
 fixed gains every relay's bottleneck SNR rises with the budget, so a group's
 outage estimates are nonincreasing in SNR by construction.
 
@@ -62,6 +64,7 @@ __all__ = [
     "anc_snr",
     "relay_snrs",
     "select_relay",
+    "run_batch",
     "estimate_group",
 ]
 
@@ -321,32 +324,20 @@ def _decide(config: SystemConfig, links: _Links, draws: _Draws):
     return _pair_ml(z, metric)
 
 
-def _errors(config: SystemConfig, gb: GainBatch, sel, stage2):
-    """The per-config kernel: gather, detect and flag each source's errors."""
+def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
+    """The per-config kernel, one vectorized batch of protocol rounds: select
+    a relay on the stage-1 gains ``gb`` and, given the batch's stage-2 draws
+    from ``_draw_stage2``, gather the selected links and detect.  Returns
+    per-trial source-1 and source-2 error flags (None without ``stage2``),
+    the selected relay index and the selection-bottleneck SNR.  Under DF-NC
+    relay decoding errors propagate into the forwarded symbol; there is no
+    genie."""
+    sel, best = select_relay(*relay_snrs(config, gb))
+    if stage2 is None:
+        return None, None, sel, best
     draws = stage2[-1]
     k1, k2 = _decide(config, _selected_links(gb, sel, stage2), draws)
-    return k1 != draws.i1, k2 != draws.i2
-
-
-def run_batch(config: SystemConfig, gb: GainBatch, rng: np.random.Generator):
-    """One vectorized batch of protocol rounds on the stage-1 gains ``gb``:
-    select, draw stage 2 from ``rng``, detect.  Returns per-trial source-1
-    and source-2 error flags, the selected relay index and the
-    selection-bottleneck SNR.  Under DF-NC relay decoding errors propagate
-    into the forwarded symbol; there is no genie."""
-    sel, best = select_relay(*relay_snrs(config, gb))
-    return (*_errors(config, gb, sel, _draw_stage2(config, sel.shape[0], rng)), sel, best)
-
-
-def _count(config: SystemConfig, gb: GainBatch, stage2, gamma_th: float | None) -> tuple[int, int, int]:
-    """One config's outages below ``gamma_th`` and errors per source on
-    ``stage2`` in one batch (0 for what is None), its arrays freed on return."""
-    sel, best = select_relay(*relay_snrs(config, gb))
-    below = 0 if gamma_th is None else int(np.count_nonzero(best < gamma_th))
-    if stage2 is None:
-        return below, 0, 0
-    e1, e2 = _errors(config, gb, sel, stage2)
-    return below, int(e1.sum()), int(e2.sum())
+    return k1 != draws.i1, k2 != draws.i2, sel, best
 
 
 def estimate_group(
@@ -361,12 +352,13 @@ def estimate_group(
     """(SER pair, outage) of each config of a group, configs of one scheme,
     PSK order and relay count at any powers; an estimate is None unless
     ``ser`` or ``gamma_th`` asks for it.  Each batch draws the stage-1 gains
-    once and, while any config counts symbol errors, stage 2 once.  A config
-    counts outages (selected-relay SNR below ``gamma_th``) over all
-    ``trials``, and errors through ``run_batch``'s kernel up to its own stop:
-    the first batch boundary where both sources have ``max_errors`` errors
-    (None: no stop).  No draw depends on selection, the powers or the other
-    configs, so each estimate is bit for bit the one its config gets alone."""
+    once and, while any config counts symbol errors, stage 2 once; each
+    config then runs ``run_batch`` once on them.  A config counts outages
+    (selected-relay SNR below ``gamma_th``) over all ``trials``, and errors
+    up to its own stop: the first batch boundary where both sources have
+    ``max_errors`` errors (None: no stop).  No draw depends on selection,
+    the powers or the other configs, so each estimate is bit for bit the one
+    its config gets alone."""
     if len({(c.scheme, c.mod_order, c.num_relays) for c in configs}) != 1:
         raise ValueError("a group needs one or more configs, all of one scheme, PSK order and relay count")
     if gamma_th is not None and not gamma_th >= 0:  # NaN fails the comparison too
@@ -378,10 +370,12 @@ def estimate_group(
         gb = sample_gains(configs[0], rng, size)
         stage2 = _draw_stage2(configs[0], size, rng) if counting else None
         for k in range(n) if gamma_th is not None else counting:
-            outages, e1, e2 = _count(configs[k], gb, stage2 if k in counting else None, gamma_th)
-            below[k] += outages
+            e1, e2, sel, best = run_batch(configs[k], gb, stage2 if k in counting else None)
+            if gamma_th is not None:
+                below[k] += int(np.count_nonzero(best < gamma_th))
             if k in counting:
-                err1[k], err2[k], done[k] = err1[k] + e1, err2[k] + e2, done[k] + size
+                err1[k], err2[k], done[k] = err1[k] + int(e1.sum()), err2[k] + int(e2.sum()), done[k] + size
+            del e1, e2, sel, best  # free this config's arrays before the next runs
         del gb, stage2  # free this batch before the next is drawn
         if max_errors is not None:
             counting = [k for k in counting if min(err1[k], err2[k]) < max_errors]
@@ -412,8 +406,7 @@ def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     out = np.empty(trials)
     done = 0
     for rng, size in batches:
-        gb = sample_gains(config, rng, size)
-        out[done : done + size] = select_relay(*relay_snrs(config, gb))[1]
+        out[done : done + size] = run_batch(config, sample_gains(config, rng, size))[3]
         done += size
     return out
 

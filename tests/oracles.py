@@ -26,8 +26,6 @@ from marcsim.montecarlo import (
     _batches,
     _complex_gaussian,
     _decide,
-    _draw_stage2,
-    _draw_symbols,
     _selected_links,
     _wilson_estimate,
     modulate,
@@ -214,11 +212,10 @@ def brute_force_decide(config: SystemConfig, links, draws):
     return ii[k], jj[k]
 
 
-def brute_force_run_batch(config: SystemConfig, gb, rng):
+def brute_force_run_batch(config: SystemConfig, gb, stage2):
     """``montecarlo.run_batch`` with ``brute_force_decide`` for the
-    detection; the same draws, in the same order, as the kernel."""
+    detection, on the same stage-1 gains and stage-2 draws."""
     sel, best = select_relay(*relay_snrs(config, gb))
-    stage2 = _draw_stage2(config, sel.shape[0], rng)
     draws = stage2[-1]
     k1, k2 = brute_force_decide(config, _selected_links(gb, sel, stage2), draws)
     return k1 != draws.i1, k2 != draws.i2, sel, best
@@ -248,15 +245,15 @@ def full_phase_gains(config: SystemConfig, rng, size: int) -> ComplexGains:
     )
 
 
-def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, rng):
-    """``montecarlo.run_batch`` on full-phase coefficients: selection reads
-    |h|^2, and the selected relay's coefficients reach the detector with
-    their phases as drawn."""
+def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, draws):
+    """``montecarlo.run_batch`` on full-phase coefficients and the symbols
+    and noises ``draws`` of ``_draw_symbols``: selection reads |h|^2, and
+    the selected relay's coefficients reach the detector with their phases
+    as drawn."""
     gb = GainBatch(np.abs(cg.h_s1_r) ** 2, np.abs(cg.h_s2_r) ** 2, np.abs(cg.h_r_d) ** 2)
     sel, best = select_relay(*relay_snrs(config, gb))
     rows = np.arange(sel.shape[0])
     links = _Links(cg.h_s1_r[rows, sel], cg.h_s2_r[rows, sel], cg.h_r_d[rows, sel], cg.h_s1_d, cg.h_s2_d)
-    draws = _draw_symbols(config, sel.shape[0], rng)
     k1, k2 = _decide(config, links, draws)
     return k1 != draws.i1, k2 != draws.i2, sel, best
 

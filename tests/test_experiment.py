@@ -81,6 +81,8 @@ def test_bool_counts_rejected():
     assert any("relay_counts" in e for e in res.errors)
     res = validate_spec(ExperimentSpec(gamma_th=True))
     assert any("gamma_th" in e for e in res.errors)
+    res = validate_spec(ExperimentSpec(snr_points_db=[True]))
+    assert any("snr_points_db" in e for e in res.errors)
 
 
 def test_huge_trials_warn_but_valid():
@@ -350,6 +352,55 @@ def test_group_rows_match_a_per_cell_oracle(tmp_path, spec):
     # first, 20 dB at the cap, past a partial last batch
     spec = dataclasses.replace(spec, trials=2 * montecarlo.BATCH_SIZE + 7, seed=7, output_path=str(tmp_path / "g.csv"))
     assert_rows_match_a_per_cell_oracle(spec)
+
+
+# a fig3 sweep at 0 and 10 dB, N = 1 and 2, 3000 trials, seed 7, as
+# recorded at 0.5.0
+FIG3_ROWS = [
+    "anc,2,1,0.0,0.236,0.015188664364502108,0.24928105650299706,0.6529038804869673,,,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap",
+    "anc,2,1,10.0,0.04133333333333333,0.007142709393276839,0.039622127546869425,0.24197716742394676,,,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap",
+    "anc,2,2,0.0,0.237,0.015210805914594143,0.22468153429527418,0.6529038804869673,,,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap",
+    "anc,2,2,10.0,0.032,0.006322327246056722,0.02276774020851076,0.24197716742394676,,,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap",
+    "df,2,1,0.0,0.2776666666666667,0.016018015888174104,0.1889822365046136,0.5610177634953863,,,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
+    "df,2,1,10.0,0.07066666666666667,0.009180803274587791,0.018226688214018204,0.16618628282543796,,,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
+    "df,2,2,0.0,0.2823333333333333,0.016099670107721446,0.14793909658724666,0.5610177634953863,,,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
+    "df,2,2,10.0,0.05466666666666667,0.008149415609300067,0.005853966609280212,0.16618628282543796,,,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
+]
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4"])
+def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
+    # every cell's one batch goes through run_batch, the kernel that the
+    # brute-force and noiseless tests check: with stage 2 on SER figures,
+    # without it on outage figures
+    calls = []
+    kernel = montecarlo.run_batch
+
+    def counted(config, gb, stage2=None):
+        calls.append(stage2 is not None)
+        return kernel(config, gb, stage2)
+
+    monkeypatch.setattr(montecarlo, "run_batch", counted)
+    if figure == "fig3":
+        spec = ExperimentSpec(
+            figure="fig3", snr_points_db=[0.0, 10.0], relay_counts=[1, 2], trials=3000, seed=7,
+            output_path=str(tmp_path / "fig3.csv"),
+        )
+        rows = run_experiment(validate_spec(spec).spec).rows
+        assert rows == FIG3_ROWS
+    else:
+        spec = validate_spec(fig4_spec(tmp_path)).spec
+        rows = run_experiment(spec).rows
+        assert [row for row in rows if row.split(",")[3] == repr(spec.snr_points_db[0])] == FIRST_SNR_ROWS
+    assert calls == [figure == "fig3"] * len(rows)
 
 
 def test_outage_nonincreasing_in_snr_within_each_group(tmp_path):

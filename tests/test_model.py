@@ -13,7 +13,7 @@ from marcsim.model import (
     bottleneck_rate,
     compute_rate_params,
 )
-from marcsim.experiment import _Cell, _cell_powers
+from marcsim.experiment import _Cell, _cell_config
 from marcsim.montecarlo import (
     GainBatch,
     _draw_stage2,
@@ -257,14 +257,14 @@ def test_selection_invariant_under_increasing_transform(snrs, scale, shift):
 def test_equal_split_at_unit_kappa():
     # the budget is split equally: p_source / p_relay == 1
     cell = _Cell(Scheme.ANC, 2, 2, 10.0 * math.log10(9.0), "")
-    split = _cell_powers(cell)
-    assert split.p_source == pytest.approx(3.0)
-    assert split.p_relay == pytest.approx(3.0)
-    assert 2 * split.p_source + split.p_relay == pytest.approx(9.0)
+    config = _cell_config(cell)
+    assert config.p_source == pytest.approx(3.0)
+    assert config.p_relay == pytest.approx(3.0)
+    assert 2 * config.p_source + config.p_relay == pytest.approx(9.0)
 
 
 def test_snr_axis_mapping():
     cell = _Cell(Scheme.ANC, 2, 2, 10.0, "")
-    split = _cell_powers(cell)
-    assert 2 * split.p_source + split.p_relay == pytest.approx(10.0)
-    assert split.p_source == pytest.approx(split.p_relay)
+    config = _cell_config(cell)
+    assert 2 * config.p_source + config.p_relay == pytest.approx(10.0)
+    assert config.p_source == pytest.approx(config.p_relay)

@@ -88,17 +88,28 @@ def test_index_out_of_range():
 def test_trial_deterministic():
     cfg = anc_config(num_relays=3)
     gains = sample_gains(cfg, np.random.default_rng(5), 64)
-    t1 = run_batch(cfg, gains, np.random.default_rng(9))
-    t2 = run_batch(cfg, gains, np.random.default_rng(9))
+    t1 = run_batch(cfg, gains, _draw_stage2(cfg, 64, np.random.default_rng(9)))
+    t2 = run_batch(cfg, gains, _draw_stage2(cfg, 64, np.random.default_rng(9)))
     for a, b in zip(t1, t2):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_selection_reads_only_stage_one(scheme):
+    # without stage 2 the kernel selects on the same gains and detects nothing
+    cfg = anc_config(scheme=scheme, num_relays=3)
+    gains = sample_gains(cfg, np.random.default_rng(5), 64)
+    e1, e2, sel, best = run_batch(cfg, gains)
+    assert e1 is None and e2 is None
+    full = run_batch(cfg, gains, _draw_stage2(cfg, 64, np.random.default_rng(9)))
+    assert np.array_equal(sel, full[2]) and np.array_equal(best, full[3])
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_noiseless_detection_is_exact(scheme):
     cfg = anc_config(scheme=scheme, p_source=1e30, p_relay=1e30, num_relays=2)
     rng = np.random.default_rng(77)
-    e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), rng)
+    e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), _draw_stage2(cfg, 50, rng))
     assert not e1.any() and not e2.any()
     assert np.all(selected < cfg.num_relays)
 
@@ -111,8 +122,8 @@ def test_joint_ml_matches_brute_force(scheme, mod_order, num_relays, snr_db):
     # the O(M) slicer against the scoring of all M^2 pairs, on shared draws
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), snr_db)
     gains = sample_gains(cfg, np.random.default_rng(mod_order + num_relays), 4096)
-    got = run_batch(cfg, gains, np.random.default_rng(31))
-    want = brute_force_run_batch(cfg, gains, np.random.default_rng(31))
+    got = run_batch(cfg, gains, _draw_stage2(cfg, 4096, np.random.default_rng(31)))
+    want = brute_force_run_batch(cfg, gains, _draw_stage2(cfg, 4096, np.random.default_rng(31)))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -216,13 +227,13 @@ def test_gain_first_sampler_matches_full_phase_oracle(scheme, mod_order, num_rel
     batches = 4
     trials = batches * BATCH_SIZE
     counts = []
-    for stream, (sample, run) in enumerate(
-        [(sample_gains, run_batch), (full_phase_gains, full_phase_run_batch)]
+    for stream, (sample, rest, run) in enumerate(
+        [(sample_gains, _draw_stage2, run_batch), (full_phase_gains, _draw_symbols, full_phase_run_batch)]
     ):
         tally = np.zeros(5, dtype=np.int64)
         for b in range(batches):
             rng = np.random.default_rng([stream, b, mod_order, num_relays])
-            e1, e2, _, best = run(cfg, sample(cfg, rng, BATCH_SIZE), rng)
+            e1, e2, _, best = run(cfg, sample(cfg, rng, BATCH_SIZE), rest(cfg, BATCH_SIZE, rng))
             tally += [*(best[:, None] < thresholds).sum(axis=0), e1.sum(), e2.sum()]
         counts.append(tally)
     for what, new, old in zip(["outage q1", "outage q2", "outage q3", "ser s1", "ser s2"], *counts):
@@ -369,7 +380,7 @@ def test_estimate_ser_is_a_loop_of_run_batch(scheme, mod_order, num_relays, snr_
     trials = BATCH_SIZE + 5
     err1 = err2 = done = 0
     for rng, size in _batches(9, trials):
-        e1, e2, _, _ = run_batch(cfg, sample_gains(cfg, rng, size), rng)
+        e1, e2, _, _ = run_batch(cfg, sample_gains(cfg, rng, size), _draw_stage2(cfg, size, rng))
         err1, err2, done = err1 + int(e1.sum()), err2 + int(e2.sum()), done + size
         if min(err1, err2) >= MAX_ERRORS:
             break
