@@ -543,6 +543,8 @@ def _write_meta(path: str, spec: ExperimentSpec, chash: str) -> None:
         f"figure={spec.figure}",
         f"seed={spec.seed}",
         f"trials={spec.trials}",
+        f"batch_size={montecarlo.BATCH_SIZE}",
+        f"ser_stop=first trial with {montecarlo.MAX_ERRORS} errors on both sources",
         f"gamma_th={spec.gamma_th!r}",
         "snr_axis=total_power_over_noise_db",
         "power_constraint=2*p_source+p_relay=p_total",

@@ -22,7 +22,11 @@ hrb = sqrt(g_rd) from the selected relay's gains, then detects.  No draw
 depends on selection or on the powers, so the configs of a group, one
 scheme, PSK order and relay count, share them (``estimate_group``, common
 random numbers): each batch is drawn once and every config runs
-``run_batch`` on it.  Sweeps and tests run this same kernel.  For
+``run_batch`` on row slices of it.  Sweeps and tests run this same kernel,
+and its flags for a row do not depend on the slice the row is detected in.
+A SER estimate stops at the first trial where both sources have
+``MAX_ERRORS`` errors, so detection runs only up to the slice holding that
+trial, and the result does not depend on how the batch was sliced.  For
 fixed gains every relay's bottleneck SNR rises with the budget, so a group's
 outage estimates are nonincreasing in SNR by construction.
 
@@ -71,9 +75,14 @@ __all__ = [
 # Fixed so that the mapping from trial index to random draws never changes.
 BATCH_SIZE = 1 << 14
 
-# Default early stop of a SER estimate: the first batch boundary where both
-# sources have MAX_ERRORS errors.
+# Default early stop of a SER estimate: the first trial at which both sources
+# have MAX_ERRORS errors (inverse binomial sampling).  The source that reaches
+# it last reports r/T where (r-1)/(T-1) is unbiased (Haldane, 1945); the gap
+# is below 1/T, under 1/MAX_ERRORS of the estimate and well inside its 95% CI.
 MAX_ERRORS = 400
+
+# First detection slice of a SER estimate, in trials; see _next_slice.
+_PROBE_ROWS = 2048
 
 _Z95 = 1.959963984540054
 
@@ -340,6 +349,50 @@ def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
     return k1 != draws.i1, k2 != draws.i2, sel, best
 
 
+def _rows(gb: GainBatch, stage2, lo: int, hi: int):
+    """Rows lo:hi of a batch's stage-1 gains and stage-2 draws (None stays
+    None), as views."""
+
+    def cut(a):
+        return None if a is None else a[lo:hi]
+
+    gains = GainBatch(cut(gb.g_s1_r), cut(gb.g_s2_r), cut(gb.g_r_d))
+    if stage2 is None:
+        return gains, None
+    phase, g_rd, direct, draws = stage2
+    return gains, (cut(phase), cut(g_rd), tuple(map(cut, direct)), _Draws(*map(cut, draws)))
+
+
+def _next_slice(done: int, err1: int, err2: int, max_errors: int | None, rest: int) -> int:
+    """Rows of a config's next detection slice, after ``err1`` and ``err2``
+    errors in ``done`` trials, with ``rest`` rows of the batch left: a
+    _PROBE_ROWS probe first, then the trials predicted to the slower
+    source's stop (+25%, at least _PROBE_ROWS), or the rest of the batch.
+    Any slicing gives the same estimate; this one keeps kernel calls few and
+    large, yet stops detection close to the stop."""
+    low = min(err1, err2)
+    if max_errors is None or (done and not low):
+        return rest
+    if not done:
+        return min(_PROBE_ROWS, rest)
+    need = (max_errors - low) * done / low
+    return min(rest, max(_PROBE_ROWS, math.ceil(1.25 * need)))
+
+
+def _stop_row(e1: np.ndarray, e2: np.ndarray, need1: int, need2: int) -> int | None:
+    """Rows of a slice up to and including the first one at which source 1
+    has ``need1`` more errors and source 2 ``need2`` more, or None if the
+    slice ends first."""
+    hits = []
+    for flags, need in ((e1, need1), (e2, need2)):
+        if need > 0:
+            rows = np.flatnonzero(flags)
+            if rows.size < need:
+                return None
+            hits.append(int(rows[need - 1]) + 1)
+    return max(hits, default=0)
+
+
 def estimate_group(
     configs: list[SystemConfig],
     trials: int,
@@ -353,33 +406,49 @@ def estimate_group(
     PSK order and relay count at any powers; an estimate is None unless
     ``ser`` or ``gamma_th`` asks for it.  Each batch draws the stage-1 gains
     once and, while any config counts symbol errors, stage 2 once; each
-    config then runs ``run_batch`` once on them.  A config counts outages
-    (selected-relay SNR below ``gamma_th``) over all ``trials``, and errors
-    up to its own stop: the first batch boundary where both sources have
-    ``max_errors`` errors (None: no stop).  No draw depends on selection,
-    the powers or the other configs, so each estimate is bit for bit the one
-    its config gets alone."""
+    config then runs ``run_batch`` on consecutive row slices of them.  A
+    config counts outages (selected-relay SNR below ``gamma_th``) over all
+    ``trials``, and errors up to its stop: the first trial T at which both
+    sources have ``max_errors`` errors (None: no stop), or ``trials``.  Both
+    sources report their errors over T trials.  Detection runs only on the
+    slices up to the one holding T, and past it selection alone, if outage
+    is asked for.  No draw depends on selection, the powers, the other
+    configs or the slicing, so each estimate is bit for bit the one its
+    config gets alone."""
     if len({(c.scheme, c.mod_order, c.num_relays) for c in configs}) != 1:
         raise ValueError("a group needs one or more configs, all of one scheme, PSK order and relay count")
     if gamma_th is not None and not gamma_th >= 0:  # NaN fails the comparison too
         raise ValueError("gamma_th must be nonnegative")
+    if max_errors is not None and (isinstance(max_errors, bool) or not isinstance(max_errors, int) or max_errors < 1):
+        raise ValueError(f"max_errors must be None or an integer >= 1, got {max_errors!r}")
     n = len(configs)
     err1, err2, done, below = [0] * n, [0] * n, [0] * n, [0] * n
-    counting = list(range(n)) if ser else []
+    counting = [ser] * n
     for rng, size in _batches(seed, trials):
         gb = sample_gains(configs[0], rng, size)
-        stage2 = _draw_stage2(configs[0], size, rng) if counting else None
-        for k in range(n) if gamma_th is not None else counting:
-            e1, e2, sel, best = run_batch(configs[k], gb, stage2 if k in counting else None)
-            if gamma_th is not None:
-                below[k] += int(np.count_nonzero(best < gamma_th))
-            if k in counting:
-                err1[k], err2[k], done[k] = err1[k] + int(e1.sum()), err2[k] + int(e2.sum()), done[k] + size
-            del e1, e2, sel, best  # free this config's arrays before the next runs
+        stage2 = _draw_stage2(configs[0], size, rng) if any(counting) else None
+        for k in range(n):
+            lo = 0
+            while lo < size and (counting[k] or gamma_th is not None):
+                if counting[k]:
+                    hi = lo + _next_slice(done[k], err1[k], err2[k], max_errors, size - lo)
+                    e1, e2, _, best = run_batch(configs[k], *_rows(gb, stage2, lo, hi))
+                    stop = None if max_errors is None else _stop_row(e1, e2, max_errors - err1[k], max_errors - err2[k])
+                    counting[k] = stop is None
+                    used = hi - lo if stop is None else stop
+                    err1[k] += int(np.count_nonzero(e1[:used]))
+                    err2[k] += int(np.count_nonzero(e2[:used]))
+                    done[k] += used
+                    del e1, e2  # free this slice's arrays before the next runs
+                else:
+                    hi = size
+                    best = run_batch(configs[k], *_rows(gb, None, lo, hi))[3]
+                if gamma_th is not None:
+                    below[k] += int(np.count_nonzero(best < gamma_th))
+                del best
+                lo = hi
         del gb, stage2  # free this batch before the next is drawn
-        if max_errors is not None:
-            counting = [k for k in counting if min(err1[k], err2[k]) < max_errors]
-        if not counting and gamma_th is None:
+        if not any(counting) and gamma_th is None:
             break
     return [
         ((_wilson_estimate(err1[k], done[k]), _wilson_estimate(err2[k], done[k])) if ser else None,
@@ -394,8 +463,9 @@ def estimate_ser(
     seed: int,
     max_errors: int | None = MAX_ERRORS,
 ) -> tuple[SerEstimate, SerEstimate]:
-    """Per-source SER at the config's powers, stopping as ``estimate_group``
-    does at ``max_errors``: a group of one."""
+    """Per-source SER at the config's powers over the trials up to the first
+    at which both sources have ``max_errors`` errors (None: all ``trials``),
+    as ``estimate_group`` counts it: a group of one."""
     return estimate_group([config], trials, seed, max_errors=max_errors)[0][0]
 
 

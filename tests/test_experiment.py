@@ -348,28 +348,28 @@ def test_outage_group_rows_match_a_per_cell_oracle(tmp_path):
     ids=lambda spec: spec.figure,
 )
 def test_group_rows_match_a_per_cell_oracle(tmp_path, spec):
-    # the SER cells of a group stop at different batches: 0 dB after the
-    # first, 20 dB at the cap, past a partial last batch
+    # the SER cells of a group stop at different trials: 0 dB in the first
+    # batch, 20 dB at the cap, past a partial last batch
     spec = dataclasses.replace(spec, trials=2 * montecarlo.BATCH_SIZE + 7, seed=7, output_path=str(tmp_path / "g.csv"))
     assert_rows_match_a_per_cell_oracle(spec)
 
 
 # a fig3 sweep at 0 and 10 dB, N = 1 and 2, 3000 trials, seed 7, as
-# recorded at 0.5.0
+# recorded at 0.6.0: the 0 dB cells stop at their 400th error
 FIG3_ROWS = [
-    "anc,2,1,0.0,0.236,0.015188664364502108,0.24928105650299706,0.6529038804869673,,,"
+    "anc,2,1,0.0,0.23271889400921658,0.01986451936844968,0.24928105650299706,0.6529038804869673,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap",
     "anc,2,1,10.0,0.04133333333333333,0.007142709393276839,0.039622127546869425,0.24197716742394676,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap",
-    "anc,2,2,0.0,0.237,0.015210805914594143,0.22468153429527418,0.6529038804869673,,,"
+    "anc,2,2,0.0,0.23543260741612712,0.020160095251091203,0.22468153429527418,0.6529038804869673,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap",
     "anc,2,2,10.0,0.032,0.006322327246056722,0.02276774020851076,0.24197716742394676,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap",
-    "df,2,1,0.0,0.2776666666666667,0.016018015888174104,0.1889822365046136,0.5610177634953863,,,"
+    "df,2,1,0.0,0.2768166089965398,0.023046297357933468,0.1889822365046136,0.5610177634953863,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
     "df,2,1,10.0,0.07066666666666667,0.009180803274587791,0.018226688214018204,0.16618628282543796,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
-    "df,2,2,0.0,0.2823333333333333,0.016099670107721446,0.14793909658724666,0.5610177634953863,,,"
+    "df,2,2,0.0,0.2900343642611684,0.02329216300917754,0.14793909658724666,0.5610177634953863,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
     "df,2,2,10.0,0.05466666666666667,0.008149415609300067,0.005853966609280212,0.16618628282543796,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
@@ -378,17 +378,25 @@ FIG3_ROWS = [
 
 @pytest.mark.parametrize("figure", ["fig3", "fig4"])
 def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
-    # every cell's one batch goes through run_batch, the kernel that the
-    # brute-force and noiseless tests check: with stage 2 on SER figures,
-    # without it on outage figures
-    calls = []
-    kernel = montecarlo.run_batch
+    # every row comes from run_batch, the kernel that the brute-force and
+    # noiseless tests check: each config's calls take consecutive rows of
+    # its group's draws from trial 0, detecting (with stage 2) on SER
+    # figures up to the slice that holds its stop, and selecting only
+    # (without stage 2) over every trial on outage figures
+    calls, groups = {}, []
+    kernel, estimator = montecarlo.run_batch, experiment.estimate_group
 
     def counted(config, gb, stage2=None):
-        calls.append(stage2 is not None)
+        calls.setdefault(config, []).append((stage2 is not None, gb.g_s1_r.copy()))
         return kernel(config, gb, stage2)
 
+    def recorded(configs, trials, seed, **kw):
+        estimates = estimator(configs, trials, seed, **kw)
+        groups.append((configs, trials, seed, estimates))
+        return estimates
+
     monkeypatch.setattr(montecarlo, "run_batch", counted)
+    monkeypatch.setattr(experiment, "estimate_group", recorded)
     if figure == "fig3":
         spec = ExperimentSpec(
             figure="fig3", snr_points_db=[0.0, 10.0], relay_counts=[1, 2], trials=3000, seed=7,
@@ -400,7 +408,29 @@ def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
         spec = validate_spec(fig4_spec(tmp_path)).spec
         rows = run_experiment(spec).rows
         assert [row for row in rows if row.split(",")[3] == repr(spec.snr_points_db[0])] == FIRST_SNR_ROWS
-    assert calls == [figure == "fig3"] * len(rows)
+    assert sum(len(configs) for configs, *_ in groups) == len(rows) == len(calls)
+    for configs, trials, seed, estimates in groups:
+        draws = np.concatenate(
+            [montecarlo.sample_gains(configs[0], rng, size).g_s1_r for rng, size in montecarlo._batches(seed, trials)]
+        )
+        for config, (ser, _) in zip(configs, estimates):
+            detected = {stage2 for stage2, _ in calls[config]}
+            assert detected == {figure == "fig3"}
+            blocks = [gains for _, gains in calls[config]]
+            covered = sum(len(gains) for gains in blocks)
+            assert np.array_equal(np.concatenate(blocks), draws[:covered])
+            if ser is None:
+                assert covered == trials
+            else:
+                assert covered - len(blocks[-1]) < ser[0].trials <= covered
+
+
+def test_meta_records_the_batch_size_and_the_ser_stop(tmp_path):
+    spec = small_spec(tmp_path)
+    run_experiment(spec)
+    meta = Path(spec.output_path + ".meta").read_text().splitlines()
+    assert f"batch_size={montecarlo.BATCH_SIZE}" in meta
+    assert f"ser_stop=first trial with {montecarlo.MAX_ERRORS} errors on both sources" in meta
 
 
 def test_outage_nonincreasing_in_snr_within_each_group(tmp_path):

@@ -18,6 +18,7 @@ from oracles import (
     rayleigh_bpsk_ser,
     single_link_ser,
 )
+from marcsim import montecarlo
 from marcsim.analytic import BestRelayDistribution, best_cdf
 from marcsim.model import Scheme, SystemConfig, bottleneck_rate
 from marcsim.montecarlo import (
@@ -269,12 +270,86 @@ def test_estimate_rejects_zero_trials():
         estimate_ser(anc_config(), 0, seed=1)
 
 
-def test_early_exit_stops_at_batch_boundary():
-    cfg = config_at_snr_db(anc_config(), 0.0)
-    est1, _ = estimate_ser(cfg, 10 * BATCH_SIZE, seed=2, max_errors=50)
-    assert est1.trials == BATCH_SIZE  # plenty of errors at 0 dB
-    full1, _ = estimate_ser(cfg, 2 * BATCH_SIZE, seed=2, max_errors=None)
-    assert full1.trials == 2 * BATCH_SIZE
+def whole_batch_flags(cfg, trials, seed):
+    """Both sources' error flags of every trial, from run_batch on whole
+    batches of the estimator's draws."""
+    flags = [
+        run_batch(cfg, sample_gains(cfg, rng, size), _draw_stage2(cfg, size, rng))[:2]
+        for rng, size in _batches(seed, trials)
+    ]
+    return np.concatenate([f[0] for f in flags]), np.concatenate([f[1] for f in flags])
+
+
+def exact_stop(e1, e2, stop):
+    """(source-1 errors, source-2 errors, trials) up to the first trial at
+    which both sources have ``stop`` errors, or over every trial."""
+    c1, c2 = np.cumsum(e1), np.cumsum(e2)
+    hits = np.flatnonzero(np.minimum(c1, c2) >= stop) if stop is not None else []
+    t = int(hits[0]) if len(hits) else len(e1) - 1
+    return int(c1[t]), int(c2[t]), t + 1
+
+
+def counts(pair):
+    est1, est2 = pair
+    assert est1.trials == est2.trials
+    return est1.errors, est2.errors, est1.trials
+
+
+@pytest.mark.parametrize(
+    "scheme, seed, rows",
+    [
+        # a batch's first row, the first batch's last row, the second
+        # batch's first row, the last row of a partial last batch
+        (Scheme.DF_NC, 10, [0, 2 * BATCH_SIZE + 4]),
+        (Scheme.ANC, 3, [BATCH_SIZE - 1, BATCH_SIZE]),
+    ],
+    ids=["df", "anc"],
+)
+def test_early_exit_stops_at_the_exact_trial(scheme, seed, rows):
+    # the stop counts of the first trials at which the fewer-errors source
+    # gains its next error, at 0 dB, where both sources err often
+    cfg = config_at_snr_db(anc_config(scheme=scheme), 0.0)
+    trials = 2 * BATCH_SIZE + 5
+    e1, e2 = whole_batch_flags(cfg, trials, seed)
+    low = np.minimum(np.cumsum(e1), np.cumsum(e2))
+    for row in rows:
+        stop = int(low[row])
+        want = exact_stop(e1, e2, stop)
+        assert want[2] == row + 1  # the seed puts a stop in this row
+        assert counts(estimate_ser(cfg, trials, seed, max_errors=stop)) == want
+    # a stop in the middle of the second batch, and none
+    stop = int(low[BATCH_SIZE + 1000])
+    assert counts(estimate_ser(cfg, trials, seed, max_errors=stop)) == exact_stop(e1, e2, stop)
+    full = counts(estimate_ser(cfg, trials, seed, max_errors=None))
+    assert full == (int(e1.sum()), int(e2.sum()), trials)
+
+
+@pytest.mark.parametrize("max_errors", [0, -5, True, 2.5])
+def test_max_errors_must_be_none_or_a_positive_integer(max_errors):
+    with pytest.raises(ValueError, match="max_errors"):
+        estimate_ser(anc_config(), 1000, seed=1, max_errors=max_errors)
+    with pytest.raises(ValueError, match="max_errors"):
+        estimate_group([anc_config()], 1000, seed=1, ser=False, gamma_th=1.0, max_errors=max_errors)
+
+
+@pytest.mark.parametrize("rows", [7, 2048, None], ids=["7-rows", "2048-rows", "whole-batches"])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_estimates_do_not_depend_on_the_slicing(monkeypatch, scheme, rows):
+    # the detection slices are private: any sizes give the same bits, for
+    # SER configs that stop in the first batch, in the second or not at all,
+    # and for the outage counted past each stop
+    snrs = (0.0, 12.0, 25.0) if scheme is Scheme.ANC else (0.0, 16.0, 25.0)
+    configs = [config_at_snr_db(anc_config(scheme=scheme), snr) for snr in snrs]
+    trials, seed, stop = 2 * BATCH_SIZE + 5, 4, 300
+    want = estimate_group(configs, trials, seed, gamma_th=1.0, max_errors=stop)
+    first, second, capped = (est.trials for (est, _), _ in want)
+    assert first < BATCH_SIZE < second < capped == trials
+
+    def next_slice(done, err1, err2, max_errors, rest):
+        return rest if rows is None else min(rows, rest)
+
+    monkeypatch.setattr(montecarlo, "_next_slice", next_slice)
+    assert estimate_group(configs, trials, seed, gamma_th=1.0, max_errors=stop) == want
 
 
 def test_per_source_symmetry():
@@ -373,25 +448,20 @@ def test_outage_group_matches_each_config_alone(scheme):
 @pytest.mark.parametrize("mod_order", [2, 8])
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_estimate_ser_is_a_loop_of_run_batch(scheme, mod_order, num_relays, snr_db):
-    # the estimator behind every SER row runs run_batch's draws and kernel,
+    # the estimator behind every SER row stops where run_batch's flags on
+    # whole batches of its draws first give both sources MAX_ERRORS errors,
     # so the brute-force checks of run_batch cover it: a whole batch and a
-    # partial last one, with the early stop
+    # partial last one
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), snr_db)
     trials = BATCH_SIZE + 5
-    err1 = err2 = done = 0
-    for rng, size in _batches(9, trials):
-        e1, e2, _, _ = run_batch(cfg, sample_gains(cfg, rng, size), _draw_stage2(cfg, size, rng))
-        err1, err2, done = err1 + int(e1.sum()), err2 + int(e2.sum()), done + size
-        if min(err1, err2) >= MAX_ERRORS:
-            break
-    est1, est2 = estimate_ser(cfg, trials, seed=9)
-    assert (est1.errors, est2.errors, est1.trials, est2.trials) == (err1, err2, done, done)
+    want = exact_stop(*whole_batch_flags(cfg, trials, 9), MAX_ERRORS)
+    assert counts(estimate_ser(cfg, trials, seed=9)) == want
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_group_estimates_do_not_depend_on_group_mates(scheme):
     # each config gets alone what it gets in a group of mixed SNR and split,
-    # whose SER configs stop at different batches, in any order, with and
+    # whose SER configs stop at different trials, in any order, with and
     # without outage: so a resume that recomputes only a group's missing
     # cells writes the bytes of a full run
     base = anc_config(scheme=scheme, num_relays=2)
