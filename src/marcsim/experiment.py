@@ -418,11 +418,18 @@ def _run_group(spec: ExperimentSpec, first: int, cells: list[_Cell]) -> list[tup
     return [_compute_cell(spec, cell, (config, *est)) for cell, config, est in zip(cells, configs, estimates)]
 
 
+def _stage2_chunks() -> str:
+    return ",".join(map(str, montecarlo._STAGE2_CHUNKS))
+
+
 def _config_hash(spec: ExperimentSpec) -> str:
     """Hash of the spec and of the code that turns it into rows: the package
-    version, the batch size that maps trials to random draws, and the
-    early-stop policy."""
-    code = f"version={__version__}\nbatch_size={montecarlo.BATCH_SIZE}\nmax_errors={montecarlo.MAX_ERRORS}\n"
+    version, the batch size and stage-2 chunks that map trials to random
+    draws, and the early-stop policy."""
+    code = (
+        f"version={__version__}\nbatch_size={montecarlo.BATCH_SIZE}\n"
+        f"stage2_chunks={_stage2_chunks()}\nmax_errors={montecarlo.MAX_ERRORS}\n"
+    )
     return hashlib.sha256((code + spec_to_text(spec)).encode()).hexdigest()[:16]
 
 
@@ -544,6 +551,7 @@ def _write_meta(path: str, spec: ExperimentSpec, chash: str) -> None:
         f"seed={spec.seed}",
         f"trials={spec.trials}",
         f"batch_size={montecarlo.BATCH_SIZE}",
+        f"stage2_chunks={_stage2_chunks()}",
         f"ser_stop=first trial with {montecarlo.MAX_ERRORS} errors on both sources",
         f"gamma_th={spec.gamma_th!r}",
         "snr_axis=total_power_over_noise_db",

@@ -15,7 +15,9 @@ source->relay links and, under ANC, of the relay->destination links, as
 unit-mean exponentials.  Outage estimation stops there.  Stage 2
 (``_draw_stage2``) draws only what detection can see: one uniform phase psi,
 under DF-NC one relay->destination gain g_rd (DF selection never reads it),
-the two direct links as complex Gaussians, then symbols and noises.  The
+the two direct links as complex Gaussians, then symbols and noises.  It is
+drawn in fixed row chunks (``_STAGE2_CHUNKS``), each when detection first
+reads into it and not before, straight into the batch's buffers.  The
 one per-config kernel, ``run_batch``, selects a relay on stage 1 and, given
 stage 2, gathers h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and, under ANC,
 hrb = sqrt(g_rd) from the selected relay's gains, then detects.  No draw
@@ -43,8 +45,10 @@ phase left is that of h2b relative to h1b, uniform and independent of the
 gains.
 
 Randomness is counter-based: trial t always belongs to batch t // BATCH_SIZE,
-and batch b draws from Philox(seed) jumped b times, so a result depends only
-on (config, seed, trials) no matter how work is scheduled.
+and batch b draws from Philox(seed) jumped b times: stage 1 first, then the
+stage-2 chunks in row order.  A draw is fixed by its place in that stream,
+and the chunk bounds are constants, so a result depends only on
+(config, seed, trials) no matter how work is scheduled or sliced.
 """
 
 from __future__ import annotations
@@ -81,8 +85,11 @@ BATCH_SIZE = 1 << 14
 # is below 1/T, under 1/MAX_ERRORS of the estimate and well inside its 95% CI.
 MAX_ERRORS = 400
 
-# First detection slice of a SER estimate, in trials; see _next_slice.
-_PROBE_ROWS = 2048
+# Rows at which a batch's stage-2 chunks end, clipped to the batch.  A chunk
+# is drawn only when detection first reads into it, so a SER estimate that
+# stops early draws little past its stop; the first end is also the first
+# detection slice of a SER estimate (_next_slice).
+_STAGE2_CHUNKS = (2048, 4096, 8192, 16384)
 
 _Z95 = 1.959963984540054
 
@@ -137,11 +144,14 @@ def _batches(seed: int, trials: int):
     )
 
 
-def _complex_gaussian(rng: np.random.Generator, size) -> np.ndarray:
-    # circularly symmetric, E|h|^2 = 1; real part drawn before imag
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return (re + 1j * im) * math.sqrt(0.5)
+def _complex_gaussian(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with circularly symmetric complex Gaussians, E|h|^2 = 1:
+    the real parts drawn before the imaginary ones, each scaled by sqrt(0.5)
+    straight into its half of ``out``."""
+    part = rng.standard_normal(out.shape)
+    np.multiply(part, math.sqrt(0.5), out=out.real)
+    rng.standard_normal(out=part)
+    np.multiply(part, math.sqrt(0.5), out=out.imag)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,27 +228,35 @@ class _Draws(NamedTuple):
     n_d2: np.ndarray
 
 
-def _draw_symbols(config: SystemConfig, size: int, rng: np.random.Generator) -> _Draws:
-    """The rest of a round, drawn after the links: symbols and noises."""
+def _stage2_buffers(config: SystemConfig, size: int):
+    """Unfilled stage-2 buffers of a batch of ``size`` rounds, in the layout
+    ``run_batch`` reads: the phase exp(j*psi) of h2b, DF-NC's
+    relay->destination gain (None under ANC), the two direct links, then
+    symbols and noises (``_Draws``)."""
+    phase, h_s1_d, h_s2_d, n_relay, n_d1, n_d2 = np.empty((6, size), complex)
+    i1, i2 = np.empty((2, size), np.int64)
+    g_rd = np.empty(size) if config.scheme is Scheme.DF_NC else None
+    return phase, g_rd, (h_s1_d, h_s2_d), _Draws(i1, i2, n_relay, n_d1, n_d2)
+
+
+def _draw_stage2(config: SystemConfig, stage2, lo: int, hi: int, rng: np.random.Generator) -> None:
+    """Draw rows lo:hi of stage 2, none of it read by selection, into the
+    buffers ``stage2`` in a fixed order: the phase, DF-NC's
+    relay->destination gain, the two direct links, the two symbols, then the
+    relay's and the destination's two noises.  Selection depends on the
+    gains only, so only the selected relay's receiver noise is realized."""
+    phase, g_rd, direct, draws = stage2
+    n = hi - lo
+    np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n), out=phase[lo:hi])
+    if g_rd is not None:
+        rng.standard_exponential(out=g_rd[lo:hi])
+    for h in direct:
+        _complex_gaussian(rng, h[lo:hi])
     m = config.mod_order
-    i1 = rng.integers(0, m, size)
-    i2 = rng.integers(0, m, size)
-    # selection depends on the gains only, so only the selected relay's
-    # receiver noise is ever realized
-    n_relay = _complex_gaussian(rng, size)
-    n_d1 = _complex_gaussian(rng, size)
-    n_d2 = _complex_gaussian(rng, size)
-    return _Draws(i1, i2, n_relay, n_d1, n_d2)
-
-
-def _draw_stage2(config: SystemConfig, size: int, rng: np.random.Generator):
-    """Stage 2 of ``size`` rounds, none of it read by selection, in a fixed
-    order: the phase exp(j*psi) of h2b, DF-NC's relay->destination gain
-    (None under ANC), the two direct links, then symbols and noises."""
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
-    g_rd = rng.standard_exponential(size) if config.scheme is Scheme.DF_NC else None
-    direct = _complex_gaussian(rng, size), _complex_gaussian(rng, size)
-    return phase, g_rd, direct, _draw_symbols(config, size, rng)
+    draws.i1[lo:hi] = rng.integers(0, m, n)
+    draws.i2[lo:hi] = rng.integers(0, m, n)
+    for noise in draws[2:]:
+        _complex_gaussian(rng, noise[lo:hi])
 
 
 def _selected_links(gb: GainBatch, sel, stage2) -> _Links:
@@ -365,18 +383,19 @@ def _rows(gb: GainBatch, stage2, lo: int, hi: int):
 
 def _next_slice(done: int, err1: int, err2: int, max_errors: int | None, rest: int) -> int:
     """Rows of a config's next detection slice, after ``err1`` and ``err2``
-    errors in ``done`` trials, with ``rest`` rows of the batch left: a
-    _PROBE_ROWS probe first, then the trials predicted to the slower
-    source's stop (+25%, at least _PROBE_ROWS), or the rest of the batch.
-    Any slicing gives the same estimate; this one keeps kernel calls few and
-    large, yet stops detection close to the stop."""
+    errors in ``done`` trials, with ``rest`` rows of the batch left: a probe
+    of the first stage-2 chunk's rows first, then the trials predicted to the
+    slower source's stop (+25%, at least the probe), or the rest of the
+    batch.  Any slicing gives the same estimate; this one keeps kernel calls
+    few and large, yet stops detection close to the stop."""
     low = min(err1, err2)
+    probe = _STAGE2_CHUNKS[0]
     if max_errors is None or (done and not low):
         return rest
     if not done:
-        return min(_PROBE_ROWS, rest)
+        return min(probe, rest)
     need = (max_errors - low) * done / low
-    return min(rest, max(_PROBE_ROWS, math.ceil(1.25 * need)))
+    return min(rest, max(probe, math.ceil(1.25 * need)))
 
 
 def _stop_row(e1: np.ndarray, e2: np.ndarray, need1: int, need2: int) -> int | None:
@@ -405,16 +424,16 @@ def estimate_group(
     """(SER pair, outage) of each config of a group, configs of one scheme,
     PSK order and relay count at any powers; an estimate is None unless
     ``ser`` or ``gamma_th`` asks for it.  Each batch draws the stage-1 gains
-    once and, while any config counts symbol errors, stage 2 once; each
-    config then runs ``run_batch`` on consecutive row slices of them.  A
-    config counts outages (selected-relay SNR below ``gamma_th``) over all
-    ``trials``, and errors up to its stop: the first trial T at which both
-    sources have ``max_errors`` errors (None: no stop), or ``trials``.  Both
-    sources report their errors over T trials.  Detection runs only on the
-    slices up to the one holding T, and past it selection alone, if outage
-    is asked for.  No draw depends on selection, the powers, the other
-    configs or the slicing, so each estimate is bit for bit the one its
-    config gets alone."""
+    once and stage 2 at most once, chunk by chunk as far as the furthest
+    detection slice reads; each config runs ``run_batch`` on consecutive row
+    slices of them.  A config counts outages (selected-relay SNR below
+    ``gamma_th``) over all ``trials``, and errors up to its stop: the first
+    trial T at which both sources have ``max_errors`` errors (None: no
+    stop), or ``trials``.  Both sources report their errors over T trials.
+    Detection runs only on the slices up to the one holding T, and past it
+    selection alone, if outage is asked for.  No draw depends on selection,
+    the powers, the other configs or the slicing, so each estimate is bit
+    for bit the one its config gets alone."""
     if len({(c.scheme, c.mod_order, c.num_relays) for c in configs}) != 1:
         raise ValueError("a group needs one or more configs, all of one scheme, PSK order and relay count")
     if gamma_th is not None and not gamma_th >= 0:  # NaN fails the comparison too
@@ -426,12 +445,17 @@ def estimate_group(
     counting = [ser] * n
     for rng, size in _batches(seed, trials):
         gb = sample_gains(configs[0], rng, size)
-        stage2 = _draw_stage2(configs[0], size, rng) if any(counting) else None
+        stage2 = _stage2_buffers(configs[0], size) if any(counting) else None
+        drawn = 0  # rows of stage 2 drawn so far
         for k in range(n):
             lo = 0
             while lo < size and (counting[k] or gamma_th is not None):
                 if counting[k]:
                     hi = lo + _next_slice(done[k], err1[k], err2[k], max_errors, size - lo)
+                    while drawn < hi:  # draw the chunks this slice reads into
+                        end = next((e for e in _STAGE2_CHUNKS if drawn < e < size), size)
+                        _draw_stage2(configs[0], stage2, drawn, end, rng)
+                        drawn = end
                     e1, e2, _, best = run_batch(configs[k], *_rows(gb, stage2, lo, hi))
                     stop = None if max_errors is None else _stop_row(e1, e2, max_errors - err1[k], max_errors - err2[k])
                     counting[k] = stop is None

@@ -22,10 +22,13 @@ from marcsim.analytic import QuadratureConvergenceError
 from marcsim.model import SystemConfig, Scheme, _gammas
 from marcsim.montecarlo import (
     GainBatch,
+    _STAGE2_CHUNKS,
+    _Draws,
     _Links,
     _batches,
-    _complex_gaussian,
     _decide,
+    _draw_stage2,
+    _stage2_buffers,
     _selected_links,
     _wilson_estimate,
     modulate,
@@ -221,6 +224,37 @@ def brute_force_run_batch(config: SystemConfig, gb, stage2):
     return k1 != draws.i1, k2 != draws.i2, sel, best
 
 
+def complex_gaussian(rng, size) -> np.ndarray:
+    """Circularly symmetric complex Gaussians, E|h|^2 = 1, the real parts
+    drawn before the imaginary ones: the allocating form of
+    ``montecarlo._complex_gaussian``, which must match it bit for bit."""
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    return (re + 1j * im) * math.sqrt(0.5)
+
+
+def draw_stage2(config: SystemConfig, size: int, rng):
+    """Stage 2 of ``size`` rounds in fresh buffers: the package's chunk fill
+    run over the one range 0:size.  A test helper, not an oracle."""
+    stage2 = _stage2_buffers(config, size)
+    _draw_stage2(config, stage2, 0, size, rng)
+    return stage2
+
+
+def chunked_stage2(config: SystemConfig, size: int, rng):
+    """A batch's whole stage 2 as the estimator draws it, after stage 1: one
+    ``draw_stage2`` per chunk, in chunk order, each chunk ending at a
+    ``_STAGE2_CHUNKS`` row below ``size`` or at ``size``, concatenated."""
+    bounds = [0, *(end for end in _STAGE2_CHUNKS if end < size), size]
+    chunks = [draw_stage2(config, hi - lo, rng) for lo, hi in zip(bounds, bounds[1:])]
+    phase, g_rd, direct, draws = zip(*chunks)
+
+    def cat(parts):
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return cat(phase), cat(g_rd), tuple(map(cat, zip(*direct))), _Draws(*map(cat, zip(*draws)))
+
+
 @dataclasses.dataclass(frozen=True)
 class ComplexGains:
     """Complex fading coefficients of every link, for B rounds."""
@@ -237,17 +271,26 @@ def full_phase_gains(config: SystemConfig, rng, size: int) -> ComplexGains:
     circularly symmetric complex Gaussians."""
     n = config.num_relays
     return ComplexGains(
-        _complex_gaussian(rng, (size, n)),
-        _complex_gaussian(rng, (size, n)),
-        _complex_gaussian(rng, (size, n)),
-        _complex_gaussian(rng, size),
-        _complex_gaussian(rng, size),
+        complex_gaussian(rng, (size, n)),
+        complex_gaussian(rng, (size, n)),
+        complex_gaussian(rng, (size, n)),
+        complex_gaussian(rng, size),
+        complex_gaussian(rng, size),
     )
+
+
+def draw_symbols(config: SystemConfig, size: int, rng) -> _Draws:
+    """The rest of a full-phase round, drawn after the links: both symbols,
+    then the relay's and the destination's two noises."""
+    m = config.mod_order
+    i1 = rng.integers(0, m, size)
+    i2 = rng.integers(0, m, size)
+    return _Draws(i1, i2, *(complex_gaussian(rng, size) for _ in range(3)))
 
 
 def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, draws):
     """``montecarlo.run_batch`` on full-phase coefficients and the symbols
-    and noises ``draws`` of ``_draw_symbols``: selection reads |h|^2, and
+    and noises ``draws`` of ``draw_symbols``: selection reads |h|^2, and
     the selected relay's coefficients reach the detector with their phases
     as drawn."""
     gb = GainBatch(np.abs(cg.h_s1_r) ** 2, np.abs(cg.h_s2_r) ** 2, np.abs(cg.h_r_d) ** 2)
@@ -267,9 +310,9 @@ def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):
     const = modulate(np.arange(mod_order), mod_order)
     errors = done = 0
     for rng, size in batches:
-        h = _complex_gaussian(rng, size)
+        h = complex_gaussian(rng, size)
         idx = rng.integers(0, mod_order, size)
-        noise = _complex_gaussian(rng, size)
+        noise = complex_gaussian(rng, size)
         y = amp * h * const[idx] + noise
         k = np.argmin(np.abs(y[:, None] - amp * h[:, None] * const[None, :]) ** 2, axis=1)
         errors += int((k != idx).sum())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import marcsim
+from oracles import chunked_stage2
 from marcsim import experiment, montecarlo
 from marcsim.analytic import BestRelayDistribution, best_cdf
 from marcsim.experiment import (
@@ -355,23 +356,23 @@ def test_group_rows_match_a_per_cell_oracle(tmp_path, spec):
 
 
 # a fig3 sweep at 0 and 10 dB, N = 1 and 2, 3000 trials, seed 7, as
-# recorded at 0.6.0: the 0 dB cells stop at their 400th error
+# recorded at 0.7.0: the 0 dB cells stop at their 400th error
 FIG3_ROWS = [
-    "anc,2,1,0.0,0.23271889400921658,0.01986451936844968,0.24928105650299706,0.6529038804869673,,,"
+    "anc,2,1,0.0,0.24433849821215733,0.02054426803172152,0.24928105650299706,0.6529038804869673,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap",
-    "anc,2,1,10.0,0.04133333333333333,0.007142709393276839,0.039622127546869425,0.24197716742394676,,,"
+    "anc,2,1,10.0,0.036,0.006688293719739156,0.039622127546869425,0.24197716742394676,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap",
-    "anc,2,2,0.0,0.23543260741612712,0.020160095251091203,0.22468153429527418,0.6529038804869673,,,"
+    "anc,2,2,0.0,0.2468354430379747,0.020256178486283895,0.22468153429527418,0.6529038804869673,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap",
-    "anc,2,2,10.0,0.032,0.006322327246056722,0.02276774020851076,0.24197716742394676,,,"
+    "anc,2,2,10.0,0.026,0.0057230247594299965,0.02276774020851076,0.24197716742394676,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap",
-    "df,2,1,0.0,0.2768166089965398,0.023046297357933468,0.1889822365046136,0.5610177634953863,,,"
+    "df,2,1,0.0,0.27643400138217,0.02302059488972344,0.1889822365046136,0.5610177634953863,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
-    "df,2,1,10.0,0.07066666666666667,0.009180803274587791,0.018226688214018204,0.16618628282543796,,,"
+    "df,2,1,10.0,0.07266666666666667,0.009299217216417396,0.018226688214018204,0.16618628282543796,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
-    "df,2,2,0.0,0.2900343642611684,0.02329216300917754,0.14793909658724666,0.5610177634953863,,,"
+    "df,2,2,0.0,0.2760989010989011,0.022940901292477705,0.14793909658724666,0.5610177634953863,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
-    "df,2,2,10.0,0.05466666666666667,0.008149415609300067,0.005853966609280212,0.16618628282543796,,,"
+    "df,2,2,10.0,0.059,0.008445026176564287,0.005853966609280212,0.16618628282543796,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
 ]
 
@@ -380,14 +381,16 @@ FIG3_ROWS = [
 def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
     # every row comes from run_batch, the kernel that the brute-force and
     # noiseless tests check: each config's calls take consecutive rows of
-    # its group's draws from trial 0, detecting (with stage 2) on SER
-    # figures up to the slice that holds its stop, and selecting only
-    # (without stage 2) over every trial on outage figures
+    # its group's draws from trial 0, detecting (with stage 2, drawn chunk
+    # by chunk after stage 1) on SER figures up to the slice that holds its
+    # stop, and selecting only (without stage 2) over every trial on outage
+    # figures
     calls, groups = {}, []
     kernel, estimator = montecarlo.run_batch, experiment.estimate_group
 
     def counted(config, gb, stage2=None):
-        calls.setdefault(config, []).append((stage2 is not None, gb.g_s1_r.copy()))
+        phase = None if stage2 is None else stage2[0].copy()
+        calls.setdefault(config, []).append((phase, gb.g_s1_r.copy()))
         return kernel(config, gb, stage2)
 
     def recorded(configs, trials, seed, **kw):
@@ -410,18 +413,21 @@ def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
         assert [row for row in rows if row.split(",")[3] == repr(spec.snr_points_db[0])] == FIRST_SNR_ROWS
     assert sum(len(configs) for configs, *_ in groups) == len(rows) == len(calls)
     for configs, trials, seed, estimates in groups:
-        draws = np.concatenate(
-            [montecarlo.sample_gains(configs[0], rng, size).g_s1_r for rng, size in montecarlo._batches(seed, trials)]
-        )
+        gains, phases = [], []
+        for rng, size in montecarlo._batches(seed, trials):
+            gains.append(montecarlo.sample_gains(configs[0], rng, size).g_s1_r)
+            phases.append(chunked_stage2(configs[0], size, rng)[0])
+        gains, phases = np.concatenate(gains), np.concatenate(phases)
         for config, (ser, _) in zip(configs, estimates):
-            detected = {stage2 for stage2, _ in calls[config]}
+            detected = {phase is not None for phase, _ in calls[config]}
             assert detected == {figure == "fig3"}
-            blocks = [gains for _, gains in calls[config]]
-            covered = sum(len(gains) for gains in blocks)
-            assert np.array_equal(np.concatenate(blocks), draws[:covered])
+            blocks = [block for _, block in calls[config]]
+            covered = sum(len(block) for block in blocks)
+            assert np.array_equal(np.concatenate(blocks), gains[:covered])
             if ser is None:
                 assert covered == trials
             else:
+                assert np.array_equal(np.concatenate([phase for phase, _ in calls[config]]), phases[:covered])
                 assert covered - len(blocks[-1]) < ser[0].trials <= covered
 
 
@@ -430,6 +436,7 @@ def test_meta_records_the_batch_size_and_the_ser_stop(tmp_path):
     run_experiment(spec)
     meta = Path(spec.output_path + ".meta").read_text().splitlines()
     assert f"batch_size={montecarlo.BATCH_SIZE}" in meta
+    assert meta[meta.index(f"batch_size={montecarlo.BATCH_SIZE}") + 1] == "stage2_chunks=2048,4096,8192,16384"
     assert f"ser_stop=first trial with {montecarlo.MAX_ERRORS} errors on both sources" in meta
 
 
@@ -654,6 +661,19 @@ def test_batch_size_change_invalidates_journal(tmp_path, monkeypatch):
     journal = spec.output_path + ".journal"
     header = Path(journal).read_text().splitlines()[0]
     monkeypatch.setattr(montecarlo, "BATCH_SIZE", montecarlo.BATCH_SIZE // 2)
+    calls = count_computed_cells(monkeypatch)
+    run_experiment(spec)
+    assert Path(journal).read_text().splitlines()[0] != header
+    assert len(calls) == len(spec.snr_points_db)
+
+
+def test_stage2_chunk_change_invalidates_journal(tmp_path, monkeypatch):
+    # the chunk ends fix where each stage-2 draw sits in a batch's stream
+    spec = small_spec(tmp_path)
+    run_experiment(spec)
+    journal = spec.output_path + ".journal"
+    header = Path(journal).read_text().splitlines()[0]
+    monkeypatch.setattr(montecarlo, "_STAGE2_CHUNKS", (1024, 16384))
     calls = count_computed_cells(monkeypatch)
     run_experiment(spec)
     assert Path(journal).read_text().splitlines()[0] != header

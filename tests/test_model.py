@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from oracles import draw_stage2
 from marcsim.model import (
     Scheme,
     SystemConfig,
@@ -16,7 +17,6 @@ from marcsim.model import (
 from marcsim.experiment import _Cell, _cell_config
 from marcsim.montecarlo import (
     GainBatch,
-    _draw_stage2,
     _selected_links,
     anc_snr,
     relay_snrs,
@@ -70,8 +70,8 @@ def test_same_seed_same_gains():
     assert np.array_equal(g1.g_r_d, g2.g_r_d)
     # the direct links are drawn in stage 2, after selection
     sel = select_relay(*relay_snrs(cfg, g1))[0]
-    l1 = _selected_links(g1, sel, _draw_stage2(cfg, 8, np.random.default_rng(5)))
-    l2 = _selected_links(g2, sel, _draw_stage2(cfg, 8, np.random.default_rng(5)))
+    l1 = _selected_links(g1, sel, draw_stage2(cfg, 8, np.random.default_rng(5)))
+    l2 = _selected_links(g2, sel, draw_stage2(cfg, 8, np.random.default_rng(5)))
     assert np.array_equal(l1.h_s1_d, l2.h_s1_d) and np.array_equal(l1.h_s2_d, l2.h_s2_d)
 
 
@@ -82,7 +82,7 @@ def test_df_draws_destination_gain_after_selection():
     g = sample_gains(cfg, np.random.default_rng(0), 8)
     assert g.g_r_d is None
     sel = select_relay(*relay_snrs(cfg, g))[0]
-    links = _selected_links(g, sel, _draw_stage2(cfg, 8, np.random.default_rng(1)))
+    links = _selected_links(g, sel, draw_stage2(cfg, 8, np.random.default_rng(1)))
     assert links.hrb.shape == (8,) and np.all(links.hrb > 0)
 
 

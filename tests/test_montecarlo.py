@@ -10,8 +10,12 @@ from oracles import (
     brute_force_decide,
     brute_force_pair,
     brute_force_run_batch,
+    chunked_stage2,
+    complex_gaussian,
     config_at_snr_db,
     direct_only_pair_ml_ser,
+    draw_stage2,
+    draw_symbols,
     exact_best_bottleneck_cdf,
     full_phase_gains,
     full_phase_run_batch,
@@ -39,8 +43,6 @@ from marcsim.montecarlo import (
     _batches,
     _complex_gaussian,
     _decide,
-    _draw_stage2,
-    _draw_symbols,
     _relay_decode,
     _selected_links,
 )
@@ -89,8 +91,8 @@ def test_index_out_of_range():
 def test_trial_deterministic():
     cfg = anc_config(num_relays=3)
     gains = sample_gains(cfg, np.random.default_rng(5), 64)
-    t1 = run_batch(cfg, gains, _draw_stage2(cfg, 64, np.random.default_rng(9)))
-    t2 = run_batch(cfg, gains, _draw_stage2(cfg, 64, np.random.default_rng(9)))
+    t1 = run_batch(cfg, gains, draw_stage2(cfg, 64, np.random.default_rng(9)))
+    t2 = run_batch(cfg, gains, draw_stage2(cfg, 64, np.random.default_rng(9)))
     for a, b in zip(t1, t2):
         assert np.array_equal(a, b)
 
@@ -102,7 +104,7 @@ def test_selection_reads_only_stage_one(scheme):
     gains = sample_gains(cfg, np.random.default_rng(5), 64)
     e1, e2, sel, best = run_batch(cfg, gains)
     assert e1 is None and e2 is None
-    full = run_batch(cfg, gains, _draw_stage2(cfg, 64, np.random.default_rng(9)))
+    full = run_batch(cfg, gains, draw_stage2(cfg, 64, np.random.default_rng(9)))
     assert np.array_equal(sel, full[2]) and np.array_equal(best, full[3])
 
 
@@ -110,7 +112,7 @@ def test_selection_reads_only_stage_one(scheme):
 def test_noiseless_detection_is_exact(scheme):
     cfg = anc_config(scheme=scheme, p_source=1e30, p_relay=1e30, num_relays=2)
     rng = np.random.default_rng(77)
-    e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), _draw_stage2(cfg, 50, rng))
+    e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), draw_stage2(cfg, 50, rng))
     assert not e1.any() and not e2.any()
     assert np.all(selected < cfg.num_relays)
 
@@ -123,8 +125,8 @@ def test_joint_ml_matches_brute_force(scheme, mod_order, num_relays, snr_db):
     # the O(M) slicer against the scoring of all M^2 pairs, on shared draws
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), snr_db)
     gains = sample_gains(cfg, np.random.default_rng(mod_order + num_relays), 4096)
-    got = run_batch(cfg, gains, _draw_stage2(cfg, 4096, np.random.default_rng(31)))
-    want = brute_force_run_batch(cfg, gains, _draw_stage2(cfg, 4096, np.random.default_rng(31)))
+    got = run_batch(cfg, gains, draw_stage2(cfg, 4096, np.random.default_rng(31)))
+    want = brute_force_run_batch(cfg, gains, draw_stage2(cfg, 4096, np.random.default_rng(31)))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -135,7 +137,7 @@ def test_relay_decode_matches_brute_force(mod_order, snr_db):
     rng = np.random.default_rng(mod_order)
     size = 4096
     const = modulate(np.arange(mod_order), mod_order)
-    h1, h2, noise = (_complex_gaussian(rng, size) for _ in range(3))
+    h1, h2, noise = (complex_gaussian(rng, size) for _ in range(3))
     sp = math.sqrt(10.0 ** (snr_db / 10.0))
     x1, x2 = (const[rng.integers(0, mod_order, size)] for _ in range(2))
     y = sp * (h1 * x1 + h2 * x2) + noise
@@ -154,7 +156,7 @@ def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
     size = 512
     gains = sample_gains(cfg, np.random.default_rng(61), size)
     sel = select_relay(*relay_snrs(cfg, gains))[0]
-    stage2 = _draw_stage2(cfg, size, np.random.default_rng(62))
+    stage2 = draw_stage2(cfg, size, np.random.default_rng(62))
     links = _selected_links(gains, sel, stage2)
     silent = dict(h2b=np.zeros_like(links.h2b), h_s2_d=np.zeros_like(links.h_s2_d))
     if scheme is Scheme.DF_NC:
@@ -183,8 +185,8 @@ def test_decisions_invariant_under_receiver_rotations(scheme, mod_order, snr_db,
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), snr_db)
     rng = np.random.default_rng(mod_order)
     size = 4096
-    links = _Links(*(_complex_gaussian(rng, size) for _ in range(5)))
-    draws = _draw_symbols(cfg, size, rng)
+    links = _Links(*(complex_gaussian(rng, size) for _ in range(5)))
+    draws = draw_symbols(cfg, size, rng)
     if rotation == "arbitrary":
         alpha, beta = (rng.uniform(0.0, 2.0 * np.pi, size) for _ in range(2))
     else:  # the form stage 2 draws: h1b and hrb real
@@ -229,7 +231,7 @@ def test_gain_first_sampler_matches_full_phase_oracle(scheme, mod_order, num_rel
     trials = batches * BATCH_SIZE
     counts = []
     for stream, (sample, rest, run) in enumerate(
-        [(sample_gains, _draw_stage2, run_batch), (full_phase_gains, _draw_symbols, full_phase_run_batch)]
+        [(sample_gains, draw_stage2, run_batch), (full_phase_gains, draw_symbols, full_phase_run_batch)]
     ):
         tally = np.zeros(5, dtype=np.int64)
         for b in range(batches):
@@ -274,7 +276,7 @@ def whole_batch_flags(cfg, trials, seed):
     """Both sources' error flags of every trial, from run_batch on whole
     batches of the estimator's draws."""
     flags = [
-        run_batch(cfg, sample_gains(cfg, rng, size), _draw_stage2(cfg, size, rng))[:2]
+        run_batch(cfg, sample_gains(cfg, rng, size), chunked_stage2(cfg, size, rng))[:2]
         for rng, size in _batches(seed, trials)
     ]
     return np.concatenate([f[0] for f in flags]), np.concatenate([f[1] for f in flags])
@@ -300,7 +302,7 @@ def counts(pair):
     [
         # a batch's first row, the first batch's last row, the second
         # batch's first row, the last row of a partial last batch
-        (Scheme.DF_NC, 10, [0, 2 * BATCH_SIZE + 4]),
+        (Scheme.DF_NC, 16, [0, 2 * BATCH_SIZE + 4]),
         (Scheme.ANC, 3, [BATCH_SIZE - 1, BATCH_SIZE]),
     ],
     ids=["df", "anc"],
@@ -322,6 +324,47 @@ def test_early_exit_stops_at_the_exact_trial(scheme, seed, rows):
     assert counts(estimate_ser(cfg, trials, seed, max_errors=stop)) == exact_stop(e1, e2, stop)
     full = counts(estimate_ser(cfg, trials, seed, max_errors=None))
     assert full == (int(e1.sum()), int(e2.sum()), trials)
+
+
+def test_complex_gaussian_fills_in_place_with_the_reference_bits():
+    # stage 2 writes each complex Gaussian's scaled real and imaginary parts
+    # straight into a slice of its batch buffer: the bits of the allocating
+    # form, and nothing outside the slice
+    size = BATCH_SIZE + 3
+    buf = np.zeros(size + 10, complex)
+    _complex_gaussian(np.random.Generator(np.random.Philox(key=3)), buf[4 : size + 4])
+    want = complex_gaussian(np.random.Generator(np.random.Philox(key=3)), size)
+    assert buf[4 : size + 4].tobytes() == want.tobytes()
+    assert not buf[:4].any() and not buf[size + 4 :].any()
+
+
+def test_stage2_is_drawn_only_where_detection_reads(monkeypatch):
+    # each batch draws its stage-2 chunks once, in order, as far as the
+    # furthest detection slice of any config reads, clipped to the batch
+    chunks = []
+    fill = montecarlo._draw_stage2
+
+    def spy(config, stage2, lo, hi, rng):
+        chunks.append((lo, hi))
+        fill(config, stage2, lo, hi, rng)
+
+    monkeypatch.setattr(montecarlo, "_draw_stage2", spy)
+
+    def drawn(configs, trials, **kw):
+        chunks.clear()
+        estimates = estimate_group(configs, trials, seed=4, **kw)
+        return [pair[0].trials for pair, _ in estimates if pair is not None], list(chunks)
+
+    early = [config_at_snr_db(anc_config(), snr) for snr in (0.0, 3.0)]
+    capped = config_at_snr_db(anc_config(), 25.0)
+    whole = [(0, 2048), (2048, 4096), (4096, 8192), (8192, BATCH_SIZE)]
+
+    stops, got = drawn(early, 3 * BATCH_SIZE, max_errors=100)
+    assert max(stops) < 2048 and got == [(0, 2048)]
+    stops, got = drawn([*early, capped], 2 * BATCH_SIZE + 3000)
+    assert stops[-1] == 2 * BATCH_SIZE + 3000 and got == whole * 2 + [(0, 2048), (2048, 3000)]
+    assert drawn([capped], BATCH_SIZE + 5)[1] == whole + [(0, 5)]
+    assert drawn([*early, capped], 2 * BATCH_SIZE, ser=False, gamma_th=1.0) == ([], [])
 
 
 @pytest.mark.parametrize("max_errors", [0, -5, True, 2.5])
