@@ -17,10 +17,18 @@ unit-mean exponentials.  Outage estimation stops there.  Stage 2
 under DF-NC one relay->destination gain g_rd (DF selection never reads it),
 the two direct links as complex Gaussians, then symbols and noises.  It is
 drawn in fixed row chunks (``_STAGE2_CHUNKS``), each when detection first
-reads into it and not before, straight into the batch's buffers.  The
-one per-config kernel, ``run_batch``, selects a relay on stage 1 and, given
-stage 2, gathers h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and, under ANC,
-hrb = sqrt(g_rd) from the selected relay's gains, then detects.  No draw
+reads into it and not before, straight into the batch's buffers.
+
+Selection is max-min: the relay maximizing the smaller of the two sources'
+SNRs through it.  Under DF-NC relay j's bottleneck is min(g1_j, g2_j)*gamma_r,
+so selection reads no power, and stage 1 takes one argmax per batch that
+serves every config of its group (``GainBatch.df_sel``).  Under ANC
+``anc_snr`` rises with its first gain, so relay j's bottleneck is
+anc_snr(min(g1_j, g2_j), g_rd_j): one ``anc_snr`` and one argmax per
+config.  The one per-config kernel, ``run_batch``, selects a relay on
+stage 1 and, given stage 2, gathers h1b = sqrt(g1),
+h2b = sqrt(g2)*exp(j*psi) and, under ANC, hrb = sqrt(g_rd) from the
+selected relay's gains, then detects.  No draw
 depends on selection or on the powers, so the configs of a group, one
 scheme, PSK order and relay count, share them (``estimate_group``, common
 random numbers): each batch is drawn once and every config runs
@@ -70,8 +78,6 @@ __all__ = [
     "relay_normalization",
     "sample_gains",
     "anc_snr",
-    "relay_snrs",
-    "select_relay",
     "run_batch",
     "estimate_group",
 ]
@@ -156,56 +162,58 @@ def _complex_gaussian(rng: np.random.Generator, out: np.ndarray) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class GainBatch:
-    """Power gains |h|^2 that relay selection reads, for B independent rounds."""
+    """Stage 1 of B independent rounds: the power gains |h|^2 that relay
+    selection reads and, under DF-NC, the relay it selects."""
 
-    g_s1_r: np.ndarray        # source 1 -> relay j, (B, N)
-    g_s2_r: np.ndarray        # source 2 -> relay j, (B, N)
-    g_r_d: np.ndarray | None  # relay j -> destination, (B, N); None under DF-NC
+    g_s1_r: np.ndarray          # source 1 -> relay j, (B, N)
+    g_s2_r: np.ndarray          # source 2 -> relay j, (B, N)
+    g_r_d: np.ndarray | None    # relay j -> destination, (B, N); None under DF-NC
+    df_sel: np.ndarray | None   # DF-NC's selected relay, (B,); None under ANC
+
+    def __post_init__(self):
+        shape = np.shape(self.g_s1_r)
+        if np.shape(self.g_s2_r) != shape or (self.g_r_d is not None and np.shape(self.g_r_d) != shape):
+            raise ValueError("per-relay gain arrays must have equal shapes")
+
+
+def _df_select(g_s1_r, g_s2_r):
+    """DF-NC's max-min selection over the last (relay) axis, ties toward the
+    lowest index.  Rounding is monotone, so min(g1_j*gamma_r, g2_j*gamma_r)
+    is min(g1_j, g2_j)*gamma_r exactly, and the relay is the same at every
+    power split."""
+    return np.argmax(np.minimum(g_s1_r, g_s2_r), axis=-1)
 
 
 def sample_gains(config: SystemConfig, rng: np.random.Generator, size: int) -> GainBatch:
     """Stage 1: ``size`` i.i.d. Rayleigh realizations of the power gains that
     selection reads (the source->relay links, plus the relay->destination
-    links under ANC)."""
+    links under ANC) and, under DF-NC, whose selection reads no power, the
+    selected relay."""
     shape = (size, config.num_relays)
     g1 = rng.standard_exponential(shape)
     g2 = rng.standard_exponential(shape)
     if config.scheme is Scheme.ANC:
-        return GainBatch(g1, g2, rng.standard_exponential(shape))
-    return GainBatch(g1, g2, None)
+        return GainBatch(g1, g2, rng.standard_exponential(shape), None)
+    return GainBatch(g1, g2, None, _df_select(g1, g2))
 
 
 def anc_snr(gain_sr_sq, gain_rd_sq, gamma_s: float, gamma_r: float):
-    """End-to-end SNR of one amplified relay path, elementwise.
+    """End-to-end SNR of one amplified relay path, elementwise:
+    gamma_s*a * gamma_r*c / (gamma_s*a + gamma_r*c + 1).  It rises with
+    either gain, so min over two sources' paths through one relay is the
+    path SNR of the smaller source->relay gain.
 
     The denominator is >= 1, so a zero gain on either hop gives SNR 0
     without a division hazard.
     """
-    num = gamma_s * gain_sr_sq * gamma_r * gain_rd_sq
-    den = gain_sr_sq * gamma_s + gain_rd_sq * gamma_r + 1.0
-    return num / den
-
-
-def relay_snrs(config: SystemConfig, gb: GainBatch):
-    """Per-relay SNR of each source's relay path, elementwise over the relay
-    gains: the amplified end-to-end SNR under ANC, the source->relay receive
-    SNR under DF-NC."""
-    gamma_s, gamma_r = _gammas(config)
-    if config.scheme is Scheme.ANC:
-        c = gb.g_r_d
-        return anc_snr(gb.g_s1_r, c, gamma_s, gamma_r), anc_snr(gb.g_s2_r, c, gamma_s, gamma_r)
-    return gb.g_s1_r * gamma_r, gb.g_s2_r * gamma_r
-
-
-def select_relay(snrs_s1, snrs_s2):
-    """Max-min selection over the last (relay) axis: the index maximizing
-    min(SNR from source 1, SNR from source 2), ties toward the lowest index,
-    and that bottleneck SNR."""
-    if np.shape(snrs_s1) != np.shape(snrs_s2):
-        raise ValueError("per-relay SNR arrays must have equal shapes")
-    bottleneck = np.minimum(snrs_s1, snrs_s2)
-    sel = np.argmax(bottleneck, axis=-1)
-    return sel, np.take_along_axis(bottleneck, sel[..., None], axis=-1)[..., 0]
+    snr = np.multiply(gain_sr_sq, gamma_s)  # gamma_s*a, read by both terms
+    den = np.multiply(gain_rd_sq, gamma_r)
+    den += snr
+    den += 1.0
+    snr *= gamma_r
+    snr *= gain_rd_sq
+    snr /= den
+    return snr
 
 
 class _Links(NamedTuple):
@@ -351,6 +359,24 @@ def _decide(config: SystemConfig, links: _Links, draws: _Draws):
     return _pair_ml(z, metric)
 
 
+def _select(config: SystemConfig, gb: GainBatch):
+    """Max-min relay selection at the config's powers: the relay maximizing
+    min(SNR from source 1, SNR from source 2), ties toward the lowest index,
+    and that bottleneck SNR.  Under DF-NC the relay is the batch's
+    ``df_sel`` and its bottleneck min(g1, g2) * gamma_r; under ANC relay j's
+    bottleneck is anc_snr(min(g1_j, g2_j), g_rd_j)."""
+    gamma_s, gamma_r = _gammas(config)
+    rows = np.arange(len(gb.g_s1_r))
+    if config.scheme is Scheme.DF_NC:
+        sel = gb.df_sel
+        if sel is None:
+            raise ValueError("a DF-NC GainBatch needs df_sel, the relay that sample_gains selects")
+        return sel, np.minimum(gb.g_s1_r[rows, sel], gb.g_s2_r[rows, sel]) * gamma_r
+    bottleneck = anc_snr(np.minimum(gb.g_s1_r, gb.g_s2_r), gb.g_r_d, gamma_s, gamma_r)
+    sel = np.argmax(bottleneck, axis=-1)
+    return sel, bottleneck[rows, sel]
+
+
 def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
     """The per-config kernel, one vectorized batch of protocol rounds: select
     a relay on the stage-1 gains ``gb`` and, given the batch's stage-2 draws
@@ -359,7 +385,7 @@ def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
     the selected relay index and the selection-bottleneck SNR.  Under DF-NC
     relay decoding errors propagate into the forwarded symbol; there is no
     genie."""
-    sel, best = select_relay(*relay_snrs(config, gb))
+    sel, best = _select(config, gb)
     if stage2 is None:
         return None, None, sel, best
     draws = stage2[-1]
@@ -374,7 +400,7 @@ def _rows(gb: GainBatch, stage2, lo: int, hi: int):
     def cut(a):
         return None if a is None else a[lo:hi]
 
-    gains = GainBatch(cut(gb.g_s1_r), cut(gb.g_s2_r), cut(gb.g_r_d))
+    gains = GainBatch(cut(gb.g_s1_r), cut(gb.g_s2_r), cut(gb.g_r_d), cut(gb.df_sel))
     if stage2 is None:
         return gains, None
     phase, g_rd, direct, draws = stage2

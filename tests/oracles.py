@@ -3,12 +3,13 @@
 Everything here is derived from first principles (exact distributions,
 brute-force detectors) and never calls the code paths it is used to check.
 The brute-force detectors that are compared with ``montecarlo.run_batch``
-reuse its sampling and relay selection, so that both decide on the same
-draws; only the detection is under test.  The full-phase sampler draws every
-link as a complex Gaussian, the way the package did before it drew gains
-first; it is the reference for the gain-first sampler and feeds the
-package's own selection and detection, so that only the sampling is under
-test.
+reuse its sampling, so that both decide on the same draws, and select with
+``max_min_selection``, which forms both sources' per-relay SNRs the way the
+package did before it selected on one bottleneck per scheme.  The
+full-phase sampler draws every link as a complex Gaussian, the way the
+package did before it drew gains first; it is the reference for the
+gain-first sampler and feeds ``max_min_selection`` and the package's own
+detection, so that only the sampling is under test.
 """
 
 import dataclasses
@@ -31,10 +32,9 @@ from marcsim.montecarlo import (
     _stage2_buffers,
     _selected_links,
     _wilson_estimate,
+    _df_select,
     modulate,
     relay_normalization,
-    relay_snrs,
-    select_relay,
 )
 from marcsim.power import PowerSplit
 
@@ -215,10 +215,44 @@ def brute_force_decide(config: SystemConfig, links, draws):
     return ii[k], jj[k]
 
 
+def amplified_path_snr(a, c, gamma_s, gamma_r):
+    """End-to-end SNR gamma_s*a * gamma_r*c / (gamma_s*a + gamma_r*c + 1) of
+    an amplified relay path with source->relay gain a and relay->destination
+    gain c, elementwise, written out as a product over a sum."""
+    return gamma_s * a * gamma_r * c / (a * gamma_s + c * gamma_r + 1.0)
+
+
+def max_min_selection(config: SystemConfig, gb):
+    """Max-min relay selection from both sources' per-relay SNRs: the
+    amplified end-to-end SNR under ANC, the source->relay receive SNR
+    under DF-NC, chosen by ``config.scheme`` (``gb.g_r_d`` may be set under
+    DF-NC too).  Returns, per round, the relay whose smaller SNR is largest,
+    ties toward the lowest index, and that smaller SNR."""
+    gamma_s, gamma_r = _gammas(config)
+    if config.scheme is Scheme.ANC:
+        s1 = amplified_path_snr(gb.g_s1_r, gb.g_r_d, gamma_s, gamma_r)
+        s2 = amplified_path_snr(gb.g_s2_r, gb.g_r_d, gamma_s, gamma_r)
+    else:
+        s1, s2 = gb.g_s1_r * gamma_r, gb.g_s2_r * gamma_r
+    bottleneck = np.minimum(s1, s2)
+    sel = np.argmax(bottleneck, axis=-1)  # the first maximum
+    return sel, np.take_along_axis(bottleneck, sel[..., None], axis=-1)[..., 0]
+
+
+def gain_batch(config: SystemConfig, g_s1_r, g_s2_r, g_r_d=None) -> GainBatch:
+    """The ``GainBatch`` that ``sample_gains`` builds from these gains:
+    ``g_r_d`` under ANC, the package's DF-NC selection under DF-NC.  A test
+    helper, not an oracle."""
+    if config.scheme is Scheme.ANC:
+        return GainBatch(g_s1_r, g_s2_r, g_r_d, None)
+    return GainBatch(g_s1_r, g_s2_r, None, _df_select(g_s1_r, g_s2_r))
+
+
 def brute_force_run_batch(config: SystemConfig, gb, stage2):
-    """``montecarlo.run_batch`` with ``brute_force_decide`` for the
-    detection, on the same stage-1 gains and stage-2 draws."""
-    sel, best = select_relay(*relay_snrs(config, gb))
+    """``montecarlo.run_batch`` with ``max_min_selection`` for the selection
+    and ``brute_force_decide`` for the detection, on the same stage-1 gains
+    and stage-2 draws."""
+    sel, best = max_min_selection(config, gb)
     draws = stage2[-1]
     k1, k2 = brute_force_decide(config, _selected_links(gb, sel, stage2), draws)
     return k1 != draws.i1, k2 != draws.i2, sel, best
@@ -290,11 +324,11 @@ def draw_symbols(config: SystemConfig, size: int, rng) -> _Draws:
 
 def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, draws):
     """``montecarlo.run_batch`` on full-phase coefficients and the symbols
-    and noises ``draws`` of ``draw_symbols``: selection reads |h|^2, and
-    the selected relay's coefficients reach the detector with their phases
-    as drawn."""
-    gb = GainBatch(np.abs(cg.h_s1_r) ** 2, np.abs(cg.h_s2_r) ** 2, np.abs(cg.h_r_d) ** 2)
-    sel, best = select_relay(*relay_snrs(config, gb))
+    and noises ``draws`` of ``draw_symbols``: ``max_min_selection`` reads
+    |h|^2, and the selected relay's coefficients reach the detector with
+    their phases as drawn."""
+    gb = GainBatch(np.abs(cg.h_s1_r) ** 2, np.abs(cg.h_s2_r) ** 2, np.abs(cg.h_r_d) ** 2, None)
+    sel, best = max_min_selection(config, gb)
     rows = np.arange(sel.shape[0])
     links = _Links(cg.h_s1_r[rows, sel], cg.h_s2_r[rows, sel], cg.h_r_d[rows, sel], cg.h_s1_d, cg.h_s2_d)
     k1, k2 = _decide(config, links, draws)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from oracles import draw_stage2
+from oracles import draw_stage2, gain_batch
 from marcsim.model import (
     Scheme,
     SystemConfig,
@@ -19,9 +19,8 @@ from marcsim.montecarlo import (
     GainBatch,
     _selected_links,
     anc_snr,
-    relay_snrs,
+    run_batch,
     sample_gains,
-    select_relay,
 )
 
 
@@ -69,7 +68,7 @@ def test_same_seed_same_gains():
     assert np.array_equal(g1.g_s2_r, g2.g_s2_r)
     assert np.array_equal(g1.g_r_d, g2.g_r_d)
     # the direct links are drawn in stage 2, after selection
-    sel = select_relay(*relay_snrs(cfg, g1))[0]
+    sel = run_batch(cfg, g1)[2]
     l1 = _selected_links(g1, sel, draw_stage2(cfg, 8, np.random.default_rng(5)))
     l2 = _selected_links(g2, sel, draw_stage2(cfg, 8, np.random.default_rng(5)))
     assert np.array_equal(l1.h_s1_d, l2.h_s1_d) and np.array_equal(l1.h_s2_d, l2.h_s2_d)
@@ -81,7 +80,7 @@ def test_df_draws_destination_gain_after_selection():
     cfg = make_config(scheme=Scheme.DF_NC, num_relays=3)
     g = sample_gains(cfg, np.random.default_rng(0), 8)
     assert g.g_r_d is None
-    sel = select_relay(*relay_snrs(cfg, g))[0]
+    sel = run_batch(cfg, g)[2]
     links = _selected_links(g, sel, draw_stage2(cfg, 8, np.random.default_rng(1)))
     assert links.hrb.shape == (8,) and np.all(links.hrb > 0)
 
@@ -140,10 +139,12 @@ def test_anc_snr_monotone_in_gains(a, da, c, dc):
 
 
 def df_snr(gain_sq, gamma_r):
-    # DF per-relay SNR through the kernel: source 1's link, gamma_r = p_relay
-    cfg = make_config(scheme=Scheme.DF_NC, p_source=gamma_r, p_relay=gamma_r)
-    g = np.asarray(gain_sq, dtype=float)
-    return relay_snrs(cfg, GainBatch(g, g, None))[0]
+    # DF per-relay SNR through the kernel, elementwise over the gains: one
+    # relay per round, both sources' links at that gain, gamma_r = p_relay
+    cfg = make_config(num_relays=1, scheme=Scheme.DF_NC, p_source=gamma_r, p_relay=gamma_r)
+    g = np.asarray(gain_sq, dtype=float).reshape(-1, 1)
+    snr = run_batch(cfg, gain_batch(cfg, g, g))[3]
+    return snr if np.ndim(gain_sq) else float(snr[0])
 
 
 def test_df_snr_values():
@@ -157,7 +158,7 @@ def test_df_snr_distribution_is_exponential():
     cfg = make_config(scheme=Scheme.DF_NC, p_relay=2.0, p_source=2.0)
     _, gamma_r = _gammas(cfg)
     g = sample_gains(cfg, np.random.default_rng(7), 10**6)
-    snr = relay_snrs(cfg, g)[0].ravel()
+    snr = df_snr(g.g_s1_r.ravel(), gamma_r)
     rate = 1.0 / gamma_r
     stat = kstest(snr, lambda x: 1.0 - np.exp(-rate * x)).statistic
     assert stat < 0.002
@@ -203,6 +204,15 @@ def test_bottleneck_rate_doubles_source_side():
 # -- selection ------------------------------------------------------------------
 
 
+def select_relay(s1, s2):
+    # the kernel's max-min selection of one round whose relay j has SNR s1[j]
+    # from source 1 and s2[j] from source 2: DF-NC at gamma_r = 1, where the
+    # SNRs are the source->relay gains (the kernel reads N off the gains)
+    cfg = make_config(num_relays=1, scheme=Scheme.DF_NC, p_source=1.0, p_relay=1.0)
+    sel, best = run_batch(cfg, gain_batch(cfg, np.array([s1], float), np.array([s2], float)))[2:]
+    return int(sel[0]), float(best[0])
+
+
 def select_best_relay(s1, s2):
     return select_relay(s1, s2)[0]
 
@@ -229,6 +239,15 @@ def test_empty_rejected():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         select_best_relay([1.0, 2.0], [1.0])
+
+
+def test_df_batch_without_its_selection_rejected():
+    # DF-NC's relay is selected with the gains, once per batch; a batch
+    # without it cannot be read as if it had one
+    cfg = make_config(scheme=Scheme.DF_NC)
+    g = np.ones((4, 2))
+    with pytest.raises(ValueError, match="df_sel"):
+        run_batch(cfg, GainBatch(g, g, None, None))
 
 
 @settings(max_examples=200)
