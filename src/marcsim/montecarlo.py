@@ -12,12 +12,12 @@ the first symbol, the best second symbol is the PSK point nearest one angle
 Fading is drawn gain first, in two stages.  Stage 1 (``sample_gains``)
 draws only what relay selection reads: the power gains |h|^2 of the
 source->relay links and, under ANC, of the relay->destination links, as
-unit-mean exponentials.  Outage estimation stops there.  Stage 2
-(``_draw_stage2``) draws only what detection can see: one uniform phase psi,
-under DF-NC one relay->destination gain g_rd (DF selection never reads it),
-the two direct links as complex Gaussians, then symbols and noises.  It is
-drawn in fixed row chunks (``_STAGE2_CHUNKS``), each when detection first
-reads into it and not before, straight into the batch's buffers.
+unit-mean exponentials.  Outage estimation stops there.  Stage 2, one
+``_Stage2`` record per batch, holds what only detection can see, in draw
+order: one uniform phase psi, under DF-NC one relay->destination gain g_rd
+(DF selection never reads it), the two direct links as complex Gaussians,
+then symbols and noises.  ``_draw_stage2`` fills it in fixed row chunks
+(``_STAGE2_CHUNKS``), each when detection first reads into it.
 
 Selection is max-min: the relay maximizing the smaller of the two sources'
 SNRs through it.  Under DF-NC relay j's bottleneck is min(g1_j, g2_j)*gamma_r,
@@ -26,17 +26,17 @@ serves every config of its group (``GainBatch.df_sel``).  Under ANC
 ``anc_snr`` rises with its first gain, so relay j's bottleneck is
 anc_snr(min(g1_j, g2_j), g_rd_j): one ``anc_snr`` and one argmax per
 config.  The one per-config kernel, ``run_batch``, selects a relay on
-stage 1 and, given stage 2, gathers h1b = sqrt(g1),
-h2b = sqrt(g2)*exp(j*psi) and, under ANC, hrb = sqrt(g_rd) from the
-selected relay's gains, then detects.  No draw
-depends on selection or on the powers, so the configs of a group, one
-scheme, PSK order and relay count, share them (``estimate_group``, common
-random numbers): each batch is drawn once and every config runs
-``run_batch`` on row slices of it.  Sweeps and tests run this same kernel,
-and its flags for a row do not depend on the slice the row is detected in.
-A SER estimate stops at the first trial where both sources have
-``MAX_ERRORS`` errors, so detection runs only up to the slice holding that
-trial, and the result does not depend on how the batch was sliced.  For
+stage 1 and, given the rows' stage-2 record, gathers h1b = sqrt(g1),
+h2b = sqrt(g2)*exp(j*psi) and hrb = sqrt(g_rd) from the selected relay's
+gains, then detects.  No draw depends on selection or on the powers, so the
+configs of a group, one scheme, PSK order and relay count, share them
+(``estimate_group``, common random numbers): each batch is drawn once and
+every config runs ``run_batch`` on row slices of it.  Sweeps and tests run
+this same kernel, and its flags for a row do not depend on the slice the row
+is detected in.  A SER estimate stops at the first trial where both sources
+have ``MAX_ERRORS`` errors, so detection runs only up to the slice holding
+that trial, then selection alone over the rest of the batch if outage is
+asked for; the result does not depend on how the batch was sliced.  For
 fixed gains every relay's bottleneck SNR rises with the budget, so a group's
 outage estimates are nonincreasing in SNR by construction.
 
@@ -48,9 +48,9 @@ h2b and the relay noise by alpha rotates the relay's observation by alpha;
 rotating hrb by beta as well, and the destination's slot-2 noise by
 alpha + beta under ANC (beta under DF-NC), rotates the slot-2 observation by
 that angle.  Every metric is unchanged, and as the angles depend on the
-channel alone, the rotated noises have the law of the originals.  With alpha = -arg h1b and beta = -arg hrb the one
-phase left is that of h2b relative to h1b, uniform and independent of the
-gains.
+channel alone, the rotated noises have the law of the originals.  With
+alpha = -arg h1b and beta = -arg hrb the one phase left is that of h2b
+relative to h1b, uniform and independent of the gains.
 
 Randomness is counter-based: trial t always belongs to batch t // BATCH_SIZE,
 and batch b draws from Philox(seed) jumped b times: stage 1 first, then the
@@ -92,9 +92,9 @@ BATCH_SIZE = 1 << 14
 MAX_ERRORS = 400
 
 # Rows at which a batch's stage-2 chunks end, clipped to the batch.  A chunk
-# is drawn only when detection first reads into it, so a SER estimate that
-# stops early draws little past its stop; the first end is also the first
-# detection slice of a SER estimate (_next_slice).
+# fills every field of the batch's _Stage2 record over its rows when detection
+# first reads into it, so a SER estimate draws little past its stop; the first
+# end is also its first detection slice (_next_slice), later ones are not.
 _STAGE2_CHUNKS = (2048, 4096, 8192, 16384)
 
 _Z95 = 1.959963984540054
@@ -174,6 +174,8 @@ class GainBatch:
         shape = np.shape(self.g_s1_r)
         if np.shape(self.g_s2_r) != shape or (self.g_r_d is not None and np.shape(self.g_r_d) != shape):
             raise ValueError("per-relay gain arrays must have equal shapes")
+        if self.df_sel is not None and np.shape(self.df_sel) != shape[:-1]:
+            raise ValueError(f"df_sel must have the gains' row shape {shape[:-1]}, not {np.shape(self.df_sel)}")
 
 
 def _df_select(g_s1_r, g_s2_r):
@@ -216,65 +218,51 @@ def anc_snr(gain_sr_sq, gain_rd_sq, gamma_s: float, gamma_r: float):
     return snr
 
 
-class _Links(NamedTuple):
-    """The complex coefficients that the receivers know, one entry per trial."""
+class _Stage2(NamedTuple):
+    """A batch's stage 2, the draws that only detection reads, one entry per
+    trial, its fields in draw order."""
 
-    h1b: np.ndarray     # source 1 -> selected relay
-    h2b: np.ndarray     # source 2 -> selected relay
-    hrb: np.ndarray     # selected relay -> destination
-    h_s1_d: np.ndarray  # source 1 -> destination
-    h_s2_d: np.ndarray  # source 2 -> destination
-
-
-class _Draws(NamedTuple):
-    """Symbol indices sent and receiver noises, one entry per trial."""
-
-    i1: np.ndarray
+    phase: np.ndarray          # exp(j*psi), the phase of h2b
+    g_rd: np.ndarray | None    # DF-NC's selected relay -> destination gain; None under ANC
+    h_s1_d: np.ndarray         # source 1 -> destination
+    h_s2_d: np.ndarray         # source 2 -> destination
+    i1: np.ndarray             # symbol indices sent
     i2: np.ndarray
-    n_relay: np.ndarray
+    n_relay: np.ndarray        # receiver noises
     n_d1: np.ndarray
     n_d2: np.ndarray
 
 
-def _stage2_buffers(config: SystemConfig, size: int):
-    """Unfilled stage-2 buffers of a batch of ``size`` rounds, in the layout
-    ``run_batch`` reads: the phase exp(j*psi) of h2b, DF-NC's
-    relay->destination gain (None under ANC), the two direct links, then
-    symbols and noises (``_Draws``)."""
+def _stage2_buffers(config: SystemConfig, size: int) -> _Stage2:
+    """Unfilled stage-2 buffers of a batch of ``size`` rounds: the six complex
+    rows in one block, the two symbol rows in another, and DF-NC's g_rd."""
     phase, h_s1_d, h_s2_d, n_relay, n_d1, n_d2 = np.empty((6, size), complex)
     i1, i2 = np.empty((2, size), np.int64)
     g_rd = np.empty(size) if config.scheme is Scheme.DF_NC else None
-    return phase, g_rd, (h_s1_d, h_s2_d), _Draws(i1, i2, n_relay, n_d1, n_d2)
+    return _Stage2(phase, g_rd, h_s1_d, h_s2_d, i1, i2, n_relay, n_d1, n_d2)
 
 
-def _draw_stage2(config: SystemConfig, stage2, lo: int, hi: int, rng: np.random.Generator) -> None:
-    """Draw rows lo:hi of stage 2, none of it read by selection, into the
-    buffers ``stage2`` in a fixed order: the phase, DF-NC's
-    relay->destination gain, the two direct links, the two symbols, then the
-    relay's and the destination's two noises.  Selection depends on the
-    gains only, so only the selected relay's receiver noise is realized."""
-    phase, g_rd, direct, draws = stage2
+def _draw_stage2(config: SystemConfig, stage2: _Stage2, lo: int, hi: int, rng: np.random.Generator) -> None:
+    """Draw rows lo:hi of ``stage2`` in its field order.  Selection reads
+    none of it, so only the selected relay's receiver noise is realized."""
     n = hi - lo
-    np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n), out=phase[lo:hi])
-    if g_rd is not None:
-        rng.standard_exponential(out=g_rd[lo:hi])
-    for h in direct:
-        _complex_gaussian(rng, h[lo:hi])
-    m = config.mod_order
-    draws.i1[lo:hi] = rng.integers(0, m, n)
-    draws.i2[lo:hi] = rng.integers(0, m, n)
-    for noise in draws[2:]:
+    np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n), out=stage2.phase[lo:hi])
+    if stage2.g_rd is not None:
+        rng.standard_exponential(out=stage2.g_rd[lo:hi])
+    _complex_gaussian(rng, stage2.h_s1_d[lo:hi])
+    _complex_gaussian(rng, stage2.h_s2_d[lo:hi])
+    stage2.i1[lo:hi] = rng.integers(0, config.mod_order, n)
+    stage2.i2[lo:hi] = rng.integers(0, config.mod_order, n)
+    for noise in (stage2.n_relay, stage2.n_d1, stage2.n_d2):
         _complex_gaussian(rng, noise[lo:hi])
 
 
-def _selected_links(gb: GainBatch, sel, stage2) -> _Links:
-    """The coefficients that detection sees, in the rotated form of the
-    module docstring (h1b and hrb real, one phase on h2b)."""
-    phase, g_rd, direct, _ = stage2
+def _selected_links(gb: GainBatch, sel, stage2: _Stage2):
+    """The selected relay's links (h1b, h2b, hrb), in the rotated form of
+    the module docstring (h1b and hrb real, one phase on h2b)."""
     rows = np.arange(sel.shape[0])
-    g_rd = g_rd if gb.g_r_d is None else gb.g_r_d[rows, sel]
-    h2b = np.sqrt(gb.g_s2_r[rows, sel]) * phase
-    return _Links(np.sqrt(gb.g_s1_r[rows, sel]), h2b, np.sqrt(g_rd), *direct)
+    g_rd = stage2.g_rd if gb.g_r_d is None else gb.g_r_d[rows, sel]
+    return np.sqrt(gb.g_s1_r[rows, sel]), np.sqrt(gb.g_s2_r[rows, sel]) * stage2.phase, np.sqrt(g_rd)
 
 
 def _pair_ml(z, score):
@@ -309,21 +297,22 @@ def _relay_decode(y_relay, h1b, h2b, sp: float, const):
     )
 
 
-def _decide(config: SystemConfig, links: _Links, draws: _Draws):
+def _decide(config: SystemConfig, relay_links, stage2: _Stage2):
     """The destination's joint ML decision (k1, k2) of one round per trial,
-    after the DF relay's own decision.  Deterministic: every random input
-    is in ``links`` and ``draws``."""
+    after the DF relay's own decision.  Deterministic: every random input is
+    in ``relay_links`` = (h1b, h2b, hrb) and in ``stage2``."""
     m = config.mod_order
     const = modulate(np.arange(m), m)
     ci = const[:, None]  # row i of an (M, B) array holds the hypothesis x1 = c_i
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
-    h1b, h2b, hrb, h_s1_d, h_s2_d = links
-    x1 = const[draws.i1]
-    x2 = const[draws.i2]
+    h1b, h2b, hrb = relay_links
+    h_s1_d, h_s2_d = stage2.h_s1_d, stage2.h_s2_d
+    x1 = const[stage2.i1]
+    x2 = const[stage2.i2]
 
-    y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + draws.n_d1
-    y_relay = sp * (h1b * x1 + h2b * x2) + draws.n_relay
+    y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + stage2.n_d1
+    y_relay = sp * (h1b * x1 + h2b * x2) + stage2.n_relay
     # slot 1's share of z: |y1 - a*c_i - b*c_j|^2 is a term free of j minus
     # 2*Re(conj(c_j) * conj(b)*(y1 - a*c_i)), with a = sp*h_s1_d, b = sp*h_s2_d
     w1 = np.conj(sp * h_s2_d)
@@ -334,7 +323,7 @@ def _decide(config: SystemConfig, links: _Links, draws: _Draws):
 
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
-        y2 = amp * hrb * y_relay + draws.n_d2
+        y2 = amp * hrb * y_relay + stage2.n_d2
         var2 = amp * amp * np.abs(hrb) ** 2 + 1.0
         w2 = np.conj(amp * hrb * sp * h2b) / var2
         z = (p1 + w2 * y2) - (q1 + w2 * (amp * hrb * sp * h1b)) * ci
@@ -347,7 +336,7 @@ def _decide(config: SystemConfig, links: _Links, draws: _Draws):
         # relay jointly decodes the pair, then forwards the modulo-M combine
         r1, r2 = _relay_decode(y_relay, h1b, h2b, sp, const)
         forwarded = const[(r1 + r2) % m]
-        y2 = sr * hrb * forwarded + draws.n_d2
+        y2 = sr * hrb * forwarded + stage2.n_d2
         # slot 2 is |y2 - (sr*hrb*c_i)*c_j|^2, so its share of z is
         # conj(sr*hrb*c_i) * y2
         z = p1 - q1 * ci + (np.conj(sr * hrb) * y2) * ci.conj()
@@ -372,6 +361,8 @@ def _select(config: SystemConfig, gb: GainBatch):
         if sel is None:
             raise ValueError("a DF-NC GainBatch needs df_sel, the relay that sample_gains selects")
         return sel, np.minimum(gb.g_s1_r[rows, sel], gb.g_s2_r[rows, sel]) * gamma_r
+    if gb.g_r_d is None:
+        raise ValueError("an ANC GainBatch needs g_r_d, the relay->destination gains that selection reads")
     bottleneck = anc_snr(np.minimum(gb.g_s1_r, gb.g_s2_r), gb.g_r_d, gamma_s, gamma_r)
     sel = np.argmax(bottleneck, axis=-1)
     return sel, bottleneck[rows, sel]
@@ -379,8 +370,8 @@ def _select(config: SystemConfig, gb: GainBatch):
 
 def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
     """The per-config kernel, one vectorized batch of protocol rounds: select
-    a relay on the stage-1 gains ``gb`` and, given the batch's stage-2 draws
-    from ``_draw_stage2``, gather the selected links and detect.  Returns
+    a relay on the stage-1 gains ``gb`` and, given the rows' ``_Stage2``
+    record, gather the selected relay's links and detect.  Returns
     per-trial source-1 and source-2 error flags (None without ``stage2``),
     the selected relay index and the selection-bottleneck SNR.  Under DF-NC
     relay decoding errors propagate into the forwarded symbol; there is no
@@ -388,23 +379,19 @@ def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
     sel, best = _select(config, gb)
     if stage2 is None:
         return None, None, sel, best
-    draws = stage2[-1]
-    k1, k2 = _decide(config, _selected_links(gb, sel, stage2), draws)
-    return k1 != draws.i1, k2 != draws.i2, sel, best
+    k1, k2 = _decide(config, _selected_links(gb, sel, stage2), stage2)
+    return k1 != stage2.i1, k2 != stage2.i2, sel, best
 
 
 def _rows(gb: GainBatch, stage2, lo: int, hi: int):
-    """Rows lo:hi of a batch's stage-1 gains and stage-2 draws (None stays
+    """Rows lo:hi of a batch's stage-1 gains and stage-2 record (None stays
     None), as views."""
 
     def cut(a):
         return None if a is None else a[lo:hi]
 
     gains = GainBatch(cut(gb.g_s1_r), cut(gb.g_s2_r), cut(gb.g_r_d), cut(gb.df_sel))
-    if stage2 is None:
-        return gains, None
-    phase, g_rd, direct, draws = stage2
-    return gains, (cut(phase), cut(g_rd), tuple(map(cut, direct)), _Draws(*map(cut, draws)))
+    return gains, None if stage2 is None else _Stage2(*map(cut, stage2))
 
 
 def _next_slice(done: int, err1: int, err2: int, max_errors: int | None, rest: int) -> int:
@@ -450,16 +437,16 @@ def estimate_group(
     """(SER pair, outage) of each config of a group, configs of one scheme,
     PSK order and relay count at any powers; an estimate is None unless
     ``ser`` or ``gamma_th`` asks for it.  Each batch draws the stage-1 gains
-    once and stage 2 at most once, chunk by chunk as far as the furthest
-    detection slice reads; each config runs ``run_batch`` on consecutive row
-    slices of them.  A config counts outages (selected-relay SNR below
-    ``gamma_th``) over all ``trials``, and errors up to its stop: the first
-    trial T at which both sources have ``max_errors`` errors (None: no
-    stop), or ``trials``.  Both sources report their errors over T trials.
-    Detection runs only on the slices up to the one holding T, and past it
-    selection alone, if outage is asked for.  No draw depends on selection,
-    the powers, the other configs or the slicing, so each estimate is bit
-    for bit the one its config gets alone."""
+    once and its ``_Stage2`` record at most once, chunk by chunk as far as
+    the furthest detection slice reads.  A config counts errors up to its
+    stop, the first trial T at which both sources have ``max_errors`` errors
+    (None: no stop) or ``trials``, and both sources report them over T
+    trials; it counts outages (selected-relay SNR below ``gamma_th``) over
+    all ``trials``.  In each batch it runs ``run_batch`` on consecutive row
+    slices up to the one holding T, then once without stage 2 over the rest,
+    if outage is asked for.  No draw depends on selection, the powers, the
+    other configs or the slicing, so each estimate is bit for bit the one
+    its config gets alone."""
     if len({(c.scheme, c.mod_order, c.num_relays) for c in configs}) != 1:
         raise ValueError("a group needs one or more configs, all of one scheme, PSK order and relay count")
     if gamma_th is not None and not gamma_th >= 0:  # NaN fails the comparison too
@@ -475,28 +462,25 @@ def estimate_group(
         drawn = 0  # rows of stage 2 drawn so far
         for k in range(n):
             lo = 0
-            while lo < size and (counting[k] or gamma_th is not None):
-                if counting[k]:
-                    hi = lo + _next_slice(done[k], err1[k], err2[k], max_errors, size - lo)
-                    while drawn < hi:  # draw the chunks this slice reads into
-                        end = next((e for e in _STAGE2_CHUNKS if drawn < e < size), size)
-                        _draw_stage2(configs[0], stage2, drawn, end, rng)
-                        drawn = end
-                    e1, e2, _, best = run_batch(configs[k], *_rows(gb, stage2, lo, hi))
-                    stop = None if max_errors is None else _stop_row(e1, e2, max_errors - err1[k], max_errors - err2[k])
-                    counting[k] = stop is None
-                    used = hi - lo if stop is None else stop
-                    err1[k] += int(np.count_nonzero(e1[:used]))
-                    err2[k] += int(np.count_nonzero(e2[:used]))
-                    done[k] += used
-                    del e1, e2  # free this slice's arrays before the next runs
-                else:
-                    hi = size
-                    best = run_batch(configs[k], *_rows(gb, None, lo, hi))[3]
+            while counting[k] and lo < size:
+                hi = lo + _next_slice(done[k], err1[k], err2[k], max_errors, size - lo)
+                while drawn < hi:  # draw the chunks this slice reads into
+                    end = next((e for e in _STAGE2_CHUNKS if drawn < e < size), size)
+                    _draw_stage2(configs[0], stage2, drawn, end, rng)
+                    drawn = end
+                e1, e2, _, best = run_batch(configs[k], *_rows(gb, stage2, lo, hi))
+                stop = None if max_errors is None else _stop_row(e1, e2, max_errors - err1[k], max_errors - err2[k])
+                counting[k] = stop is None
+                used = hi - lo if stop is None else stop
+                err1[k] += int(np.count_nonzero(e1[:used]))
+                err2[k] += int(np.count_nonzero(e2[:used]))
+                done[k] += used
                 if gamma_th is not None:
                     below[k] += int(np.count_nonzero(best < gamma_th))
-                del best
+                del e1, e2, best  # free this slice's arrays before the next runs
                 lo = hi
+            if gamma_th is not None and lo < size:  # past the stop, select only
+                below[k] += int(np.count_nonzero(run_batch(configs[k], *_rows(gb, None, lo, size))[3] < gamma_th))
         del gb, stage2  # free this batch before the next is drawn
         if not any(counting) and gamma_th is None:
             break
@@ -523,12 +507,7 @@ def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     """Selection-bottleneck SNR of the chosen relay for ``trials`` fading
     draws (no symbols are transmitted)."""
     batches = _batches(seed, trials)
-    out = np.empty(trials)
-    done = 0
-    for rng, size in batches:
-        out[done : done + size] = run_batch(config, sample_gains(config, rng, size))[3]
-        done += size
-    return out
+    return np.concatenate([run_batch(config, sample_gains(config, rng, size))[3] for rng, size in batches])
 
 
 def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:

@@ -24,8 +24,7 @@ from marcsim.model import SystemConfig, Scheme, _gammas
 from marcsim.montecarlo import (
     GainBatch,
     _STAGE2_CHUNKS,
-    _Draws,
-    _Links,
+    _Stage2,
     _batches,
     _decide,
     _draw_stage2,
@@ -183,31 +182,32 @@ def brute_force_pair(y_relay, h1b, h2b, sp, mod_order):
     return ii[k], jj[k]
 
 
-def brute_force_decide(config: SystemConfig, links, draws):
+def brute_force_decide(config: SystemConfig, relay_links, stage2):
     """``montecarlo._decide`` with every joint-ML decision (the DF relay's
     and the destination's) taken by scoring all M^2 symbol pairs."""
     m = config.mod_order
     const, ii, jj = _pair_grid(m)
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
-    h1b, h2b, hrb, h_s1_d, h_s2_d = links
-    x1 = const[draws.i1]
-    x2 = const[draws.i2]
+    h1b, h2b, hrb = relay_links
+    h_s1_d, h_s2_d = stage2.h_s1_d, stage2.h_s2_d
+    x1 = const[stage2.i1]
+    x2 = const[stage2.i2]
 
-    y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + draws.n_d1
+    y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + stage2.n_d1
     mu1 = sp * (h_s1_d[:, None] * const[ii] + h_s2_d[:, None] * const[jj])
-    y_relay = sp * (h1b * x1 + h2b * x2) + draws.n_relay
+    y_relay = sp * (h1b * x1 + h2b * x2) + stage2.n_relay
 
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
-        y2 = amp * hrb * y_relay + draws.n_d2
+        y2 = amp * hrb * y_relay + stage2.n_d2
         var2 = amp * amp * np.abs(hrb) ** 2 + 1.0
         mu2 = amp * hrb[:, None] * sp * (h1b[:, None] * const[ii] + h2b[:, None] * const[jj])
         metric = np.abs(y1[:, None] - mu1) ** 2 + np.abs(y2[:, None] - mu2) ** 2 / var2[:, None]
     else:
         r1, r2 = brute_force_pair(y_relay, h1b, h2b, sp, m)
         forwarded = const[(r1 + r2) % m]
-        y2 = sr * hrb * forwarded + draws.n_d2
+        y2 = sr * hrb * forwarded + stage2.n_d2
         mu2 = sr * hrb[:, None] * const[(ii + jj) % m]
         metric = np.abs(y1[:, None] - mu1) ** 2 + np.abs(y2[:, None] - mu2) ** 2
 
@@ -253,9 +253,8 @@ def brute_force_run_batch(config: SystemConfig, gb, stage2):
     and ``brute_force_decide`` for the detection, on the same stage-1 gains
     and stage-2 draws."""
     sel, best = max_min_selection(config, gb)
-    draws = stage2[-1]
-    k1, k2 = brute_force_decide(config, _selected_links(gb, sel, stage2), draws)
-    return k1 != draws.i1, k2 != draws.i2, sel, best
+    k1, k2 = brute_force_decide(config, _selected_links(gb, sel, stage2), stage2)
+    return k1 != stage2.i1, k2 != stage2.i2, sel, best
 
 
 def complex_gaussian(rng, size) -> np.ndarray:
@@ -281,12 +280,7 @@ def chunked_stage2(config: SystemConfig, size: int, rng):
     ``_STAGE2_CHUNKS`` row below ``size`` or at ``size``, concatenated."""
     bounds = [0, *(end for end in _STAGE2_CHUNKS if end < size), size]
     chunks = [draw_stage2(config, hi - lo, rng) for lo, hi in zip(bounds, bounds[1:])]
-    phase, g_rd, direct, draws = zip(*chunks)
-
-    def cat(parts):
-        return None if parts[0] is None else np.concatenate(parts)
-
-    return cat(phase), cat(g_rd), tuple(map(cat, zip(*direct))), _Draws(*map(cat, zip(*draws)))
+    return _Stage2(*(None if parts[0] is None else np.concatenate(parts) for parts in zip(*chunks)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,26 +307,28 @@ def full_phase_gains(config: SystemConfig, rng, size: int) -> ComplexGains:
     )
 
 
-def draw_symbols(config: SystemConfig, size: int, rng) -> _Draws:
+def draw_symbols(config: SystemConfig, size: int, rng) -> _Stage2:
     """The rest of a full-phase round, drawn after the links: both symbols,
-    then the relay's and the destination's two noises."""
+    then the relay's and the destination's two noises, in a ``_Stage2``
+    whose phase, g_rd and direct links are None."""
     m = config.mod_order
     i1 = rng.integers(0, m, size)
     i2 = rng.integers(0, m, size)
-    return _Draws(i1, i2, *(complex_gaussian(rng, size) for _ in range(3)))
+    return _Stage2(None, None, None, None, i1, i2, *(complex_gaussian(rng, size) for _ in range(3)))
 
 
-def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, draws):
+def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, symbols: _Stage2):
     """``montecarlo.run_batch`` on full-phase coefficients and the symbols
-    and noises ``draws`` of ``draw_symbols``: ``max_min_selection`` reads
-    |h|^2, and the selected relay's coefficients reach the detector with
+    and noises of ``draw_symbols``: ``max_min_selection`` reads |h|^2, and
+    the selected relay's and the direct coefficients reach the detector with
     their phases as drawn."""
     gb = GainBatch(np.abs(cg.h_s1_r) ** 2, np.abs(cg.h_s2_r) ** 2, np.abs(cg.h_r_d) ** 2, None)
     sel, best = max_min_selection(config, gb)
     rows = np.arange(sel.shape[0])
-    links = _Links(cg.h_s1_r[rows, sel], cg.h_s2_r[rows, sel], cg.h_r_d[rows, sel], cg.h_s1_d, cg.h_s2_d)
-    k1, k2 = _decide(config, links, draws)
-    return k1 != draws.i1, k2 != draws.i2, sel, best
+    relay_links = cg.h_s1_r[rows, sel], cg.h_s2_r[rows, sel], cg.h_r_d[rows, sel]
+    stage2 = symbols._replace(h_s1_d=cg.h_s1_d, h_s2_d=cg.h_s2_d)
+    k1, k2 = _decide(config, relay_links, stage2)
+    return k1 != stage2.i1, k2 != stage2.i2, sel, best
 
 
 def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):

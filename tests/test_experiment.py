@@ -352,7 +352,51 @@ def test_group_rows_match_a_per_cell_oracle(tmp_path, spec):
     # the SER cells of a group stop at different trials: 0 dB in the first
     # batch, 20 dB at the cap, past a partial last batch
     spec = dataclasses.replace(spec, trials=2 * montecarlo.BATCH_SIZE + 7, seed=7, output_path=str(tmp_path / "g.csv"))
-    assert_rows_match_a_per_cell_oracle(spec)
+    rows = assert_rows_match_a_per_cell_oracle(spec)
+    if spec.figure == "custom":
+        assert rows == CUSTOM_ROWS
+
+
+# the custom sweep above, as recorded at 0.7.0: its SER and outage columns
+# together, so the 0 dB cells count outage past their stop by selection alone
+CUSTOM_ROWS = [
+    "anc,2,1,0.0,0.25951776649746194,0.02162424969585825,"
+    "0.24928105650299706,0.6529038804869673,1.0,0.9999996940976795,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap;outage_exp_approx",
+    "anc,2,1,10.0,0.04169046259280411,0.003825059123675929,"
+    "0.039622127546869425,0.24197716742394676,0.9196948893974065,0.7768698398515702,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap;outage_exp_approx",
+    "anc,2,1,20.0,0.0014645308924485126,0.0004180852139357795,"
+    "0.0008974916852551214,0.035443926210792176,0.1689397406559878,0.1392920235749422,"
+    "33.333333333333336,33.33333333333333,ser_model_gap;outage_exp_approx",
+    "anc,2,2,0.0,0.2379535990481856,0.020341961368187556,"
+    "0.22468153429527418,0.6529038804869673,1.0,0.9999993881954526,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap;outage_exp_approx",
+    "anc,2,2,10.0,0.028083971073509795,0.002715874029372895,"
+    "0.02276774020851076,0.24197716742394676,0.8494279176201373,0.6035267480710044,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap;outage_exp_approx",
+    "anc,2,2,20.0,0.00033562166285278414,0.00020675673475745813,"
+    "0.00011572566387753685,0.035443926210792176,0.030755148741418763,0.01940226783160225,"
+    "33.333333333333336,33.33333333333333,ser_model_gap;outage_exp_approx",
+    "df,2,1,0.0,0.28169014084507044,0.023372058172147943,"
+    "0.1889822365046136,0.5610177634953863,0.9976506483600305,0.9975212478233336,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
+    "df,2,1,10.0,0.07748455923638406,0.0071727075084071275,"
+    "0.018226688214018204,0.16618628282543796,0.45244851258581237,0.4511883639059736,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
+    "df,2,1,20.0,0.009244851258581236,0.001037653942558706,"
+    "0.0003136530143389381,0.02169242973922131,0.06007627765064836,0.0582354664157513,"
+    "33.333333333333336,33.33333333333333,ser_model_gap;relay_mai",
+    "df,2,2,0.0,0.29338842975206614,0.02339488231159226,"
+    "0.14793909658724666,0.5610177634953863,0.9946605644546148,0.9950486398590206,"
+    "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
+    "df,2,2,10.0,0.05954683614258082,0.005455319358671189,"
+    "0.005853966609280212,0.16618628282543796,0.20747520976353928,0.20357093972414927,"
+    "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
+    "df,2,2,20.0,0.004424103737604882,0.0007208011931376734,"
+    "1.4848467082572873e-05,0.02169242973922131,0.0036003051106025933,0.003391369548660098,"
+    "33.333333333333336,33.33333333333333,ser_model_gap;relay_mai",
+]
 
 
 # a fig3 sweep at 0 and 10 dB, N = 1 and 2, 3000 trials, seed 7, as

@@ -68,10 +68,9 @@ def test_same_seed_same_gains():
     assert np.array_equal(g1.g_s2_r, g2.g_s2_r)
     assert np.array_equal(g1.g_r_d, g2.g_r_d)
     # the direct links are drawn in stage 2, after selection
-    sel = run_batch(cfg, g1)[2]
-    l1 = _selected_links(g1, sel, draw_stage2(cfg, 8, np.random.default_rng(5)))
-    l2 = _selected_links(g2, sel, draw_stage2(cfg, 8, np.random.default_rng(5)))
-    assert np.array_equal(l1.h_s1_d, l2.h_s1_d) and np.array_equal(l1.h_s2_d, l2.h_s2_d)
+    s1 = draw_stage2(cfg, 8, np.random.default_rng(5))
+    s2 = draw_stage2(cfg, 8, np.random.default_rng(5))
+    assert np.array_equal(s1.h_s1_d, s2.h_s1_d) and np.array_equal(s1.h_s2_d, s2.h_s2_d)
 
 
 def test_df_draws_destination_gain_after_selection():
@@ -81,8 +80,8 @@ def test_df_draws_destination_gain_after_selection():
     g = sample_gains(cfg, np.random.default_rng(0), 8)
     assert g.g_r_d is None
     sel = run_batch(cfg, g)[2]
-    links = _selected_links(g, sel, draw_stage2(cfg, 8, np.random.default_rng(1)))
-    assert links.hrb.shape == (8,) and np.all(links.hrb > 0)
+    hrb = _selected_links(g, sel, draw_stage2(cfg, 8, np.random.default_rng(1)))[2]
+    assert hrb.shape == (8,) and np.all(hrb > 0)
 
 
 def test_gain_power_matches_variance():
@@ -247,6 +246,25 @@ def test_df_batch_without_its_selection_rejected():
     cfg = make_config(scheme=Scheme.DF_NC)
     g = np.ones((4, 2))
     with pytest.raises(ValueError, match="df_sel"):
+        run_batch(cfg, GainBatch(g, g, None, None))
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (4, 1), ()], ids=["one", "more-rows", "column", "scalar"])
+def test_df_selection_of_another_shape_rejected(shape):
+    # a selection of one row would broadcast: every row would read relay
+    # df_sel[0], and the kernel would return a selection of shape (1,)
+    g = np.ones((4, 2))
+    with pytest.raises(ValueError, match="df_sel"):
+        GainBatch(g, g, None, np.zeros(shape, np.intp))
+    assert GainBatch(g, g, None, np.zeros(4, np.intp)).df_sel.shape == (4,)
+
+
+def test_anc_batch_without_its_destination_gains_rejected():
+    # ANC selection reads the relay->destination gains; without them the
+    # kernel names what is missing, rather than failing inside anc_snr
+    cfg = make_config(scheme=Scheme.ANC)
+    g = np.ones((4, 2))
+    with pytest.raises(ValueError, match="g_r_d"):
         run_batch(cfg, GainBatch(g, g, None, None))
 
 

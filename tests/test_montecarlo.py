@@ -39,7 +39,6 @@ from marcsim.montecarlo import (
     run_batch,
     sample_best_snr,
     sample_gains,
-    _Links,
     _batches,
     _complex_gaussian,
     _decide,
@@ -225,19 +224,18 @@ def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
     gains = sample_gains(cfg, np.random.default_rng(61), size)
     sel = run_batch(cfg, gains)[2]
     stage2 = draw_stage2(cfg, size, np.random.default_rng(62))
-    links = _selected_links(gains, sel, stage2)
-    silent = dict(h2b=np.zeros_like(links.h2b), h_s2_d=np.zeros_like(links.h_s2_d))
+    h1b, h2b, hrb = _selected_links(gains, sel, stage2)
+    h2b = np.zeros_like(h2b)
+    stage2 = stage2._replace(h_s2_d=np.zeros_like(stage2.h_s2_d))
     if scheme is Scheme.DF_NC:
-        silent["hrb"] = np.zeros_like(links.hrb)
-    links = links._replace(**silent)
-    draws = stage2[-1]
-    _, k2 = _decide(cfg, links, draws)
-    assert np.array_equal(k2 != draws.i2, draws.i2 != 0)
-    assert np.array_equal(k2, brute_force_decide(cfg, links, draws)[1])
+        hrb = np.zeros_like(hrb)
+    _, k2 = _decide(cfg, (h1b, h2b, hrb), stage2)
+    assert np.array_equal(k2 != stage2.i2, stage2.i2 != 0)
+    assert np.array_equal(k2, brute_force_decide(cfg, (h1b, h2b, hrb), stage2)[1])
 
     # the DF relay's decision on its own, from an arbitrary observation
     const = modulate(np.arange(mod_order), mod_order)
-    _, j = _relay_decode(links.h_s1_d, links.h1b, links.h2b, 1.0, const)
+    _, j = _relay_decode(stage2.h_s1_d, h1b, h2b, 1.0, const)
     assert not j.any()
 
 
@@ -253,27 +251,29 @@ def test_decisions_invariant_under_receiver_rotations(scheme, mod_order, snr_db,
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), snr_db)
     rng = np.random.default_rng(mod_order)
     size = 4096
-    links = _Links(*(complex_gaussian(rng, size) for _ in range(5)))
-    draws = draw_symbols(cfg, size, rng)
+    h1b, h2b, hrb, h_s1_d, h_s2_d = (complex_gaussian(rng, size) for _ in range(5))
+    stage2 = draw_symbols(cfg, size, rng)._replace(h_s1_d=h_s1_d, h_s2_d=h_s2_d)
     if rotation == "arbitrary":
         alpha, beta = (rng.uniform(0.0, 2.0 * np.pi, size) for _ in range(2))
     else:  # the form stage 2 draws: h1b and hrb real
-        alpha, beta = -np.angle(links.h1b), -np.angle(links.hrb)
+        alpha, beta = -np.angle(h1b), -np.angle(hrb)
     turn_alpha, turn_beta = np.exp(1j * alpha), np.exp(1j * beta)
     turn_slot2 = turn_alpha * turn_beta if scheme is Scheme.ANC else turn_beta
-    rotated = links._replace(h1b=links.h1b * turn_alpha, h2b=links.h2b * turn_alpha, hrb=links.hrb * turn_beta)
-    rotated_draws = draws._replace(n_relay=draws.n_relay * turn_alpha, n_d2=draws.n_d2 * turn_slot2)
+    links = (h1b, h2b, hrb)
+    rotated = (h1b * turn_alpha, h2b * turn_alpha, hrb * turn_beta)
+    rotated_stage2 = stage2._replace(n_relay=stage2.n_relay * turn_alpha, n_d2=stage2.n_d2 * turn_slot2)
 
-    got, want = _decide(cfg, rotated, rotated_draws), _decide(cfg, links, draws)
+    got, want = _decide(cfg, rotated, rotated_stage2), _decide(cfg, links, stage2)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     const = modulate(np.arange(mod_order), mod_order)
     sp = math.sqrt(cfg.p_source)
 
-    def relay(lk, dr):
-        y = sp * (lk.h1b * const[dr.i1] + lk.h2b * const[dr.i2]) + dr.n_relay
-        return _relay_decode(y, lk.h1b, lk.h2b, sp, const)
+    def relay(relay_links, s2):
+        h1, h2, _ = relay_links
+        y = sp * (h1 * const[s2.i1] + h2 * const[s2.i2]) + s2.n_relay
+        return _relay_decode(y, h1, h2, sp, const)
 
-    got, want = relay(rotated, rotated_draws), relay(links, draws)
+    got, want = relay(rotated, rotated_stage2), relay(links, stage2)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -446,6 +446,45 @@ def test_stage2_is_drawn_only_where_detection_reads(monkeypatch):
     assert stops[-1] == 2 * BATCH_SIZE + 3000 and got == whole * 2 + [(0, 2048), (2048, 3000)]
     assert drawn([capped], BATCH_SIZE + 5)[1] == whole + [(0, 5)]
     assert drawn([*early, capped], 2 * BATCH_SIZE, ser=False, gamma_th=1.0) == ([], [])
+
+
+def test_kernel_calls_per_batch(monkeypatch):
+    # detection slices are few and large, and do not follow the stage-2
+    # chunks: a config that runs to the cap detects in at most two calls in
+    # its first batch (the probe, then the rest) and in one call in each
+    # later batch; a config that has stopped selects in one call over the
+    # rest of each batch when outage is asked for, and makes none otherwise
+    calls, kernel, sampler = [], montecarlo.run_batch, montecarlo.sample_gains
+    batch = [-1]
+
+    def sample(config, rng, size):
+        batch[0] += 1
+        return sampler(config, rng, size)
+
+    def counted(config, gb, stage2=None):
+        calls.append((config, batch[0], stage2 is not None, len(gb.g_s1_r)))
+        return kernel(config, gb, stage2)
+
+    monkeypatch.setattr(montecarlo, "sample_gains", sample)
+    monkeypatch.setattr(montecarlo, "run_batch", counted)
+    early, capped = (config_at_snr_db(anc_config(), snr) for snr in (0.0, 25.0))
+    trials = 3 * BATCH_SIZE + 5
+    sizes = [BATCH_SIZE] * 3 + [5]
+
+    def rows(config, b, detect):
+        return [n for c, at, det, n in calls if c == config and at == b and det == detect]
+
+    for gamma_th in (1.0, None):
+        calls.clear()
+        batch[0] = -1
+        (stopped, _), (full, _) = estimate_group([early, capped], trials, seed=4, gamma_th=gamma_th)
+        assert stopped[0].trials < BATCH_SIZE and full[0].trials == trials
+        for b, size in enumerate(sizes):
+            assert 1 <= len(rows(capped, b, True)) <= (2 if b == 0 else 1)
+            assert sum(rows(capped, b, True)) == size and rows(capped, b, False) == []
+            detected = sum(rows(early, b, True))
+            assert (detected > 0) == (b == 0)
+            assert rows(early, b, False) == ([size - detected] if gamma_th is not None else [])
 
 
 @pytest.mark.parametrize("max_errors", [0, -5, True, 2.5])
