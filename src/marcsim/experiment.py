@@ -82,6 +82,10 @@ _DEFAULT_SEED = 42
 _DEFAULT_GAMMA_TH = 1.0
 _TRIALS_RUNTIME_WARNING = 10**8
 _MAX_SNR_POINTS = 10_000  # more points than any sweep needs: a range that long has a mistyped step
+# Most bytes that one batch of stage-1 gains and its relay selection may
+# hold (montecarlo._STAGE1_BYTES per gain element): a spec that needs more
+# exits 1 instead of being killed for memory mid-sweep.
+_STAGE1_BUDGET = 1 << 30
 
 
 @dataclasses.dataclass
@@ -146,6 +150,7 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     # the analytic SER's alternating series over n = 1..N multiplies a rate
     # by up to max_n C(N, n)*n, which must stay finite; outage reads one rate
     rate_scale = 1.0
+    n_max = None  # the largest relay count, once relay_counts is valid
     if not s.relay_counts:
         errors.append("relay_counts: must be nonempty")
     elif any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in s.relay_counts):
@@ -157,9 +162,10 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
             f"relay_counts: SER figures allow at most {_MAX_SERIES_ORDER} relays "
             f"(the analytic SER's alternating series), got {max(s.relay_counts)}"
         )
-    elif fig.ser:
+    else:
         n_max = max(s.relay_counts)
-        rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
+        if fig.ser:
+            rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
     if not s.snr_points_db:
         errors.append("snr_points_db: must be nonempty")
     elif any(isinstance(v, bool) or not math.isfinite(v) for v in s.snr_points_db):
@@ -190,17 +196,28 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         errors.append(f"mod_orders: entries must be powers of two >= 2, got {s.mod_orders!r}")
     elif len(set(s.mod_orders)) < len(s.mod_orders):
         errors.append(f"mod_orders: entries must be distinct, got {s.mod_orders!r}")
+    gain_bytes = None  # the most bytes per stage-1 gain element, once schemes is valid
     if not s.schemes:
         errors.append("schemes: must be nonempty")
     elif not all(isinstance(x, Scheme) for x in s.schemes):
         errors.append(f"schemes: entries must be Scheme members, got {s.schemes!r}")
     elif len(set(s.schemes)) < len(s.schemes):
         errors.append(f"schemes: entries must be distinct, got {[x.value for x in s.schemes]}")
+    else:
+        gain_bytes = max(montecarlo._STAGE1_BYTES[x] for x in s.schemes)
     # bool is an int subclass; True must not pass as 1
     if isinstance(s.trials, bool) or not isinstance(s.trials, int) or s.trials < 1:
         errors.append(f"trials: must be an integer >= 1, got {s.trials!r}")
-    elif s.trials > _TRIALS_RUNTIME_WARNING:
-        warnings.append(f"trials: {s.trials} will take a very long time per cell")
+    else:
+        if s.trials > _TRIALS_RUNTIME_WARNING:
+            warnings.append(f"trials: {s.trials} will take a very long time per cell")
+        if n_max is not None and gain_bytes is not None:
+            need = gain_bytes * min(s.trials, montecarlo.BATCH_SIZE) * n_max
+            if need > _STAGE1_BUDGET:
+                errors.append(
+                    f"relay_counts: {n_max} relays need {need} bytes for one batch of "
+                    f"stage-1 gains and relay selection, over the budget of {_STAGE1_BUDGET} bytes"
+                )
     if isinstance(s.seed, bool) or not isinstance(s.seed, int) or s.seed < 0:
         errors.append(f"seed: must be a nonnegative integer, got {s.seed!r}")
     if isinstance(s.gamma_th, bool) or not (math.isfinite(s.gamma_th) and s.gamma_th >= 0):

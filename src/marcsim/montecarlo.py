@@ -7,7 +7,9 @@ the destination runs joint maximum-likelihood detection of the symbol pair
 with full channel knowledge, as the DF-NC relay does.  Each joint-ML decision
 is exact over all M^2 pairs but costs O(M) per trial: for each hypothesis of
 the first symbol, the best second symbol is the PSK point nearest one angle
-(``_pair_ml``).
+(``_nearest``), and the full metric of those M pairs decides (``_pair_ml``).
+A detection call covers at most ``_DETECT_ELEMENTS`` PSK-point elements,
+rows * M, so its (M, rows) temporaries stay small at any M.
 
 Fading is drawn gain first, in two stages.  Stage 1 (``sample_gains``)
 draws only what relay selection reads: the power gains |h|^2 of the
@@ -94,8 +96,14 @@ MAX_ERRORS = 400
 # Rows at which a batch's stage-2 chunks end, clipped to the batch.  A chunk
 # fills every field of the batch's _Stage2 record over its rows when detection
 # first reads into it, so a SER estimate draws little past its stop; the first
-# end is also its first detection slice (_next_slice), later ones are not.
+# end is also the probe, its first detection slice (_next_slice), up to M = 16;
+# later ends are not slice ends.
 _STAGE2_CHUNKS = (2048, 4096, 8192, 16384)
+
+# Most PSK-point elements, rows * M, of one detection call, whose (M, rows)
+# temporaries peak near 48 B per element: at BPSK a call still detects a
+# whole batch, at 16-PSK 2,048 rows, and past M = 2^15 one row.
+_DETECT_ELEMENTS = 1 << 15
 
 _Z95 = 1.959963984540054
 
@@ -186,6 +194,12 @@ def _df_select(g_s1_r, g_s2_r):
     return np.argmax(np.minimum(g_s1_r, g_s2_r), axis=-1)
 
 
+# Bytes per (row, relay) element that a stage-1 batch and its relay selection
+# hold at their peak: the float64 gains g1, g2 and, under ANC, g_rd, plus
+# min(g1, g2) and, under ANC, anc_snr's SNR and denominator.
+_STAGE1_BYTES = {Scheme.ANC: 48, Scheme.DF_NC: 24}
+
+
 def sample_gains(config: SystemConfig, rng: np.random.Generator, size: int) -> GainBatch:
     """Stage 1: ``size`` i.i.d. Rayleigh realizations of the power gains that
     selection reads (the source->relay links, plus the relay->destination
@@ -265,25 +279,47 @@ def _selected_links(gb: GainBatch, sel, stage2: _Stage2):
     return np.sqrt(gb.g_s1_r[rows, sel]), np.sqrt(gb.g_s2_r[rows, sel]) * stage2.phase, np.sqrt(g_rd)
 
 
-def _pair_ml(z, score):
-    """Exact joint ML over the PSK pairs (x1, x2) = (c_i, c_j), O(M) per trial.
-
-    Every pair metric used here is, for fixed i, a term free of j minus
-    2*Re(conj(c_j) * z[i]), because |c_j| = 1 and c_((i+j) mod M) = c_i * c_j.
-    So the best j for each i is the PSK point nearest the angle of z[i].
-    z only picks the candidate: ``score(j)`` evaluates the full metric of the
-    pairs (i, j[i]) as an (M, B) array, and the argmin over i takes the
-    lowest i on a tie, as the argmin over the flat M^2 pair index does.
-    Returns (i, j), one pair per trial.
-    """
+def _nearest(z):
+    """First step of an exact joint ML over the PSK pairs (x1, x2) =
+    (c_i, c_j), O(M) per trial: each pair metric used here is, for fixed i, a
+    term free of j minus 2*Re(conj(c_j) * z[i]), because |c_j| = 1 and
+    c_((i+j) mod M) = c_i * c_j.  So the best j for each i is the PSK point
+    nearest the angle of z[i]; returns that j, an (M, B) index array."""
     m = z.shape[0]
     # + 0.0 turns a -0.0 real part into +0.0, so z == 0 (every j ties)
     # slices to j = 0, the flat argmin's choice, and not to the angle pi
     t = np.arctan2(z.imag, z.real + 0.0)
     t *= m / (2.0 * np.pi)
-    j = np.rint(t, out=t).astype(np.intp) & (m - 1)  # m is a power of two
+    j = np.rint(t, out=t).astype(np.intp)
+    j &= m - 1  # m is a power of two
+    return j
+
+
+def _pair_ml(j, score):
+    """Second step: ``score(j)`` evaluates the full metric of the pairs
+    (i, j[i]) as an (M, B) array, and the argmin over i takes the lowest i on
+    a tie, as the argmin over the flat M^2 pair index does.  Returns (i, j),
+    one pair per trial."""
     i = np.argmin(score(j), axis=0)
     return i, j[i, np.arange(j.shape[1])]
+
+
+def _pair_mean(mu, h1, h2, scale, ci):
+    """Overwrite ``mu``, the (M, B) points c_j of each row's hypothesis j,
+    with the noiseless observations scale*(h1*c_i + h2*c_j): the operations
+    of that expression in place, commuted where that leaves every bit."""
+    mu *= h2
+    mu += np.multiply(h1, ci)
+    mu *= scale
+    return mu
+
+
+def _sq_dist(y, mu, out):
+    """|y - mu|^2 into ``out`` (float, mu's shape), overwriting ``mu`` with
+    y - mu: the operations of ``np.abs(y - mu) ** 2``, in place."""
+    np.subtract(y, mu, out=mu)
+    np.abs(mu, out=out)
+    return np.square(out, out=out)
 
 
 def _relay_decode(y_relay, h1b, h2b, sp: float, const):
@@ -291,16 +327,25 @@ def _relay_decode(y_relay, h1b, h2b, sp: float, const):
     y_relay = sp*(h1b*c_i + h2b*c_j) + noise, one entry per trial."""
     ci = const[:, None]
     w = np.conj(sp * h2b)
-    return _pair_ml(
-        w * y_relay - (w * sp * h1b) * ci,
-        lambda j: np.abs(y_relay - sp * (h1b * ci + h2b * const[j])) ** 2,
-    )
+    z = np.multiply(w * sp * h1b, ci)
+    np.subtract(w * y_relay, z, out=z)
+    del w
+    j = _nearest(z)
+    del z  # z only picks the candidates
+
+    def metric(j):
+        mu = _pair_mean(np.take(const, j), h1b, h2b, sp, ci)
+        return _sq_dist(y_relay, mu, np.empty(mu.shape))
+
+    return _pair_ml(j, metric)
 
 
 def _decide(config: SystemConfig, relay_links, stage2: _Stage2):
     """The destination's joint ML decision (k1, k2) of one round per trial,
     after the DF relay's own decision.  Deterministic: every random input is
-    in ``relay_links`` = (h1b, h2b, hrb) and in ``stage2``."""
+    in ``relay_links`` = (h1b, h2b, hrb) and in ``stage2``.  The (M, B)
+    arrays are built in place, with the operations of the plain expressions
+    in the same order, and each (B,) term is freed once z is built."""
     m = config.mod_order
     const = modulate(np.arange(m), m)
     ci = const[:, None]  # row i of an (M, B) array holds the hypothesis x1 = c_i
@@ -313,39 +358,65 @@ def _decide(config: SystemConfig, relay_links, stage2: _Stage2):
 
     y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + stage2.n_d1
     y_relay = sp * (h1b * x1 + h2b * x2) + stage2.n_relay
+    del x1, x2
     # slot 1's share of z: |y1 - a*c_i - b*c_j|^2 is a term free of j minus
     # 2*Re(conj(c_j) * conj(b)*(y1 - a*c_i)), with a = sp*h_s1_d, b = sp*h_s2_d
     w1 = np.conj(sp * h_s2_d)
     p1, q1 = w1 * y1, w1 * (sp * h_s1_d)
+    del w1
 
-    def mu1(j):
-        return sp * (h_s1_d * ci + h_s2_d * const[j])
+    def slot1(j):
+        """The (M, B) metric |y1 - mu1|^2 and a free complex (M, B) buffer."""
+        mu = _pair_mean(np.take(const, j), h_s1_d, h_s2_d, sp, ci)
+        return _sq_dist(y1, mu, np.empty(mu.shape)), mu
 
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
         y2 = amp * hrb * y_relay + stage2.n_d2
+        del y_relay
         var2 = amp * amp * np.abs(hrb) ** 2 + 1.0
         w2 = np.conj(amp * hrb * sp * h2b) / var2
-        z = (p1 + w2 * y2) - (q1 + w2 * (amp * hrb * sp * h1b)) * ci
+        z = np.multiply(q1 + w2 * (amp * hrb * sp * h1b), ci)
+        np.subtract(p1 + w2 * y2, z, out=z)
+        del p1, q1, w2
 
         def metric(j):
-            mu2 = amp * hrb * sp * (h1b * ci + h2b * const[j])
-            return np.abs(y1 - mu1(j)) ** 2 + np.abs(y2 - mu2) ** 2 / var2
+            d, mu = slot1(j)
+            np.take(const, j, out=mu, mode="clip")  # "clip" skips take's copy of out
+            _pair_mean(mu, h1b, h2b, amp * hrb * sp, ci)
+            d2 = _sq_dist(y2, mu, np.empty(d.shape))
+            d2 /= var2
+            d += d2
+            return d
 
     else:
         # relay jointly decodes the pair, then forwards the modulo-M combine
         r1, r2 = _relay_decode(y_relay, h1b, h2b, sp, const)
+        del y_relay
         forwarded = const[(r1 + r2) % m]
         y2 = sr * hrb * forwarded + stage2.n_d2
         # slot 2 is |y2 - (sr*hrb*c_i)*c_j|^2, so its share of z is
         # conj(sr*hrb*c_i) * y2
-        z = p1 - q1 * ci + (np.conj(sr * hrb) * y2) * ci.conj()
+        z = np.multiply(q1, ci)
+        np.subtract(p1, z, out=z)
+        z += (np.conj(sr * hrb) * y2) * ci.conj()
+        del p1, q1
         ii = np.arange(m)[:, None]
 
         def metric(j):
-            return np.abs(y1 - mu1(j)) ** 2 + np.abs(y2 - sr * hrb * const[(ii + j) % m]) ** 2
+            d, mu = slot1(j)
+            k = np.add(ii, j)
+            k %= m
+            np.take(const, k, out=mu, mode="clip")
+            del k
+            mu *= sr * hrb
+            d2 = _sq_dist(y2, mu, np.empty(d.shape))
+            d += d2
+            return d
 
-    return _pair_ml(z, metric)
+    j = _nearest(z)
+    del z  # z only picks the candidates
+    return _pair_ml(j, metric)
 
 
 def _select(config: SystemConfig, gb: GainBatch):
@@ -396,11 +467,12 @@ def _rows(gb: GainBatch, stage2, lo: int, hi: int):
 
 def _next_slice(done: int, err1: int, err2: int, max_errors: int | None, rest: int) -> int:
     """Rows of a config's next detection slice, after ``err1`` and ``err2``
-    errors in ``done`` trials, with ``rest`` rows of the batch left: a probe
-    of the first stage-2 chunk's rows first, then the trials predicted to the
-    slower source's stop (+25%, at least the probe), or the rest of the
-    batch.  Any slicing gives the same estimate; this one keeps kernel calls
-    few and large, yet stops detection close to the stop."""
+    errors in ``done`` trials, with ``rest`` rows left that one call may
+    detect (the rest of the batch, capped at ``_DETECT_ELEMENTS // M``): a
+    probe of the first stage-2 chunk's rows first, then the trials predicted
+    to the slower source's stop (+25%, at least the probe), or ``rest``.  Any
+    slicing gives the same estimate; this one keeps kernel calls few and as
+    large as the cap allows, yet stops detection close to the stop."""
     low = min(err1, err2)
     probe = _STAGE2_CHUNKS[0]
     if max_errors is None or (done and not low):
@@ -454,6 +526,7 @@ def estimate_group(
     if max_errors is not None and (isinstance(max_errors, bool) or not isinstance(max_errors, int) or max_errors < 1):
         raise ValueError(f"max_errors must be None or an integer >= 1, got {max_errors!r}")
     n = len(configs)
+    cap = max(1, _DETECT_ELEMENTS // configs[0].mod_order)  # rows of one detection call
     err1, err2, done, below = [0] * n, [0] * n, [0] * n, [0] * n
     counting = [ser] * n
     for rng, size in _batches(seed, trials):
@@ -463,7 +536,7 @@ def estimate_group(
         for k in range(n):
             lo = 0
             while counting[k] and lo < size:
-                hi = lo + _next_slice(done[k], err1[k], err2[k], max_errors, size - lo)
+                hi = lo + _next_slice(done[k], err1[k], err2[k], max_errors, min(size - lo, cap))
                 while drawn < hi:  # draw the chunks this slice reads into
                     end = next((e for e in _STAGE2_CHUNKS if drawn < e < size), size)
                     _draw_stage2(configs[0], stage2, drawn, end, rng)

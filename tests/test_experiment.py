@@ -853,6 +853,20 @@ def test_outage_figure_accepts_many_relays(tmp_path):
     assert len(csv_rows(out)) == 2  # ANC and DF
 
 
+def test_outage_figure_rejects_relays_past_the_stage1_budget(tmp_path, capsys):
+    # one batch of a million relays' gains and ANC selection temporaries is
+    # 786 GB: the spec exits 1 before anything is drawn or written
+    assert main(["--figure", "fig4", "--relays", "1000000", "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "relay_counts" in err and "786432000000 bytes" in err
+    assert os.listdir(tmp_path) == []
+    # at default trials ANC's 48 B per gain element allows 1,365 relays, and
+    # DF-NC's 24 B twice that; every count up to 64 passes
+    for schemes, fits in (([Scheme.ANC, Scheme.DF_NC], 1365), ([Scheme.DF_NC], 2730)):
+        for n, ok in ((64, True), (fits, True), (fits + 1, False)):
+            assert validate_spec(ExperimentSpec(figure="fig4", relay_counts=[n], schemes=schemes)).ok == ok
+
+
 def csv_rows(path):
     return [r.split(",") for r in Path(path).read_text().splitlines()[1:]]
 

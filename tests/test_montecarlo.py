@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,6 +487,64 @@ def test_kernel_calls_per_batch(monkeypatch):
             assert (detected > 0) == (b == 0)
             assert rows(early, b, False) == ([size - detected] if gamma_th is not None else [])
 
+    # 16-PSK detects at most 2,048 rows (2^15 PSK-point elements) per call,
+    # however far a config runs
+    calls.clear()
+    at_cap = config_at_snr_db(anc_config(mod_order=16), 40.0)
+    ((full, _), _), = estimate_group([at_cap], BATCH_SIZE + 5, seed=4)
+    detected = [n for _, _, det, n in calls if det]
+    assert full.trials == sum(detected) == BATCH_SIZE + 5 and max(detected) == 2048
+
+
+@pytest.mark.parametrize("mod_order", [2, 16, 64])
+def test_detection_calls_stay_within_the_element_budget(monkeypatch, mod_order):
+    # rows * M <= _DETECT_ELEMENTS on every detection call, and a config that
+    # runs on detects in calls as large as that allows (a whole second batch
+    # at BPSK)
+    rows, kernel = [], montecarlo.run_batch
+
+    def counted(config, gb, stage2=None):
+        if stage2 is not None:
+            rows.append(len(gb.g_s1_r))
+        return kernel(config, gb, stage2)
+
+    monkeypatch.setattr(montecarlo, "run_batch", counted)
+    for scheme in Scheme:
+        configs = [config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), snr) for snr in (10.0, 40.0)]
+        estimate_group(configs, 2 * BATCH_SIZE, seed=4)
+    assert max(rows) == min(BATCH_SIZE, montecarlo._DETECT_ELEMENTS // mod_order)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees ``fn`` allocate above what is live
+    when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_detection_memory_is_bounded_at_any_psk_order(scheme):
+    # M = 65,536 detects one row per call, in about 4 MB; as one 20-row
+    # call it took over 100 MB
+    config = config_at_snr_db(anc_config(scheme=scheme, mod_order=1 << 16), 10.0)
+    assert traced_peak(estimate_group, [config], 20, seed=4, gamma_th=1.0) < 32 << 20
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_bpsk_detection_call_bytes_per_row(scheme):
+    # one whole-batch BPSK call peaks near 200 B (ANC) and 216 B (DF) per
+    # row; before its temporaries were built in place and freed early it
+    # took about 392 and 360
+    config = config_at_snr_db(anc_config(scheme=scheme, num_relays=3), 10.0)
+    gains = sample_gains(config, np.random.default_rng(5), BATCH_SIZE)
+    stage2 = draw_stage2(config, BATCH_SIZE, np.random.default_rng(6))
+    assert traced_peak(run_batch, config, gains, stage2) / BATCH_SIZE < 300
+
 
 @pytest.mark.parametrize("max_errors", [0, -5, True, 2.5])
 def test_max_errors_must_be_none_or_a_positive_integer(max_errors):
@@ -495,14 +554,20 @@ def test_max_errors_must_be_none_or_a_positive_integer(max_errors):
         estimate_group([anc_config()], 1000, seed=1, ser=False, gamma_th=1.0, max_errors=max_errors)
 
 
-@pytest.mark.parametrize("rows", [7, 2048, None], ids=["7-rows", "2048-rows", "whole-batches"])
-@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
-def test_estimates_do_not_depend_on_the_slicing(monkeypatch, scheme, rows):
+@pytest.mark.parametrize("rows", [7, 2048, None, "64-elements"],
+                         ids=["7-rows", "2048-rows", "whole-batches", "64-element-calls"])
+@pytest.mark.parametrize(
+    "scheme, mod_order, snrs",
+    [(Scheme.ANC, 2, (0.0, 12.0, 25.0)), (Scheme.DF_NC, 2, (0.0, 16.0, 25.0)),
+     (Scheme.ANC, 16, (20.0, 30.0, 35.0)), (Scheme.DF_NC, 16, (20.0, 40.0, 45.0))],
+    ids=["Scheme.ANC", "Scheme.DF_NC", "Scheme.ANC-16psk", "Scheme.DF_NC-16psk"],
+)
+def test_estimates_do_not_depend_on_the_slicing(monkeypatch, scheme, mod_order, snrs, rows):
     # the detection slices are private: any sizes give the same bits, for
     # SER configs that stop in the first batch, in the second or not at all,
-    # and for the outage counted past each stop
-    snrs = (0.0, 12.0, 25.0) if scheme is Scheme.ANC else (0.0, 16.0, 25.0)
-    configs = [config_at_snr_db(anc_config(scheme=scheme), snr) for snr in snrs]
+    # and for the outage counted past each stop; so does a detection call
+    # capped at 64 PSK-point elements (32 rows at BPSK, 4 at 16-PSK)
+    configs = [config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), snr) for snr in snrs]
     trials, seed, stop = 2 * BATCH_SIZE + 5, 4, 300
     want = estimate_group(configs, trials, seed, gamma_th=1.0, max_errors=stop)
     first, second, capped = (est.trials for (est, _), _ in want)
@@ -511,7 +576,10 @@ def test_estimates_do_not_depend_on_the_slicing(monkeypatch, scheme, rows):
     def next_slice(done, err1, err2, max_errors, rest):
         return rest if rows is None else min(rows, rest)
 
-    monkeypatch.setattr(montecarlo, "_next_slice", next_slice)
+    if rows == "64-elements":
+        monkeypatch.setattr(montecarlo, "_DETECT_ELEMENTS", 64)
+    else:
+        monkeypatch.setattr(montecarlo, "_next_slice", next_slice)
     assert estimate_group(configs, trials, seed, gamma_th=1.0, max_errors=stop) == want
 
 
