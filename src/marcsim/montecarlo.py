@@ -6,8 +6,9 @@ superposition under ANC, network-coded re-modulated symbol under DF-NC) and
 the destination runs joint maximum-likelihood detection of the symbol pair
 with full channel knowledge, as the DF-NC relay does.  Each joint-ML decision
 is exact over all M^2 pairs but costs O(M) per trial: for each hypothesis of
-the first symbol, the best second symbol is the PSK point nearest one angle
-(``_nearest``), and the full metric of those M pairs decides (``_pair_ml``).
+the first symbol, the best second symbol is the PSK point nearest one angle,
+and the full metric of those M pairs decides; ``_joint_ml`` does both, for
+the relay and the destination.
 A detection call covers at most ``_DETECT_ELEMENTS`` PSK-point elements,
 rows * M, so its (M, rows) temporaries stay small at any M.
 
@@ -104,6 +105,10 @@ _STAGE2_CHUNKS = (2048, 4096, 8192, 16384)
 # temporaries peak near 48 B per element: at BPSK a call still detects a
 # whole batch, at 16-PSK 2,048 rows, and past M = 2^15 one row.
 _DETECT_ELEMENTS = 1 << 15
+
+# Peak bytes per PSK point of a one-row detection call (M past 2^15), terms
+# and constellation: 64.05 and 64.01 by tracemalloc at M = 2^16 and 2^18.
+_DETECT_BYTES = 64
 
 _Z95 = 1.959963984540054
 
@@ -279,41 +284,6 @@ def _selected_links(gb: GainBatch, sel, stage2: _Stage2):
     return np.sqrt(gb.g_s1_r[rows, sel]), np.sqrt(gb.g_s2_r[rows, sel]) * stage2.phase, np.sqrt(g_rd)
 
 
-def _nearest(z):
-    """First step of an exact joint ML over the PSK pairs (x1, x2) =
-    (c_i, c_j), O(M) per trial: each pair metric used here is, for fixed i, a
-    term free of j minus 2*Re(conj(c_j) * z[i]), because |c_j| = 1 and
-    c_((i+j) mod M) = c_i * c_j.  So the best j for each i is the PSK point
-    nearest the angle of z[i]; returns that j, an (M, B) index array."""
-    m = z.shape[0]
-    # + 0.0 turns a -0.0 real part into +0.0, so z == 0 (every j ties)
-    # slices to j = 0, the flat argmin's choice, and not to the angle pi
-    t = np.arctan2(z.imag, z.real + 0.0)
-    t *= m / (2.0 * np.pi)
-    j = np.rint(t, out=t).astype(np.intp)
-    j &= m - 1  # m is a power of two
-    return j
-
-
-def _pair_ml(j, score):
-    """Second step: ``score(j)`` evaluates the full metric of the pairs
-    (i, j[i]) as an (M, B) array, and the argmin over i takes the lowest i on
-    a tie, as the argmin over the flat M^2 pair index does.  Returns (i, j),
-    one pair per trial."""
-    i = np.argmin(score(j), axis=0)
-    return i, j[i, np.arange(j.shape[1])]
-
-
-def _pair_mean(mu, h1, h2, scale, ci):
-    """Overwrite ``mu``, the (M, B) points c_j of each row's hypothesis j,
-    with the noiseless observations scale*(h1*c_i + h2*c_j): the operations
-    of that expression in place, commuted where that leaves every bit."""
-    mu *= h2
-    mu += np.multiply(h1, ci)
-    mu *= scale
-    return mu
-
-
 def _sq_dist(y, mu, out):
     """|y - mu|^2 into ``out`` (float, mu's shape), overwriting ``mu`` with
     y - mu: the operations of ``np.abs(y - mu) ** 2``, in place."""
@@ -322,101 +292,94 @@ def _sq_dist(y, mu, out):
     return np.square(out, out=out)
 
 
-def _relay_decode(y_relay, h1b, h2b, sp: float, const):
-    """The DF relay's joint ML decision (i, j) from its observation
-    y_relay = sp*(h1b*c_i + h2b*c_j) + noise, one entry per trial."""
-    ci = const[:, None]
-    w = np.conj(sp * h2b)
-    z = np.multiply(w * sp * h1b, ci)
-    np.subtract(w * y_relay, z, out=z)
-    del w
-    j = _nearest(z)
+def _joint_ml(const, slots, nc=None):
+    """Exact joint ML decision (i, j) over the PSK pairs (c_i, c_j), one per
+    trial, in O(M) per trial.  Each slot (y, h1, h2, scale, var) adds
+    |y - scale*(h1*c_i + h2*c_j)|^2 / var to the metric (var None: unit
+    noise), and ``nc`` = (y, g), DF-NC's forward, adds |y - g*c_((i+j) mod M)|^2.
+
+    For fixed i each term is one free of j minus 2*Re(conj(c_j) * z[i]),
+    because |c_j| = 1 and c_((i+j) mod M) = c_i * c_j: a slot's share of z is
+    w*y - w*scale*h1*c_i with w = conj(scale*h2)/var, and the forward's
+    conj(g)*y*conj(c_i).  So the best j for each i is the PSK point nearest
+    the angle of z[i], and the exact metric of those M candidates decides,
+    the lowest i on a tie, as over the flat M^2 pair index.  The (M, B)
+    arrays are built in place, and each term is freed once read."""
+    m = const.shape[0]
+    ci = const[:, None]  # row i of an (M, B) array holds the hypothesis c_i
+    p = q = None
+    for y, h1, h2, scale, var in slots:
+        w = np.conj(scale * h2)
+        if var is not None:
+            w /= var
+        if p is None:
+            p, q = w * y, w * (scale * h1)
+        else:
+            p += w * y
+            q += w * (scale * h1)
+        del w
+    z = np.multiply(q, ci)
+    np.subtract(p, z, out=z)
+    del p, q
+    if nc is not None:
+        z += (np.conj(nc[1]) * nc[0]) * ci.conj()
+    # + 0.0 turns a -0.0 real part into +0.0, so z == 0 (every j ties)
+    # picks j = 0, the flat pair index's choice, and not the angle pi
+    t = np.arctan2(z.imag, z.real + 0.0)
     del z  # z only picks the candidates
+    t *= m / (2.0 * np.pi)
+    j = np.rint(t, out=t).astype(np.intp)
+    del t
+    j &= m - 1  # m is a power of two
 
-    def metric(j):
-        mu = _pair_mean(np.take(const, j), h1b, h2b, sp, ci)
-        return _sq_dist(y_relay, mu, np.empty(mu.shape))
-
-    return _pair_ml(j, metric)
+    d, mu = None, np.empty(j.shape, complex)
+    for y, h1, h2, scale, var in slots:
+        np.take(const, j, out=mu, mode="clip")  # "clip" skips take's copy of out
+        mu *= h2
+        mu += np.multiply(h1, ci)
+        mu *= scale
+        ds = _sq_dist(y, mu, np.empty(j.shape))
+        if var is not None:
+            ds /= var
+        d = ds if d is None else np.add(d, ds, out=d)
+    if nc is not None:
+        k = np.add(np.arange(m)[:, None], j)
+        np.take(const, np.remainder(k, m, out=k), out=mu, mode="clip")
+        del k
+        mu *= nc[1]
+        d += _sq_dist(nc[0], mu, np.empty(j.shape))
+    del ds, mu
+    i = np.argmin(d, axis=0)
+    return i, j[i, np.arange(j.shape[1])]
 
 
 def _decide(config: SystemConfig, relay_links, stage2: _Stage2):
     """The destination's joint ML decision (k1, k2) of one round per trial,
-    after the DF relay's own decision.  Deterministic: every random input is
-    in ``relay_links`` = (h1b, h2b, hrb) and in ``stage2``.  The (M, B)
-    arrays are built in place, with the operations of the plain expressions
-    in the same order, and each (B,) term is freed once z is built."""
+    after the DF relay's own decision, both by ``_joint_ml``.
+    Deterministic: every random input is in ``relay_links`` = (h1b, h2b,
+    hrb) and in ``stage2``."""
     m = config.mod_order
     const = modulate(np.arange(m), m)
-    ci = const[:, None]  # row i of an (M, B) array holds the hypothesis x1 = c_i
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
     h1b, h2b, hrb = relay_links
-    h_s1_d, h_s2_d = stage2.h_s1_d, stage2.h_s2_d
-    x1 = const[stage2.i1]
-    x2 = const[stage2.i2]
-
-    y1 = sp * (h_s1_d * x1 + h_s2_d * x2) + stage2.n_d1
+    x1, x2 = const[stage2.i1], const[stage2.i2]
     y_relay = sp * (h1b * x1 + h2b * x2) + stage2.n_relay
+    y1 = sp * (stage2.h_s1_d * x1 + stage2.h_s2_d * x2) + stage2.n_d1
+    slot1 = (y1, stage2.h_s1_d, stage2.h_s2_d, sp, None)
     del x1, x2
-    # slot 1's share of z: |y1 - a*c_i - b*c_j|^2 is a term free of j minus
-    # 2*Re(conj(c_j) * conj(b)*(y1 - a*c_i)), with a = sp*h_s1_d, b = sp*h_s2_d
-    w1 = np.conj(sp * h_s2_d)
-    p1, q1 = w1 * y1, w1 * (sp * h_s1_d)
-    del w1
-
-    def slot1(j):
-        """The (M, B) metric |y1 - mu1|^2 and a free complex (M, B) buffer."""
-        mu = _pair_mean(np.take(const, j), h_s1_d, h_s2_d, sp, ci)
-        return _sq_dist(y1, mu, np.empty(mu.shape)), mu
-
     if config.scheme is Scheme.ANC:
         amp = sr / relay_normalization(config)
         y2 = amp * hrb * y_relay + stage2.n_d2
         del y_relay
         var2 = amp * amp * np.abs(hrb) ** 2 + 1.0
-        w2 = np.conj(amp * hrb * sp * h2b) / var2
-        z = np.multiply(q1 + w2 * (amp * hrb * sp * h1b), ci)
-        np.subtract(p1 + w2 * y2, z, out=z)
-        del p1, q1, w2
-
-        def metric(j):
-            d, mu = slot1(j)
-            np.take(const, j, out=mu, mode="clip")  # "clip" skips take's copy of out
-            _pair_mean(mu, h1b, h2b, amp * hrb * sp, ci)
-            d2 = _sq_dist(y2, mu, np.empty(d.shape))
-            d2 /= var2
-            d += d2
-            return d
-
-    else:
-        # relay jointly decodes the pair, then forwards the modulo-M combine
-        r1, r2 = _relay_decode(y_relay, h1b, h2b, sp, const)
-        del y_relay
-        forwarded = const[(r1 + r2) % m]
-        y2 = sr * hrb * forwarded + stage2.n_d2
-        # slot 2 is |y2 - (sr*hrb*c_i)*c_j|^2, so its share of z is
-        # conj(sr*hrb*c_i) * y2
-        z = np.multiply(q1, ci)
-        np.subtract(p1, z, out=z)
-        z += (np.conj(sr * hrb) * y2) * ci.conj()
-        del p1, q1
-        ii = np.arange(m)[:, None]
-
-        def metric(j):
-            d, mu = slot1(j)
-            k = np.add(ii, j)
-            k %= m
-            np.take(const, k, out=mu, mode="clip")
-            del k
-            mu *= sr * hrb
-            d2 = _sq_dist(y2, mu, np.empty(d.shape))
-            d += d2
-            return d
-
-    j = _nearest(z)
-    del z  # z only picks the candidates
-    return _pair_ml(j, metric)
+        return _joint_ml(const, [slot1, (y2, h1b, h2b, amp * hrb * sp, var2)])
+    # the relay jointly decodes the pair, then forwards the modulo-M combine
+    r1, r2 = _joint_ml(const, [(y_relay, h1b, h2b, sp, None)])
+    del y_relay
+    g = sr * hrb
+    y2 = g * const[(r1 + r2) % m] + stage2.n_d2
+    return _joint_ml(const, [slot1], nc=(y2, g))
 
 
 def _select(config: SystemConfig, gb: GainBatch):

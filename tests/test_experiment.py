@@ -867,6 +867,23 @@ def test_outage_figure_rejects_relays_past_the_stage1_budget(tmp_path, capsys):
             assert validate_spec(ExperimentSpec(figure="fig4", relay_counts=[n], schemes=schemes)).ok == ok
 
 
+def test_ser_figures_reject_psk_orders_past_the_detection_budget(tmp_path, capsys):
+    # past M = 2^15 a detection call covers one row, 64 B per PSK point: at
+    # 2^25 points that is 2 GiB, so the spec exits 1 before anything runs
+    out = tmp_path / "x.csv"
+    assert main(["--figure", "custom", "--mod", "33554432", "--trials", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "mod_orders" in err and f"{montecarlo._DETECT_BYTES << 25} bytes" in err
+    assert os.listdir(tmp_path) == []
+    # the largest power of two within the 1 GiB budget passes (2^24 at 64 B
+    # per point), and no more; these specs are validated, never run
+    largest = 1 << ((1 << 30) // montecarlo._DETECT_BYTES).bit_length() - 1
+    for m, ok in ((2, True), (largest, True), (2 * largest, False)):
+        assert validate_spec(ExperimentSpec(figure="fig2", mod_orders=[m])).ok == ok
+    # an outage-only figure detects nothing, so M costs it no memory
+    assert validate_spec(ExperimentSpec(figure="fig4", mod_orders=[2 * largest])).ok
+
+
 def csv_rows(path):
     return [r.split(",") for r in Path(path).read_text().splitlines()[1:]]
 

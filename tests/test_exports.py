@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -161,3 +162,25 @@ def test_cli_import_and_a_sweep_load_no_scipy(tmp_path):
     sweep = f"import marcsim.cli; assert marcsim.cli.main({argv!r}) == 0"
     assert _modules_loaded_by(sweep, ("scipy",)) == []
     assert out.read_text().count("\n") == 9  # header and 8 cells: 4 N x 2 splits
+
+
+def _benchmark_hooks():
+    """The (module, function) pairs of ``perfbench/spans.py``'s TRACED
+    table, read with ast: the benchmark wraps them by name, so a rename
+    would blind its metrics without failing anything."""
+    spans = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]:
+            return [(module, function) for module, function, _ in ast.literal_eval(node.value)]
+    raise AssertionError(f"{spans} defines no TRACED table")
+
+
+def test_every_benchmark_hook_resolves():
+    hooks = _benchmark_hooks()
+    missing = [f"{m}.{f}" for m, f in hooks if not callable(getattr(importlib.import_module(m), f, None))]
+    assert not missing, f"perfbench traces functions that marcsim no longer defines: {missing}"
+    # the benchmark's work counts bind these two arguments of each estimate
+    for function in ("estimate_ser", "estimate_outage"):
+        assert ("marcsim.montecarlo", function) in hooks
+        params = inspect.signature(getattr(importlib.import_module("marcsim.montecarlo"), function)).parameters
+        assert {"config", "trials"} <= set(params)

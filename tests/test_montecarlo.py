@@ -43,7 +43,7 @@ from marcsim.montecarlo import (
     _batches,
     _complex_gaussian,
     _decide,
-    _relay_decode,
+    _joint_ml,
     _selected_links,
 )
 
@@ -209,7 +209,7 @@ def test_relay_decode_matches_brute_force(mod_order, snr_db):
     sp = math.sqrt(10.0 ** (snr_db / 10.0))
     x1, x2 = (const[rng.integers(0, mod_order, size)] for _ in range(2))
     y = sp * (h1 * x1 + h2 * x2) + noise
-    got = _relay_decode(y, h1, h2, sp, const)
+    got = _joint_ml(const, [(y, h1, h2, sp, None)])
     want = brute_force_pair(y, h1, h2, sp, mod_order)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -236,7 +236,7 @@ def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
 
     # the DF relay's decision on its own, from an arbitrary observation
     const = modulate(np.arange(mod_order), mod_order)
-    _, j = _relay_decode(stage2.h_s1_d, h1b, h2b, 1.0, const)
+    _, j = _joint_ml(const, [(stage2.h_s1_d, h1b, h2b, 1.0, None)])
     assert not j.any()
 
 
@@ -272,7 +272,7 @@ def test_decisions_invariant_under_receiver_rotations(scheme, mod_order, snr_db,
     def relay(relay_links, s2):
         h1, h2, _ = relay_links
         y = sp * (h1 * const[s2.i1] + h2 * const[s2.i2]) + s2.n_relay
-        return _relay_decode(y, h1, h2, sp, const)
+        return _joint_ml(const, [(y, h1, h2, sp, None)])
 
     got, want = relay(rotated, rotated_stage2), relay(links, stage2)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -537,13 +537,24 @@ def test_detection_memory_is_bounded_at_any_psk_order(scheme):
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_bpsk_detection_call_bytes_per_row(scheme):
-    # one whole-batch BPSK call peaks near 200 B (ANC) and 216 B (DF) per
+    # one whole-batch BPSK call peaks near 200 B (ANC) and 176 B (DF) per
     # row; before its temporaries were built in place and freed early it
     # took about 392 and 360
     config = config_at_snr_db(anc_config(scheme=scheme, num_relays=3), 10.0)
     gains = sample_gains(config, np.random.default_rng(5), BATCH_SIZE)
     stage2 = draw_stage2(config, BATCH_SIZE, np.random.default_rng(6))
     assert traced_peak(run_batch, config, gains, stage2) / BATCH_SIZE < 300
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_16psk_detection_call_bytes_per_row(scheme):
+    # a 16-PSK call covers 2,048 rows, the 2^15-element cap, and peaks near
+    # 1,010 B (ANC) and 866 B (DF) per row
+    rows = montecarlo._DETECT_ELEMENTS // 16
+    config = config_at_snr_db(anc_config(scheme=scheme, num_relays=3, mod_order=16), 10.0)
+    gains = sample_gains(config, np.random.default_rng(5), rows)
+    stage2 = draw_stage2(config, rows, np.random.default_rng(6))
+    assert traced_peak(run_batch, config, gains, stage2) / rows < 1100
 
 
 @pytest.mark.parametrize("max_errors", [0, -5, True, 2.5])
