@@ -177,6 +177,11 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         for snr in s.snr_points_db:
             try:
                 p_total = _budget(snr)
+                # no split puts more than the budget on either power
+                if fig.ser and p_total > montecarlo._MAX_POWER:
+                    raise ValueError(
+                        f"a budget over {montecarlo._MAX_POWER:g} W overflows the single-precision detection metrics"
+                    )
                 splits = [PowerSplit.equal(p_total)]
                 if "optimized" in fig.allocs:
                     splits += allocation_edges(p_total)

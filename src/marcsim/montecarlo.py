@@ -5,10 +5,10 @@ receive the superposition.  Slot 2: the selected relay forwards (amplified
 superposition under ANC, network-coded re-modulated symbol under DF-NC) and
 the destination runs joint maximum-likelihood detection of the symbol pair
 with full channel knowledge, as the DF-NC relay does.  Each joint-ML decision
-is exact over all M^2 pairs but costs O(M) per trial: for each hypothesis of
-the first symbol, the best second symbol is the PSK point nearest one angle,
-and the full metric of those M pairs decides; ``_joint_ml`` does both, for
-the relay and the destination.
+is exact over all M^2 pairs up to float32 rounding of the metrics but costs
+O(M) per trial: for each hypothesis of the first symbol, the best second
+symbol is the PSK point nearest one angle, and the full metric of those M
+pairs decides; ``_joint_ml`` does both, for the relay and the destination.
 A detection call covers at most ``_DETECT_ELEMENTS`` PSK-point elements,
 rows * M, so its (M, rows) temporaries stay small at any M.
 
@@ -21,6 +21,16 @@ order: one uniform phase psi, under DF-NC one relay->destination gain g_rd
 (DF selection never reads it), the two direct links as complex Gaussians,
 then symbols and noises.  ``_draw_stage2`` fills it in fixed row chunks
 (``_STAGE2_CHUNKS``), each when detection first reads into it.
+
+Everything after selection runs in single precision: stage 2 is float32 and
+complex64, the selected relay's gains are cast to float32 as they are
+gathered, and detection computes in float32.  Stage 1, selection, its
+bottleneck SNR and the outage count stay float64.  A phase is drawn as a
+float32 uniform angle whose cos and sin fill the real and imaginary parts
+(about a tenth of the cost of a complex exponential), and a complex
+Gaussian in polar form: the square root of a float32 unit exponential times
+such a phase, which is exactly CN(0, 1).  ``_MAX_POWER`` bounds the powers
+that keep the float32 metrics finite.
 
 Selection is max-min: the relay maximizing the smaller of the two sources'
 SNRs through it.  Under DF-NC relay j's bottleneck is min(g1_j, g2_j)*gamma_r,
@@ -102,13 +112,20 @@ MAX_ERRORS = 400
 _STAGE2_CHUNKS = (2048, 4096, 8192, 16384)
 
 # Most PSK-point elements, rows * M, of one detection call, whose (M, rows)
-# temporaries peak near 48 B per element: at BPSK a call still detects a
+# temporaries peak near 28 B per element: at BPSK a call still detects a
 # whole batch, at 16-PSK 2,048 rows, and past M = 2^15 one row.
 _DETECT_ELEMENTS = 1 << 15
 
 # Peak bytes per PSK point of a one-row detection call (M past 2^15), terms
-# and constellation: 64.05 and 64.01 by tracemalloc at M = 2^16 and 2^18.
-_DETECT_BYTES = 64
+# and constellation, rounded up: by tracemalloc 36.19 and 36.03 under ANC
+# and 32.14 and 32.04 under DF-NC at M = 2^16 and 2^18.
+_DETECT_BYTES = 40
+
+# Most power, p_source or p_relay in W at unit noise, for which the float32
+# detection metrics stay finite.  They grow as a power times a channel gain
+# times a squared PSK distance (at most 4), and float32 ends at 3.4e38, so
+# 1e30 W leaves the gains of a draw eight decades (|h|^2 up to about 8e7).
+_MAX_POWER = 1e30
 
 _Z95 = 1.959963984540054
 
@@ -140,7 +157,10 @@ def modulate(symbol_index, mod_order: int):
     idx = np.asarray(symbol_index)
     if np.any(idx < 0) or np.any(idx >= mod_order):
         raise ValueError(f"symbol index out of range [0, {mod_order})")
-    out = np.exp(2j * np.pi * idx / mod_order)
+    angle = idx * (2.0 * np.pi / mod_order)
+    out = np.empty(angle.shape, complex)
+    np.cos(angle, out=out.real)  # cos and sin straight into the two halves
+    np.sin(angle, out=out.imag)
     return out if out.ndim else complex(out)
 
 
@@ -163,14 +183,23 @@ def _batches(seed: int, trials: int):
     )
 
 
+def _unit_phase(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill complex64 ``out`` with exp(j*psi), psi a float32 uniform angle on
+    [0, 2*pi): its cos and sin straight into the two halves of ``out``."""
+    psi = rng.random(out.shape, dtype=np.float32)
+    psi *= 2.0 * np.pi
+    np.cos(psi, out=out.real)
+    np.sin(psi, out=out.imag)
+
+
 def _complex_gaussian(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with circularly symmetric complex Gaussians, E|h|^2 = 1:
-    the real parts drawn before the imaginary ones, each scaled by sqrt(0.5)
-    straight into its half of ``out``."""
-    part = rng.standard_normal(out.shape)
-    np.multiply(part, math.sqrt(0.5), out=out.real)
-    rng.standard_normal(out=part)
-    np.multiply(part, math.sqrt(0.5), out=out.imag)
+    """Fill complex64 ``out`` with circularly symmetric complex Gaussians,
+    E|h|^2 = 1, in polar form: sqrt(|h|^2), |h|^2 a float32 unit exponential,
+    times a uniform phase drawn after it (``_unit_phase``)."""
+    radius = rng.standard_exponential(out.shape, dtype=np.float32)
+    np.sqrt(radius, out=radius)
+    _unit_phase(rng, out)
+    out *= radius
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,7 +270,7 @@ class _Stage2(NamedTuple):
     """A batch's stage 2, the draws that only detection reads, one entry per
     trial, its fields in draw order."""
 
-    phase: np.ndarray          # exp(j*psi), the phase of h2b
+    phase: np.ndarray          # exp(j*psi), the phase of h2b (complex64, like every complex row)
     g_rd: np.ndarray | None    # DF-NC's selected relay -> destination gain; None under ANC
     h_s1_d: np.ndarray         # source 1 -> destination
     h_s2_d: np.ndarray         # source 2 -> destination
@@ -253,11 +282,12 @@ class _Stage2(NamedTuple):
 
 
 def _stage2_buffers(config: SystemConfig, size: int) -> _Stage2:
-    """Unfilled stage-2 buffers of a batch of ``size`` rounds: the six complex
-    rows in one block, the two symbol rows in another, and DF-NC's g_rd."""
-    phase, h_s1_d, h_s2_d, n_relay, n_d1, n_d2 = np.empty((6, size), complex)
+    """Unfilled stage-2 buffers of a batch of ``size`` rounds: the six complex64
+    rows in one block, the two symbol rows in another, and DF-NC's float32
+    g_rd."""
+    phase, h_s1_d, h_s2_d, n_relay, n_d1, n_d2 = np.empty((6, size), np.complex64)
     i1, i2 = np.empty((2, size), np.int64)
-    g_rd = np.empty(size) if config.scheme is Scheme.DF_NC else None
+    g_rd = np.empty(size, np.float32) if config.scheme is Scheme.DF_NC else None
     return _Stage2(phase, g_rd, h_s1_d, h_s2_d, i1, i2, n_relay, n_d1, n_d2)
 
 
@@ -265,9 +295,9 @@ def _draw_stage2(config: SystemConfig, stage2: _Stage2, lo: int, hi: int, rng: n
     """Draw rows lo:hi of ``stage2`` in its field order.  Selection reads
     none of it, so only the selected relay's receiver noise is realized."""
     n = hi - lo
-    np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n), out=stage2.phase[lo:hi])
+    _unit_phase(rng, stage2.phase[lo:hi])
     if stage2.g_rd is not None:
-        rng.standard_exponential(out=stage2.g_rd[lo:hi])
+        rng.standard_exponential(dtype=np.float32, out=stage2.g_rd[lo:hi])
     _complex_gaussian(rng, stage2.h_s1_d[lo:hi])
     _complex_gaussian(rng, stage2.h_s2_d[lo:hi])
     stage2.i1[lo:hi] = rng.integers(0, config.mod_order, n)
@@ -278,45 +308,59 @@ def _draw_stage2(config: SystemConfig, stage2: _Stage2, lo: int, hi: int, rng: n
 
 def _selected_links(gb: GainBatch, sel, stage2: _Stage2):
     """The selected relay's links (h1b, h2b, hrb), in the rotated form of
-    the module docstring (h1b and hrb real, one phase on h2b)."""
+    the module docstring (h1b and hrb real, one phase on h2b), in single
+    precision: each float64 gain is cast to float32 as its root is taken."""
     rows = np.arange(sel.shape[0])
     g_rd = stage2.g_rd if gb.g_r_d is None else gb.g_r_d[rows, sel]
-    return np.sqrt(gb.g_s1_r[rows, sel]), np.sqrt(gb.g_s2_r[rows, sel]) * stage2.phase, np.sqrt(g_rd)
+    h1b, h2b, hrb = (np.sqrt(g, dtype=np.float32) for g in (gb.g_s1_r[rows, sel], gb.g_s2_r[rows, sel], g_rd))
+    return h1b, h2b * stage2.phase, hrb
 
 
-def _sq_dist(y, mu, out):
-    """|y - mu|^2 into ``out`` (float, mu's shape), overwriting ``mu`` with
-    y - mu: the operations of ``np.abs(y - mu) ** 2``, in place."""
-    np.subtract(y, mu, out=mu)
-    np.abs(mu, out=out)
-    return np.square(out, out=out)
+def _add_sq_abs(mu, d):
+    """d + |mu|^2 into ``d`` (None: a new float array), squaring the parts of
+    a C-contiguous ``mu`` in place."""
+    parts = mu.view(mu.real.dtype)  # re, im interleaved along the last axis
+    np.square(parts, out=parts)
+    re, im = parts[..., 0::2], parts[..., 1::2]
+    if d is None:
+        return np.add(re, im)
+    d += re
+    d += im
+    return d
 
 
 def _joint_ml(const, slots, nc=None):
     """Exact joint ML decision (i, j) over the PSK pairs (c_i, c_j), one per
-    trial, in O(M) per trial.  Each slot (y, h1, h2, scale, var) adds
+    trial, in O(M) per trial, up to rounding of the metrics in ``const``'s
+    precision.  Each slot (y, h1, h2, scale, var) adds
     |y - scale*(h1*c_i + h2*c_j)|^2 / var to the metric (var None: unit
     noise), and ``nc`` = (y, g), DF-NC's forward, adds |y - g*c_((i+j) mod M)|^2.
 
-    For fixed i each term is one free of j minus 2*Re(conj(c_j) * z[i]),
-    because |c_j| = 1 and c_((i+j) mod M) = c_i * c_j: a slot's share of z is
-    w*y - w*scale*h1*c_i with w = conj(scale*h2)/var, and the forward's
-    conj(g)*y*conj(c_i).  So the best j for each i is the PSK point nearest
-    the angle of z[i], and the exact metric of those M candidates decides,
-    the lowest i on a tie, as over the flat M^2 pair index.  The (M, B)
-    arrays are built in place, and each term is freed once read."""
+    A slot is first folded to |y' - a*c_i - b*c_j|^2, with y', a and b its y,
+    scale*h1 and scale*h2 over sqrt(var).  For fixed i each term is one free
+    of j minus 2*Re(conj(c_j) * z[i]), because |c_j| = 1 and
+    c_((i+j) mod M) = c_i * c_j: a slot's share of z is conj(b)*y' -
+    conj(b)*a*c_i, and the forward's conj(g)*y*conj(c_i).  So the best j for
+    each i is the PSK point nearest the angle of z[i], and the exact metric of
+    those M candidates decides, the lowest i on a tie, as over the flat M^2
+    pair index.  The (M, B) arrays are built in place: a slot's term is
+    |conj(c_i)*(b*c_j - y') + a|^2 and the forward's |g*c_j*c_i - y|^2, so
+    every product with c_i is a broadcast of the (M, 1) column."""
     m = const.shape[0]
     ci = const[:, None]  # row i of an (M, B) array holds the hypothesis c_i
-    p = q = None
+    folded, p, q = [], None, None
     for y, h1, h2, scale, var in slots:
-        w = np.conj(scale * h2)
         if var is not None:
-            w /= var
+            root = np.sqrt(var)
+            y, scale = y / root, scale / root
+        a, b = scale * h1, scale * h2
+        folded.append((y, a, b))
+        w = np.conj(b)
         if p is None:
-            p, q = w * y, w * (scale * h1)
+            p, q = w * y, w * a
         else:
             p += w * y
-            q += w * (scale * h1)
+            q += w * a
         del w
     z = np.multiply(q, ci)
     np.subtract(p, z, out=z)
@@ -332,34 +376,32 @@ def _joint_ml(const, slots, nc=None):
     del t
     j &= m - 1  # m is a power of two
 
-    d, mu = None, np.empty(j.shape, complex)
-    for y, h1, h2, scale, var in slots:
+    d, mu = None, np.empty(j.shape, const.dtype)
+    for y, a, b in folded:
         np.take(const, j, out=mu, mode="clip")  # "clip" skips take's copy of out
-        mu *= h2
-        mu += np.multiply(h1, ci)
-        mu *= scale
-        ds = _sq_dist(y, mu, np.empty(j.shape))
-        if var is not None:
-            ds /= var
-        d = ds if d is None else np.add(d, ds, out=d)
+        mu *= b
+        mu -= y
+        mu *= ci.conj()
+        mu += a
+        d = _add_sq_abs(mu, d)
     if nc is not None:
-        k = np.add(np.arange(m)[:, None], j)
-        np.take(const, np.remainder(k, m, out=k), out=mu, mode="clip")
-        del k
+        np.take(const, j, out=mu, mode="clip")
         mu *= nc[1]
-        d += _sq_dist(nc[0], mu, np.empty(j.shape))
-    del ds, mu
+        mu *= ci
+        mu -= nc[0]
+        d = _add_sq_abs(mu, d)
+    del mu
     i = np.argmin(d, axis=0)
     return i, j[i, np.arange(j.shape[1])]
 
 
 def _decide(config: SystemConfig, relay_links, stage2: _Stage2):
     """The destination's joint ML decision (k1, k2) of one round per trial,
-    after the DF relay's own decision, both by ``_joint_ml``.
-    Deterministic: every random input is in ``relay_links`` = (h1b, h2b,
-    hrb) and in ``stage2``."""
+    after the DF relay's own decision, both by ``_joint_ml`` over the
+    complex64 constellation.  Deterministic: every random input is in
+    ``relay_links`` = (h1b, h2b, hrb) and in ``stage2``."""
     m = config.mod_order
-    const = modulate(np.arange(m), m)
+    const = modulate(np.arange(m), m).astype(np.complex64)
     sp = math.sqrt(config.p_source)
     sr = math.sqrt(config.p_relay)
     h1b, h2b, hrb = relay_links

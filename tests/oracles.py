@@ -258,12 +258,15 @@ def brute_force_run_batch(config: SystemConfig, gb, stage2):
 
 
 def complex_gaussian(rng, size) -> np.ndarray:
-    """Circularly symmetric complex Gaussians, E|h|^2 = 1, the real parts
-    drawn before the imaginary ones: the allocating form of
+    """Circularly symmetric complex Gaussians, E|h|^2 = 1, in complex64 and in
+    polar form: radius sqrt(E), E a float32 unit exponential, at an angle
+    psi uniform on [0, 2*pi), drawn after the radii.  |h|^2 = E is
+    exponential and the phase is uniform and independent of it, which is
+    the law CN(0, 1).  The allocating form of
     ``montecarlo._complex_gaussian``, which must match it bit for bit."""
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return (re + 1j * im) * math.sqrt(0.5)
+    radius = np.sqrt(rng.standard_exponential(size, dtype=np.float32))
+    psi = rng.random(size, dtype=np.float32) * np.float32(2.0 * np.pi)
+    return radius * np.cos(psi) + 1j * (radius * np.sin(psi))
 
 
 def draw_stage2(config: SystemConfig, size: int, rng):
@@ -353,6 +356,41 @@ def single_link_ser(snr_db: float, trials: int, seed: int, mod_order: int = 2):
 def rayleigh_bpsk_ser(gamma_bar):
     """Textbook closed form for coherent BPSK over a Rayleigh link."""
     return 0.5 * (1.0 - np.sqrt(gamma_bar / (1.0 + gamma_bar)))
+
+
+def mgf_mpsk_ser(mgf, mod_order: int) -> float:
+    """Exact SER of coherent M-PSK at a fading SNR whose MGF E[exp(-s*SNR)]
+    is ``mgf``: (1/pi) * integral over (0, (M-1)pi/M) of
+    mgf(sin^2(pi/M) / sin^2(theta)) (Simon and Alouini, *Digital
+    Communication over Fading Channels*, 2nd ed., 2005)."""
+    g = math.sin(math.pi / mod_order) ** 2
+    upper = (mod_order - 1) * math.pi / mod_order
+    value, _ = quad(lambda theta: mgf(g / math.sin(theta) ** 2), 0.0, upper, epsabs=1e-12, limit=200)
+    return value / math.pi
+
+
+def direct_link_ser(config: SystemConfig) -> float:
+    """Source 1's exact SER on its Rayleigh direct link alone, mean SNR
+    p_source: DF-NC's law when source 2 is silent, because the forwarded
+    network-coded symbol hides x1 behind the unknown x2."""
+    return mgf_mpsk_ser(lambda s: 1.0 / (1.0 + s * config.p_source), config.mod_order)
+
+
+def anc_single_user_ser(config: SystemConfig) -> float:
+    """Source 1's exact SER under ANC when source 2 is silent: maximum-ratio
+    combining of the direct link, SNR p_s*|h|^2, and one amplified path,
+    SNR p_s*g1*k*g_rd/(k*g_rd + 1) with k = p_r/(2*p_s + 1) (the relay's
+    fixed normalization), all gains unit exponentials.  The path's MGF
+    averages 1/(1 + s*p_s*c) over g1 and then c = k*g_rd/(k*g_rd + 1) over
+    g_rd, by one more integral."""
+    ps = config.p_source
+    k = config.p_relay / relay_normalization(config) ** 2
+
+    def mgf(s):
+        path, _ = quad(lambda x: math.exp(-x) / (1.0 + s * ps * k * x / (k * x + 1.0)), 0.0, math.inf, epsabs=1e-13)
+        return path / (1.0 + s * ps)
+
+    return mgf_mpsk_ser(mgf, config.mod_order)
 
 
 def brute_force_allocation(p_total, num_relays, grid_points=10_000, mod_order=2):

@@ -27,10 +27,14 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 from oracles import (
+    anc_single_user_ser,
     best_pdf,
     brute_force_allocation,
     config_at_snr_db,
+    direct_link_ser,
+    draw_stage2,
     exact_best_bottleneck_cdf,
+    gain_batch,
     rayleigh_bpsk_ser,
     ser_power_gradient,
     single_link_ser,
@@ -52,7 +56,7 @@ from marcsim.model import (
     bottleneck_rate,
     compute_rate_params,
 )
-from marcsim.montecarlo import estimate_ser, sample_best_snr
+from marcsim.montecarlo import BATCH_SIZE, estimate_ser, run_batch, sample_best_snr, sample_gains
 from marcsim.power import (
     PowerSplit,
     numeric_allocation,
@@ -141,6 +145,39 @@ def test_criterion_3_monte_carlo_calibration():
     ok = worst_z < 3.0
     report(3, ok, f"single-link BPSK vs closed form, worst |z| = {worst_z:.2f} over 0..20 dB")
     assert worst_z < 3.0
+
+
+@pytest.mark.parametrize("num_relays", [1, 3])
+@pytest.mark.parametrize("mod_order", [2, 8])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_criterion_3b_kernel_matches_exact_single_user_laws(scheme, mod_order, num_relays):
+    # the package's own kernel against exact SER laws: with g2 = 0 on every
+    # relay (every relay ties, so relay 0 is selected) and h_s2_d = 0,
+    # source 2 is silent, and run_batch's source-1 flags follow ANC's
+    # single-user MRC law, or under DF-NC the direct link's Rayleigh law
+    batches, worst_z = 16, 0.0
+    for snr_db in (5.0, 15.0):
+        config = config_at_snr_db(base_config(scheme, num_relays, mod_order), snr_db)
+        errors = 0
+        for b in range(batches):
+            rng = np.random.default_rng([mod_order, num_relays, int(snr_db), b])
+            gains = sample_gains(config, rng, BATCH_SIZE)
+            gains = gain_batch(config, gains.g_s1_r, np.zeros_like(gains.g_s1_r), gains.g_r_d)
+            stage2 = draw_stage2(config, BATCH_SIZE, rng)
+            stage2 = stage2._replace(h_s2_d=np.zeros_like(stage2.h_s2_d))
+            e1, _, sel, _ = run_batch(config, gains, stage2)
+            assert not sel.any()
+            errors += int(np.count_nonzero(e1))
+        trials = batches * BATCH_SIZE
+        ref = anc_single_user_ser(config) if scheme is Scheme.ANC else direct_link_ser(config)
+        worst_z = max(worst_z, abs(errors / trials - ref) / binom_se(ref, trials))
+    ok = worst_z < 4.0
+    report(
+        "3b", ok,
+        f"{scheme.value} {mod_order}-PSK N={num_relays}, silent source 2: run_batch vs exact "
+        f"single-user law, worst |z| = {worst_z:.2f} at 5 and 15 dB ({trials} trials each)",
+    )
+    assert worst_z < 4.0
 
 
 # -- criterion 4 ----------------------------------------------------------------

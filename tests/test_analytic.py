@@ -407,20 +407,20 @@ def test_analytic_bits_pinned():
     assert got == want
 
 
-# The SER counts were re-recorded at 0.7.0, which draws stage 2 in row chunks;
-# the outage values, recorded at commit 1937342, read stage 1 alone and kept
-# their bits.  The random stream (draw order, batch seeding) and the float
-# path of sampling, selection and detection fix these counts; a PR that
-# declares a stream change re-records them here.
+# The SER counts were re-recorded at 0.8.0, which draws stage 2 and detects
+# in single precision; the outage values, recorded at commit 1937342, read
+# stage 1 alone and kept their bits.  The random stream (draw order, batch
+# seeding) and the float path of sampling, selection and detection fix these
+# counts; a PR that declares a stream change re-records them here.
 PINNED_MC_SER = [  # (scheme, M, N, seed, (errors, trials) of source 1, of source 2)
-    (Scheme.ANC, 2, 1, 1, (809, 20000), (742, 20000)),
-    (Scheme.ANC, 2, 3, 2, (531, 20000), (543, 20000)),
-    (Scheme.ANC, 8, 1, 3, (9357, 20000), (9237, 20000)),
-    (Scheme.ANC, 8, 3, 4, (8229, 20000), (8253, 20000)),
-    (Scheme.DF_NC, 2, 1, 5, (1541, 20000), (1533, 20000)),
-    (Scheme.DF_NC, 2, 3, 6, (999, 20000), (1041, 20000)),
-    (Scheme.DF_NC, 8, 1, 7, (11776, 20000), (11953, 20000)),
-    (Scheme.DF_NC, 8, 3, 8, (11228, 20000), (11312, 20000)),
+    (Scheme.ANC, 2, 1, 1, (779, 20000), (794, 20000)),
+    (Scheme.ANC, 2, 3, 2, (476, 20000), (483, 20000)),
+    (Scheme.ANC, 8, 1, 3, (9047, 20000), (9133, 20000)),
+    (Scheme.ANC, 8, 3, 4, (8181, 20000), (8228, 20000)),
+    (Scheme.DF_NC, 2, 1, 5, (1574, 20000), (1543, 20000)),
+    (Scheme.DF_NC, 2, 3, 6, (985, 20000), (1002, 20000)),
+    (Scheme.DF_NC, 8, 1, 7, (11768, 20000), (11809, 20000)),
+    (Scheme.DF_NC, 8, 3, 8, (11103, 20000), (11200, 20000)),
 ]
 PINNED_MC_OUTAGE = {  # scheme: estimate_outage(N=3, gamma_th=1.0, 20,000 trials, seed 11)
     Scheme.ANC: 0.77885,

@@ -26,7 +26,8 @@ from marcsim.experiment import (
 )
 from marcsim.cli import main
 from marcsim.model import Scheme, SystemConfig, bottleneck_rate
-from marcsim.montecarlo import estimate_ser, sample_best_snr
+from marcsim.montecarlo import estimate_group, estimate_ser, sample_best_snr
+from marcsim.power import PowerSplit, allocation_edges
 
 
 def small_spec(tmp_path, **kw):
@@ -357,66 +358,66 @@ def test_group_rows_match_a_per_cell_oracle(tmp_path, spec):
         assert rows == CUSTOM_ROWS
 
 
-# the custom sweep above, as recorded at 0.7.0: its SER and outage columns
+# the custom sweep above, as recorded at 0.8.0: its SER and outage columns
 # together, so the 0 dB cells count outage past their stop by selection alone
 CUSTOM_ROWS = [
-    "anc,2,1,0.0,0.25951776649746194,0.02162424969585825,"
+    "anc,2,1,0.0,0.23673469387755103,0.020104115348612377,"
     "0.24928105650299706,0.6529038804869673,1.0,0.9999996940976795,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;outage_exp_approx",
-    "anc,2,1,10.0,0.04169046259280411,0.003825059123675929,"
+    "anc,2,1,10.0,0.04029806843808217,0.003819830650822703,"
     "0.039622127546869425,0.24197716742394676,0.9196948893974065,0.7768698398515702,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;outage_exp_approx",
-    "anc,2,1,20.0,0.0014645308924485126,0.0004180852139357795,"
+    "anc,2,1,20.0,0.0013119755911517926,0.00039619253432623405,"
     "0.0008974916852551214,0.035443926210792176,0.1689397406559878,0.1392920235749422,"
     "33.333333333333336,33.33333333333333,ser_model_gap;outage_exp_approx",
-    "anc,2,2,0.0,0.2379535990481856,0.020341961368187556,"
+    "anc,2,2,0.0,0.2336655592469546,0.019503692983665007,"
     "0.22468153429527418,0.6529038804869673,1.0,0.9999993881954526,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;outage_exp_approx",
-    "anc,2,2,10.0,0.028083971073509795,0.002715874029372895,"
+    "anc,2,2,10.0,0.03216048399936316,0.003088030354440579,"
     "0.02276774020851076,0.24197716742394676,0.8494279176201373,0.6035267480710044,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;outage_exp_approx",
-    "anc,2,2,20.0,0.00033562166285278414,0.00020675673475745813,"
+    "anc,2,2,20.0,0.00039664378337147215,0.00022336887326094765,"
     "0.00011572566387753685,0.035443926210792176,0.030755148741418763,0.01940226783160225,"
     "33.333333333333336,33.33333333333333,ser_model_gap;outage_exp_approx",
-    "df,2,1,0.0,0.28169014084507044,0.023372058172147943,"
+    "df,2,1,0.0,0.30234315948601664,0.024718720573603536,"
     "0.1889822365046136,0.5610177634953863,0.9976506483600305,0.9975212478233336,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
-    "df,2,1,10.0,0.07748455923638406,0.0071727075084071275,"
+    "df,2,1,10.0,0.08071920428462127,0.007387725232057509,"
     "0.018226688214018204,0.16618628282543796,0.45244851258581237,0.4511883639059736,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
-    "df,2,1,20.0,0.009244851258581236,0.001037653942558706,"
+    "df,2,1,20.0,0.008848207475209764,0.0010154250924786063,"
     "0.0003136530143389381,0.02169242973922131,0.06007627765064836,0.0582354664157513,"
     "33.333333333333336,33.33333333333333,ser_model_gap;relay_mai",
-    "df,2,2,0.0,0.29338842975206614,0.02339488231159226,"
+    "df,2,2,0.0,0.2761394101876676,0.02266400906566485,"
     "0.14793909658724666,0.5610177634953863,0.9946605644546148,0.9950486398590206,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
-    "df,2,2,10.0,0.05954683614258082,0.005455319358671189,"
+    "df,2,2,10.0,0.06326781326781326,0.005916618867212351,"
     "0.005853966609280212,0.16618628282543796,0.20747520976353928,0.20357093972414927,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
-    "df,2,2,20.0,0.004424103737604882,0.0007208011931376734,"
+    "df,2,2,20.0,0.0038749046529366897,0.0006750804109862611,"
     "1.4848467082572873e-05,0.02169242973922131,0.0036003051106025933,0.003391369548660098,"
     "33.333333333333336,33.33333333333333,ser_model_gap;relay_mai",
 ]
 
 
 # a fig3 sweep at 0 and 10 dB, N = 1 and 2, 3000 trials, seed 7, as
-# recorded at 0.7.0: the 0 dB cells stop at their 400th error
+# recorded at 0.8.0: the 0 dB cells stop at their 400th error
 FIG3_ROWS = [
-    "anc,2,1,0.0,0.24433849821215733,0.02054426803172152,0.24928105650299706,0.6529038804869673,,,"
+    "anc,2,1,0.0,0.2372479240806643,0.020291131477909494,0.24928105650299706,0.6529038804869673,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap",
-    "anc,2,1,10.0,0.036,0.006688293719739156,0.039622127546869425,0.24197716742394676,,,"
+    "anc,2,1,10.0,0.037,0.006776226795493468,0.039622127546869425,0.24197716742394676,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap",
-    "anc,2,2,0.0,0.2468354430379747,0.020256178486283895,0.22468153429527418,0.6529038804869673,,,"
+    "anc,2,2,0.0,0.22099447513812154,0.019103689666186092,0.22468153429527418,0.6529038804869673,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap",
-    "anc,2,2,10.0,0.026,0.0057230247594299965,0.02276774020851076,0.24197716742394676,,,"
+    "anc,2,2,10.0,0.026333333333333334,0.005758165495900792,0.02276774020851076,0.24197716742394676,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap",
-    "df,2,1,0.0,0.27643400138217,0.02302059488972344,0.1889822365046136,0.5610177634953863,,,"
+    "df,2,1,0.0,0.2840909090909091,0.023531418782139324,0.1889822365046136,0.5610177634953863,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
-    "df,2,1,10.0,0.07266666666666667,0.009299217216417396,0.018226688214018204,0.16618628282543796,,,"
+    "df,2,1,10.0,0.072,0.009259975456140367,0.018226688214018204,0.16618628282543796,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
-    "df,2,2,0.0,0.2760989010989011,0.022940901292477705,0.14793909658724666,0.5610177634953863,,,"
+    "df,2,2,0.0,0.2803083391730904,0.02328000183591466,0.14793909658724666,0.5610177634953863,,,"
     "0.3333333333333333,0.33333333333333337,ser_model_gap;relay_mai",
-    "df,2,2,10.0,0.059,0.008445026176564287,0.005853966609280212,0.16618628282543796,,,"
+    "df,2,2,10.0,0.052,0.007960550793493002,0.005853966609280212,0.16618628282543796,,,"
     "3.3333333333333335,3.333333333333333,ser_model_gap;relay_mai",
 ]
 
@@ -868,20 +869,55 @@ def test_outage_figure_rejects_relays_past_the_stage1_budget(tmp_path, capsys):
 
 
 def test_ser_figures_reject_psk_orders_past_the_detection_budget(tmp_path, capsys):
-    # past M = 2^15 a detection call covers one row, 64 B per PSK point: at
-    # 2^25 points that is 2 GiB, so the spec exits 1 before anything runs
+    # past M = 2^15 a detection call covers one row, 40 B per PSK point: at
+    # 2^25 points that is 1.25 GiB, so the spec exits 1 before anything runs
     out = tmp_path / "x.csv"
     assert main(["--figure", "custom", "--mod", "33554432", "--trials", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "mod_orders" in err and f"{montecarlo._DETECT_BYTES << 25} bytes" in err
     assert os.listdir(tmp_path) == []
-    # the largest power of two within the 1 GiB budget passes (2^24 at 64 B
+    # the largest power of two within the 1 GiB budget passes (2^24 at 40 B
     # per point), and no more; these specs are validated, never run
     largest = 1 << ((1 << 30) // montecarlo._DETECT_BYTES).bit_length() - 1
     for m, ok in ((2, True), (largest, True), (2 * largest, False)):
         assert validate_spec(ExperimentSpec(figure="fig2", mod_orders=[m])).ok == ok
     # an outage-only figure detects nothing, so M costs it no memory
     assert validate_spec(ExperimentSpec(figure="fig4", mod_orders=[2 * largest])).ok
+
+
+def test_ser_figures_reject_budgets_past_the_single_precision_range(tmp_path, capsys, monkeypatch):
+    # detection's float32 metrics stay finite up to a 1e30 W budget: 300 dB
+    # validates on every SER figure and the next float does not, exiting 1
+    # before any kernel runs; fig4 detects nothing and keeps its range
+    edge = 10.0 * math.log10(montecarlo._MAX_POWER)
+    past = math.nextafter(edge, math.inf)
+    assert edge == 300.0
+    for figure in ("fig2", "fig3", "fig5", "custom"):
+        assert validate_spec(ExperimentSpec(figure=figure, snr_points_db=[edge])).ok
+        errors = validate_spec(ExperimentSpec(figure=figure, snr_points_db=[edge, past])).errors
+        assert [e.split(":")[0] for e in errors] == ["snr_points_db"]
+    assert validate_spec(ExperimentSpec(figure="fig4", snr_points_db=[past, 1000.0])).ok
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a rejected spec ran the kernel")
+
+    monkeypatch.setattr(montecarlo, "run_batch", kernel)
+    out = tmp_path / "x.csv"
+    assert main(["--figure", "fig2", "--snr", repr(past), "--trials", "10", "--out", str(out)]) == 1
+    assert "snr_points_db" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_largest_accepted_budget_detects_without_overflow(scheme):
+    # at the 1e30 W edge, at the equal split and at the allocator's two
+    # extreme splits, 8-PSK detection neither overflows nor errs
+    p_total = montecarlo._MAX_POWER
+    splits = [PowerSplit.equal(p_total), *allocation_edges(p_total)]
+    configs = [SystemConfig(1, sp.p_source, sp.p_relay, mod_order=8, scheme=scheme) for sp in splits]
+    with np.errstate(over="raise", invalid="raise"):
+        estimates = estimate_group(configs, 4000, seed=5)
+    assert [(e1.errors, e2.errors, e1.trials) for (e1, e2), _ in estimates] == [(0, 0, 4000)] * 3
 
 
 def csv_rows(path):

@@ -409,15 +409,49 @@ def test_early_exit_stops_at_the_exact_trial(scheme, rows):
 
 
 def test_complex_gaussian_fills_in_place_with_the_reference_bits():
-    # stage 2 writes each complex Gaussian's scaled real and imaginary parts
-    # straight into a slice of its batch buffer: the bits of the allocating
-    # form, and nothing outside the slice
+    # stage 2 writes each complex Gaussian's polar parts, r*cos(psi) and
+    # r*sin(psi), straight into a slice of its complex64 batch buffer: the
+    # bits of the allocating form, and nothing outside the slice
     size = BATCH_SIZE + 3
-    buf = np.zeros(size + 10, complex)
+    buf = np.zeros(size + 10, np.complex64)
     _complex_gaussian(np.random.Generator(np.random.Philox(key=3)), buf[4 : size + 4])
     want = complex_gaussian(np.random.Generator(np.random.Philox(key=3)), size)
     assert buf[4 : size + 4].tobytes() == want.tobytes()
     assert not buf[:4].any() and not buf[size + 4 :].any()
+
+
+def test_complex_gaussian_has_the_cn01_law():
+    # the polar draw, the root of a unit exponential at a uniform angle, is
+    # CN(0, 1): E|h|^2 = 1, E h^2 = 0, |h|^2 unit exponential, and each part
+    # normal with variance 1/2
+    n = 1 << 18
+    h = np.empty(n, np.complex64)
+    _complex_gaussian(np.random.Generator(np.random.Philox(key=8)), h)
+    h = h.astype(complex)
+    power = np.abs(h) ** 2
+    assert abs(power.mean() - 1.0) < 4.0 / math.sqrt(n)  # Var |h|^2 = 1
+    assert abs(np.mean(h * h)) < 4.0 * math.sqrt(2.0 / n)  # E|h^2|^2 = 2
+    assert kstest(power, "expon").pvalue > 1e-3
+    for part in (h.real, h.imag):
+        assert kstest(part * math.sqrt(2.0), "norm").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_detection_runs_in_single_precision(monkeypatch, scheme):
+    # every array that reaches _joint_ml, the relay's call and the
+    # destination's, is float32 or complex64: an upcast anywhere upstream
+    # would silently run detection in double precision
+    seen, detect = [], montecarlo._joint_ml
+
+    def spy(const, slots, nc=None):
+        args = [const, *(x for slot in slots for x in slot), *(nc or ())]
+        seen.extend(x.dtype for x in args if isinstance(x, np.ndarray))
+        return detect(const, slots, nc)
+
+    monkeypatch.setattr(montecarlo, "_joint_ml", spy)
+    config = config_at_snr_db(anc_config(scheme=scheme, mod_order=8, num_relays=3), 10.0)
+    estimate_group([config], BATCH_SIZE + 5, seed=3)
+    assert set(seen) == {np.dtype(np.float32), np.dtype(np.complex64)}
 
 
 def test_stage2_is_drawn_only_where_detection_reads(monkeypatch):
@@ -529,7 +563,7 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_detection_memory_is_bounded_at_any_psk_order(scheme):
-    # M = 65,536 detects one row per call, in about 4 MB; as one 20-row
+    # M = 65,536 detects one row per call, in about 2.4 MB; as one 20-row
     # call it took over 100 MB
     config = config_at_snr_db(anc_config(scheme=scheme, mod_order=1 << 16), 10.0)
     assert traced_peak(estimate_group, [config], 20, seed=4, gamma_th=1.0) < 32 << 20
@@ -537,24 +571,27 @@ def test_detection_memory_is_bounded_at_any_psk_order(scheme):
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_bpsk_detection_call_bytes_per_row(scheme):
-    # one whole-batch BPSK call peaks near 200 B (ANC) and 176 B (DF) per
-    # row; before its temporaries were built in place and freed early it
-    # took about 392 and 360
+    # one whole-batch BPSK call peaks near 148 B (ANC) and 124 B (DF) per
+    # row in single precision; in double precision it took 200 and 176, and
+    # before its temporaries were built in place and freed early about 392
+    # and 360
     config = config_at_snr_db(anc_config(scheme=scheme, num_relays=3), 10.0)
     gains = sample_gains(config, np.random.default_rng(5), BATCH_SIZE)
     stage2 = draw_stage2(config, BATCH_SIZE, np.random.default_rng(6))
-    assert traced_peak(run_batch, config, gains, stage2) / BATCH_SIZE < 300
+    assert traced_peak(run_batch, config, gains, stage2) / BATCH_SIZE < 170
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_16psk_detection_call_bytes_per_row(scheme):
     # a 16-PSK call covers 2,048 rows, the 2^15-element cap, and peaks near
-    # 1,010 B (ANC) and 866 B (DF) per row
+    # 462 B (ANC) and 438 B (DF) per row in single precision, each slot's
+    # (M, rows) term built in place; in double precision, with ANC's second
+    # slot adding h1*c_i out of place, it took 1,010 and 866
     rows = montecarlo._DETECT_ELEMENTS // 16
     config = config_at_snr_db(anc_config(scheme=scheme, num_relays=3, mod_order=16), 10.0)
     gains = sample_gains(config, np.random.default_rng(5), rows)
     stage2 = draw_stage2(config, rows, np.random.default_rng(6))
-    assert traced_peak(run_batch, config, gains, stage2) / rows < 1100
+    assert traced_peak(run_batch, config, gains, stage2) / rows < 520
 
 
 @pytest.mark.parametrize("max_errors", [0, -5, True, 2.5])
