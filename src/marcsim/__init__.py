@@ -2,6 +2,6 @@
 closed-form SER/outage analysis, symbol-level Monte Carlo cross-validation,
 and constrained power allocation."""
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 from .montecarlo import estimate_ser

@@ -38,6 +38,9 @@ __all__ = [
 # the product-form CDF carries no such limit.
 _MAX_SERIES_ORDER = 64
 
+# Absolute error that ser_quadrature asks of QAGS and requires of its result
+_SER_TOL = 1e-10
+
 
 class QuadratureConvergenceError(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance."""
@@ -77,14 +80,6 @@ def _float_binom(n: int, k: int) -> float:
     return out
 
 
-def _check_series_order(n: int) -> None:
-    if n > _MAX_SERIES_ORDER:
-        raise ValueError(
-            f"alternating series is numerically unstable beyond N={_MAX_SERIES_ORDER}; "
-            f"best_cdf has no order limit, but the SER chain has no form past N={_MAX_SERIES_ORDER} yet"
-        )
-
-
 def best_cdf(dist: BestRelayDistribution, gamma):
     """P(best SNR <= gamma) = (1 - exp(-eta*gamma))^N, elementwise."""
     g = np.asarray(gamma, dtype=float)
@@ -96,8 +91,13 @@ def best_cdf(dist: BestRelayDistribution, gamma):
 
 def _mgf_terms(dist: BestRelayDistribution) -> list[tuple[float, float]]:
     # The (numerator, pole) pair of each of best_mgf's N terms; none depends
-    # on s, so a quadrature builds them once, not at every node.
-    _check_series_order(dist.num_relays)
+    # on s, so a quadrature builds them once, not at every node.  Every
+    # alternating binomial sum of the package is built here.
+    if dist.num_relays > _MAX_SERIES_ORDER:
+        raise ValueError(
+            f"alternating series is numerically unstable beyond N={_MAX_SERIES_ORDER}; "
+            f"best_cdf has no order limit, but the SER chain has no form past N={_MAX_SERIES_ORDER} yet"
+        )
     eta = dist.eta
     return [
         (_float_binom(dist.num_relays, n) * n * (-1.0) ** (n - 1) * eta, n * eta)
@@ -126,20 +126,17 @@ def integral_I(c: float) -> float:
     return 0.5 * (1.0 - math.sqrt(c / (1.0 + c)))
 
 
-def ser_quadrature(
-    dist: BestRelayDistribution,
-    direct_eta: float,
-    mod_order: int,
-    tol: float = 1e-10,
-) -> float:
+def ser_quadrature(dist: BestRelayDistribution, direct_eta: float, mod_order: int) -> float:
     """Average MPSK SER of the selected relay path combined with the direct
     path, by adaptive quadrature of the MGF product over (0, (M-1)pi/M].
 
     The quadrature is QAGS (21-point Gauss–Kronrod, bisection of the interval
-    with the largest error, epsilon-extrapolation) to absolute error ``tol``
+    with the largest error, epsilon-extrapolation) to absolute error 1e-10
     and relative error 1e-12 in at most 200 subintervals, through
     ``_quadpack.qags``, a bit-exact port of QUADPACK's ``dqagse``.  Raises
-    QuadratureConvergenceError when its error estimate exceeds ``tol``."""
+    QuadratureConvergenceError when its error estimate exceeds 1e-10, and
+    ValueError when the value is negative: the alternating MGF series has
+    then cancelled below its own rounding."""
     _require_positive("direct_eta", direct_eta)
     g = mpsk_g(mod_order)
     upper = (mod_order - 1) * math.pi / mod_order
@@ -158,17 +155,21 @@ def ser_quadrature(
         # times the direct link's exponential MGF
         return mgf * (direct_eta / (s + direct_eta))
 
-    value, abserr = qags(integrand, 0.0, upper, tol, 1e-12, 200)
+    value, abserr = qags(integrand, 0.0, upper, _SER_TOL, 1e-12, 200)
     value /= math.pi
     abserr /= math.pi
-    if abserr > tol:
-        raise QuadratureConvergenceError(abserr, tol)
+    if abserr > _SER_TOL:
+        raise QuadratureConvergenceError(abserr, _SER_TOL)
+    if value < 0.0:
+        raise ValueError(f"SER quadrature gave {value!r} < 0: the alternating series lost its sign")
     return value
 
 
 def ser_closed_form(dist: BestRelayDistribution, direct_eta: float) -> float:
-    """BPSK: alternating sum of (I(c1) + I(c2)) terms with c1 = g/eta_relay
-    and c2 = g/eta_direct, evaluated as written.
+    """BPSK: the paper's alternating sum of (I(c1) + I(c2)) terms with
+    c1 = g/eta_relay and c2 = g/eta_direct.  The term does not depend on n
+    and the weights C(N, n)(-1)^(n-1) sum to 1, so the sum is exactly
+    I(c1) + I(c2) at any N, and is evaluated by that identity.
 
     The additive combination of the two branch integrals is inconsistent with
     the multiplicative MGF product in the exact integral;
@@ -176,10 +177,5 @@ def ser_closed_form(dist: BestRelayDistribution, direct_eta: float) -> float:
     which is the ground truth everywhere in this package.
     """
     _require_positive("direct_eta", direct_eta)
-    _check_series_order(dist.num_relays)
     g = mpsk_g(2)
-    term = integral_I(g / dist.eta) + integral_I(g / direct_eta)
-    value = 0.0
-    for n in range(1, dist.num_relays + 1):
-        value += _float_binom(dist.num_relays, n) * (-1.0) ** (n - 1) * term
-    return value
+    return integral_I(g / dist.eta) + integral_I(g / direct_eta)

@@ -22,6 +22,10 @@ from .experiment import (
 
 __all__ = ["build_parser", "main", "entry"]
 
+# The most threads a sweep may ask for.  A constant, not the core count, so
+# that a command line runs the same on any machine.
+_MAX_WORKERS = 64
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -47,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-th", dest="gamma_th", help="outage threshold")
     p.add_argument("--out", dest="output_path", help="output CSV path")
     # not a spec field: the worker count does not change the output bytes
-    p.add_argument("--workers", default="1", help="parallel group threads, in one process (integer >= 1)")
+    p.add_argument("--workers", default="1", help=f"parallel group threads, in one process (1 to {_MAX_WORKERS})")
     return p
 
 
@@ -69,8 +73,8 @@ def _parse_workers(raw: str) -> int:
         workers = int(raw)
     except ValueError as exc:
         raise ValueError(f"workers: {exc}") from None
-    if workers < 1:
-        raise ValueError(f"workers: must be an integer >= 1, got {workers}")
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers: must be an integer from 1 to {_MAX_WORKERS}, got {workers}")
     return workers
 
 

@@ -56,12 +56,12 @@ class DiscrepancyRecord:
         )
 
 
-def mgf_pole_discrepancy(num_relays: int = _NUM_RELAYS) -> DiscrepancyRecord:
+def mgf_pole_discrepancy() -> DiscrepancyRecord:
     """Shared-pole MGF variant vs best_mgf, whose n-th term has its pole at
     s = -n*eta (the form that integrates the density correctly).  The variant
     places every pole at s = -eta; it is not a valid MGF for N >= 2.  Reported
     at s = 0, where a valid MGF must equal 1 and the variant collapses to 0."""
-    dist = BestRelayDistribution(num_relays, _ETA)
+    dist = BestRelayDistribution(_NUM_RELAYS, _ETA)
     terms = _mgf_terms(dist)
     s_grid = [0.25 * k for k in range(41)]  # 0..10, exactly np.linspace(0, 10, 41)
     shared = []
@@ -78,7 +78,7 @@ def mgf_pole_discrepancy(num_relays: int = _NUM_RELAYS) -> DiscrepancyRecord:
         printed,
         oracle,
         sup,
-        f"sup over s in [0,10] at N={num_relays}; shared-pole value at s=0 is {printed!r}",
+        f"sup over s in [0,10] at N={_NUM_RELAYS}; shared-pole value at s=0 is {printed!r}",
     )
 
 

@@ -249,19 +249,22 @@ def _budget(snr_db: float) -> float:
 # -- plain-text serialization (key=value per line) --------------------------
 
 
-def spec_to_text(spec: ExperimentSpec) -> str:
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, list):
-            return ",".join(fmt(x) for x in v)
-        if isinstance(v, Scheme):
-            return v.value
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+def _fmt(v) -> str:
+    """Text of a spec field or CSV cell: lists comma-joined, floats by
+    shortest round-trip repr."""
+    if v is None:
+        return ""
+    if isinstance(v, list):
+        return ",".join(_fmt(x) for x in v)
+    if isinstance(v, Scheme):
+        return v.value
+    if isinstance(v, float):
+        return repr(float(v))  # shortest round-trip; plain even for numpy scalars
+    return str(v)
 
-    lines = [f"{f.name}={fmt(getattr(spec, f.name))}" for f in dataclasses.fields(spec)]
+
+def spec_to_text(spec: ExperimentSpec) -> str:
+    lines = [f"{f.name}={_fmt(getattr(spec, f.name))}" for f in dataclasses.fields(spec)]
     return "\n".join(lines) + "\n"
 
 
@@ -351,14 +354,6 @@ def _cells(spec: ExperimentSpec) -> list[_Cell]:
         for snr in spec.snr_points_db
         for alloc in allocs
     ]
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))  # shortest round-trip; plain even for numpy scalars
-    return str(v)
 
 
 def _cell_config(cell: _Cell) -> SystemConfig:

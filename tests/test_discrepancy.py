@@ -10,15 +10,10 @@ from marcsim.discrepancy import (
 
 
 def test_mgf_record_measures_the_broken_normalization():
-    rec = mgf_pole_discrepancy(num_relays=2)
+    rec = mgf_pole_discrepancy()
     assert rec.oracle == pytest.approx(1.0, abs=1e-12)  # valid MGF at s=0
     assert rec.printed == pytest.approx(0.0, abs=1e-12)  # shared-pole variant
     assert rec.magnitude >= 0.9
-
-
-def test_mgf_record_trivial_for_single_relay():
-    rec = mgf_pole_discrepancy(num_relays=1)
-    assert rec.magnitude == pytest.approx(0.0, abs=1e-12)
 
 
 def test_additive_ser_record_nonzero():

@@ -12,7 +12,7 @@ import pytest
 
 import marcsim
 from oracles import chunked_stage2
-from marcsim import experiment, montecarlo
+from marcsim import cli, experiment, montecarlo
 from marcsim.analytic import BestRelayDistribution, best_cdf
 from marcsim.experiment import (
     CSV_HEADER,
@@ -988,6 +988,28 @@ def test_cli_snr_range_syntax(tmp_path):
     assert code == 0
     snrs = [r.split(",")[3] for r in Path(out).read_text().splitlines()[1:]]
     assert snrs == ["0.0", "5.0", "10.0"]
+
+
+def test_cli_rejects_workers_past_the_cap(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected worker count must start no thread")
+
+    monkeypatch.setattr(experiment.concurrent.futures, "ThreadPoolExecutor", no_pool)
+    base = ["--figure", "custom", "--scheme", "df", "--relays", "1", "--snr", "10", "--trials", "1000"]
+    code = main([*base, "--workers", str(cli._MAX_WORKERS + 1), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "workers" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_refuses_a_negative_analytic_ser(tmp_path, capsys):
+    # DF N=25 at 25 dB: the SER quadrature cancels to -4.22e-13
+    out = tmp_path / "neg.csv"
+    code = main(["--figure", "custom", "--scheme", "df", "--relays", "25", "--snr", "25",
+                 "--trials", "1000", "--out", str(out)])
+    assert code == 2
+    assert "lost its sign" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_runtime_failure_exit_code(tmp_path):
