@@ -1,10 +1,13 @@
-"""Order statistics of the selected-relay SNR and MGF-based error analysis.
+"""The analytic surrogate: exponential SNR rates, order statistics of the
+selected-relay SNR, and MGF-based error analysis.
 
-The selected relay's SNR is modeled as the maximum of N i.i.d. exponential
-variables.  Its CDF gives the outage probability; its MGF, integrated from the
-density term by term, gives the average symbol error rate for MPSK (adaptive
-quadrature of the MGF product with the direct path, plus an additive
-closed-form variant kept for discrepancy reporting).
+Each link SNR class of a scenario is modeled as exponential, at a rate that
+its powers imply (``bottleneck_rate``, ``ser_inputs``), and the selected
+relay's SNR as the maximum of N i.i.d. exponential variables.  Its CDF gives
+the outage probability; its MGF, integrated from the density term by term,
+gives the average symbol error rate for MPSK (adaptive quadrature of the MGF
+product with the direct path, plus an additive closed-form variant kept for
+discrepancy reporting).
 
 The quadrature is QUADPACK's QAGS: 21-point Gauss–Kronrod rules on a
 bisected interval, with Wynn's epsilon-algorithm extrapolation.  It runs as a
@@ -21,11 +24,13 @@ import math
 import numpy as np
 
 from ._quadpack import qags
-from .model import _require_positive, _require_relay_count
+from .model import Scheme, SystemConfig, _gammas, _require_positive, _require_relay_count
 
 __all__ = [
     "BestRelayDistribution",
     "QuadratureConvergenceError",
+    "bottleneck_rate",
+    "ser_inputs",
     "mpsk_g",
     "best_cdf",
     "best_mgf",
@@ -63,6 +68,37 @@ class BestRelayDistribution:
     def __post_init__(self):
         _require_relay_count(self.num_relays)
         _require_positive("eta", self.eta)
+
+
+def _hop_rates(config: SystemConfig) -> tuple[float, float]:
+    """Exponential rates of one source's relay path: the source-side hop and
+    the relay->destination hop (0.0 under DF-NC, whose per-relay SNR is the
+    source->relay link alone)."""
+    gamma_s, gamma_r = _gammas(config)
+    if config.scheme is Scheme.ANC:
+        return 1.0 / gamma_s, 1.0 / gamma_r
+    return 1.0 / gamma_r, 0.0
+
+
+def bottleneck_rate(config: SystemConfig) -> float:
+    """Exponential rate of min(per-source SNRs) at one relay.
+
+    The min over the two sources doubles the source-side rate; the
+    relay->destination hop is shared and enters once.  Exact for DF-NC,
+    a high-SNR approximation for ANC.
+    """
+    source_side, relay_side = _hop_rates(config)
+    return 2.0 * source_side + relay_side
+
+
+def ser_inputs(config: SystemConfig) -> tuple[BestRelayDistribution, float]:
+    """The SER chain's inputs at the configured powers: the selected relay's
+    law at the per-relay end-to-end rate (for ANC the high-SNR
+    sum-of-reciprocals form; for DF-NC the single-hop form), and the rate of
+    the source->destination SNR."""
+    source_side, relay_side = _hop_rates(config)
+    gamma_s, _ = _gammas(config)
+    return BestRelayDistribution(config.num_relays, source_side + relay_side), 1.0 / gamma_s
 
 
 def mpsk_g(mod_order: int) -> float:

@@ -34,10 +34,12 @@ from .analytic import (
     _MAX_SERIES_ORDER,
     BestRelayDistribution,
     best_cdf,
+    bottleneck_rate,
     ser_closed_form,
+    ser_inputs,
     ser_quadrature,
 )
-from .model import Scheme, SystemConfig, _gammas, bottleneck_rate, compute_rate_params
+from .model import Scheme, SystemConfig, _gammas
 from .montecarlo import estimate_group
 from .power import PowerSplit, allocation_edges, numeric_allocation, ser_for_powers
 
@@ -390,11 +392,10 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
 
     if fig.ser:
         ser_mc, ser_ci = ser[0].ser, ser[0].ci_halfwidth
-        rates = compute_rate_params(config)
-        dist = BestRelayDistribution(cell.num_relays, rates.eta_relay_path)
-        ser_quad = ser_quadrature(dist, rates.eta_direct, cell.mod_order)
+        dist, eta_direct = ser_inputs(config)
+        ser_quad = ser_quadrature(dist, eta_direct, cell.mod_order)
         if cell.mod_order == 2:
-            ser_closed = ser_closed_form(dist, rates.eta_direct)
+            ser_closed = ser_closed_form(dist, eta_direct)
         # the analytic chain is a single-user surrogate, not a bound: at ANC,
         # BPSK, equal split, the simulated joint two-user SER sits 6-12
         # standard errors below it at N=1, 0-7.5 dB, and 34-52 above it at
@@ -408,24 +409,9 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
         if cell.scheme is Scheme.ANC:
             flags.append("outage_exp_approx")
 
-    row = ",".join(
-        [
-            cell.scheme.value,
-            str(cell.mod_order),
-            str(cell.num_relays),
-            repr(float(cell.snr_db)),
-            _fmt(ser_mc),
-            _fmt(ser_ci),
-            _fmt(ser_quad),
-            _fmt(ser_closed),
-            _fmt(outage_mc),
-            _fmt(outage_an),
-            _fmt(config.p_source),
-            _fmt(config.p_relay),
-            ";".join(flags),
-        ]
-    )
-    return cell.key(), row
+    values = [cell.scheme, cell.mod_order, cell.num_relays, float(cell.snr_db)]  # an integer SNR reads 0.0
+    values += [ser_mc, ser_ci, ser_quad, ser_closed, outage_mc, outage_an, config.p_source, config.p_relay]
+    return cell.key(), ",".join([*map(_fmt, values), ";".join(flags)])
 
 
 def _seed(spec: ExperimentSpec, index: int) -> int:

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import BestRelayDistribution, ser_quadrature
-from .model import Scheme, SystemConfig, _require_positive, compute_rate_params
+from .analytic import ser_inputs, ser_quadrature
+from .model import Scheme, SystemConfig, _require_positive
 
 __all__ = [
     "PowerSplit",
@@ -108,9 +108,7 @@ def ser_for_powers(
     both powers.  Bind the scenario with functools.partial to get an
     allocation objective."""
     cfg = SystemConfig(num_relays, p_source, p_relay, mod_order=mod_order, scheme=scheme)
-    rates = compute_rate_params(cfg)
-    dist = BestRelayDistribution(num_relays, rates.eta_relay_path)
-    return ser_quadrature(dist, rates.eta_direct, mod_order)
+    return ser_quadrature(*ser_inputs(cfg), mod_order)
 
 
 def allocation_edges(p_total: float) -> tuple[PowerSplit, PowerSplit]:

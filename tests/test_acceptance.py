@@ -44,18 +44,15 @@ from marcsim.analytic import (
     BestRelayDistribution,
     best_cdf,
     best_mgf,
+    bottleneck_rate,
     integral_I,
     ser_closed_form,
+    ser_inputs,
     ser_quadrature,
 )
 from marcsim.discrepancy import collect_all
 from marcsim.experiment import ExperimentSpec, run_experiment
-from marcsim.model import (
-    Scheme,
-    SystemConfig,
-    bottleneck_rate,
-    compute_rate_params,
-)
+from marcsim.model import Scheme, SystemConfig
 from marcsim.montecarlo import BATCH_SIZE, estimate_ser, run_batch, sample_best_snr, sample_gains
 from marcsim.power import (
     PowerSplit,
@@ -205,11 +202,9 @@ def test_criterion_5_ser_decreasing_in_relay_count():
     for m in (2, 8):
         for snr_db in np.linspace(0.0, 25.0, 20):
             cfg = config_at_snr_db(base_config(Scheme.ANC, 1, m), float(snr_db))
-            rates = compute_rate_params(cfg)
-            vals = [
-                ser_quadrature(BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, m)
-                for n in range(1, 6)
-            ]
+            # one config's rates, at every N
+            dist, eta_direct = ser_inputs(cfg)
+            vals = [ser_quadrature(BestRelayDistribution(n, dist.eta), eta_direct, m) for n in range(1, 6)]
             strict = strict and all(b < a for a, b in zip(vals, vals[1:]))
     # Monte Carlo confirmation under confidence-interval overlap rules
     ci_ok = True
@@ -240,10 +235,7 @@ def test_criterion_6a_analytic_scheme_ordering():
         sers = {}
         for scheme in (Scheme.ANC, Scheme.DF_NC):
             cfg = config_at_snr_db(base_config(scheme, n), snr_db)
-            rates = compute_rate_params(cfg)
-            sers[scheme] = ser_quadrature(
-                BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, 2
-            )
+            sers[scheme] = ser_quadrature(*ser_inputs(cfg), 2)
         ok = ok and sers[Scheme.DF_NC] < sers[Scheme.ANC]
     report(6, ok, "analytic-chain ordering DF < ANC at every grid point (companion)")
     assert ok

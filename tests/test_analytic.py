@@ -15,18 +15,47 @@ from marcsim.analytic import (
     QuadratureConvergenceError,
     best_cdf,
     best_mgf,
+    bottleneck_rate,
     integral_I,
     mpsk_g,
     ser_closed_form,
+    ser_inputs,
     ser_quadrature,
 )
 from marcsim.discrepancy import collect_all, mgf_pole_discrepancy
-from marcsim.model import Scheme, SystemConfig, compute_rate_params
+from marcsim.model import Scheme, SystemConfig, _gammas
 from marcsim.montecarlo import estimate_outage, estimate_ser
 from marcsim.power import PowerSplit, numeric_allocation, ser_for_powers
 
 GRID_N = [1, 2, 5, 10]
 GRID_ETA = [0.5, 1.0, 2.0]
+
+
+# -- exponential rates -----------------------------------------------------------
+
+
+def test_anc_eta_is_sum_of_reciprocals():
+    cfg = SystemConfig(2, 2.0, 2.0)  # gamma_s = 1, gamma_r = 2
+    dist, eta_direct = ser_inputs(cfg)
+    gamma_s, gamma_r = _gammas(cfg)
+    assert gamma_s == pytest.approx(1.0)
+    assert dist.eta == pytest.approx(1.0 / gamma_s + 1.0 / gamma_r)
+    assert dist.eta == pytest.approx(1.5)
+    assert (dist.num_relays, eta_direct) == (2, 1.0 / gamma_s)
+
+
+def test_df_eta_single_hop():
+    cfg = SystemConfig(2, 2.0, 2.0, scheme=Scheme.DF_NC)
+    dist, _ = ser_inputs(cfg)
+    assert dist.eta == pytest.approx(1.0 / 2.0)
+
+
+def test_bottleneck_rate_doubles_source_side():
+    cfg = SystemConfig(2, 2.0, 2.0)  # gamma_s = 1, gamma_r = 2
+    gamma_s, gamma_r = _gammas(cfg)
+    assert bottleneck_rate(cfg) == pytest.approx(2.0 / gamma_s + 1.0 / gamma_r)
+    dfc = SystemConfig(2, 2.0, 2.0, scheme=Scheme.DF_NC)
+    assert bottleneck_rate(dfc) == pytest.approx(1.0)
 
 
 # -- CDF -----------------------------------------------------------------------
@@ -268,8 +297,7 @@ def test_mpsk_g():
 
 def _equal_split_ser(scheme, num_relays, snr_db):
     split = PowerSplit.equal(10.0 ** (snr_db / 10.0))
-    rates = compute_rate_params(SystemConfig(num_relays, split.p_source, split.p_relay, scheme=scheme))
-    return ser_quadrature(BestRelayDistribution(num_relays, rates.eta_relay_path), rates.eta_direct, 2)
+    return ser_quadrature(*ser_inputs(SystemConfig(num_relays, split.p_source, split.p_relay, scheme=scheme)), 2)
 
 
 def test_unreachable_tolerance_raises_with_achieved_error():
@@ -287,6 +315,28 @@ def test_negative_ser_is_refused(scheme, num_relays):
     # within the quadrature's tolerance; a negative SER is never returned
     with pytest.raises(ValueError, match="lost its sign"):
         _equal_split_ser(scheme, num_relays, 25.0)
+
+
+# Past N=4 the alternating series cancels below the quadrature's tolerance
+# at 40-50 dB: ANC N=5 reads a slope of 6.41, and every other order refuses
+# a negative SER (DF N=7 already at 40 dB).  ROADMAP 2(a)'s cancellation-free
+# form of the series mends this and turns these cases into passes.
+_DIVERSITY_LOST = pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, ValueError),
+    reason="ROADMAP 2(a): the alternating MGF series cancels at 40-50 dB past N=4",
+)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+@pytest.mark.parametrize(
+    "num_relays", [*range(1, 5), *(pytest.param(n, marks=_DIVERSITY_LOST) for n in range(5, 11))]
+)
+def test_chain_has_diversity_order_n_plus_one(scheme, num_relays):
+    # BPSK, equal split: N relay branches plus the direct link, so the SER
+    # falls N+1 decades per decade of power at high SNR
+    slope = math.log10(_equal_split_ser(scheme, num_relays, 40.0) / _equal_split_ser(scheme, num_relays, 50.0))
+    assert slope == pytest.approx(num_relays + 1, abs=0.05)
 
 
 # -- MGF terms built once per call ------------------------------------------------
@@ -315,8 +365,7 @@ def test_ser_quadrature_matches_per_node_reference_bit_for_bit():
     cases = [(BestRelayDistribution(n, eta), direct_eta, m) for n, m, eta, direct_eta in _BIT_CASES]
     # DF N=30 at 10 dB, a spec that fails to converge through the CLI
     split = PowerSplit.equal(10.0)
-    rates = compute_rate_params(SystemConfig(30, split.p_source, split.p_relay, scheme=Scheme.DF_NC))
-    cases.append((BestRelayDistribution(30, rates.eta_relay_path), rates.eta_direct, 2))
+    cases.append((*ser_inputs(SystemConfig(30, split.p_source, split.p_relay, scheme=Scheme.DF_NC)), 2))
     got = [_quadrature_outcome(ser_quadrature, *case) for case in cases]
     want = [_quadrature_outcome(per_node_ser_quadrature, *case) for case in cases]
     assert got == want  # ==, not approx: the same float operations in the same order
@@ -418,8 +467,8 @@ def test_analytic_bits_pinned():
     got, want = [], []
     for scheme, m, n, snr_db, expected in PINNED_SER:
         split = PowerSplit.equal(10.0 ** (snr_db / 10.0))
-        rates = compute_rate_params(SystemConfig(n, split.p_source, split.p_relay, mod_order=m, scheme=scheme))
-        got.append(ser_quadrature(BestRelayDistribution(n, rates.eta_relay_path), rates.eta_direct, m))
+        config = SystemConfig(n, split.p_source, split.p_relay, mod_order=m, scheme=scheme)
+        got.append(ser_quadrature(*ser_inputs(config), m))
         want.append(expected)
     for n, expected in PINNED_P_SOURCE.items():
         objective = functools.partial(ser_for_powers, num_relays=n, mod_order=2, scheme=Scheme.ANC)

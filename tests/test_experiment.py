@@ -13,7 +13,7 @@ import pytest
 import marcsim
 from oracles import chunked_stage2
 from marcsim import cli, experiment, montecarlo
-from marcsim.analytic import BestRelayDistribution, best_cdf
+from marcsim.analytic import BestRelayDistribution, best_cdf, bottleneck_rate
 from marcsim.experiment import (
     CSV_HEADER,
     ExperimentSpec,
@@ -25,7 +25,7 @@ from marcsim.experiment import (
     validate_spec,
 )
 from marcsim.cli import main
-from marcsim.model import Scheme, SystemConfig, bottleneck_rate
+from marcsim.model import Scheme, SystemConfig
 from marcsim.montecarlo import estimate_group, estimate_ser, sample_best_snr
 from marcsim.power import PowerSplit, allocation_edges
 
@@ -205,6 +205,20 @@ def test_fig5_rows_have_allocations(tmp_path):
     for r in rows:
         assert "np.float64" not in r
         assert float(r.split(",")[10]) > 0 and float(r.split(",")[11]) > 0
+
+
+def test_integer_snr_points_read_as_floats_in_the_csv(tmp_path):
+    # a library caller may pass integer SNRs: the CSV writes them as floats,
+    # the same bytes as float SNRs give, while the journal keys them as given
+    spec = small_spec(tmp_path, snr_points_db=[0, 10], output_path=str(tmp_path / "int.csv"))
+    run_experiment(spec)
+    rows = Path(spec.output_path).read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0.0", "10.0"]
+    journal = Path(spec.output_path + ".journal").read_text().splitlines()[1:]
+    assert [line.split("\t")[0].split(";")[3] for line in journal] == ["snr=0", "snr=10"]
+    floats = small_spec(tmp_path, snr_points_db=[0.0, 10.0], output_path=str(tmp_path / "float.csv"))
+    run_experiment(floats)
+    assert Path(floats.output_path).read_bytes() == Path(spec.output_path).read_bytes()
 
 
 def test_byte_identical_reruns(tmp_path):

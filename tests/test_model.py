@@ -11,8 +11,6 @@ from marcsim.model import (
     Scheme,
     SystemConfig,
     _gammas,
-    bottleneck_rate,
-    compute_rate_params,
 )
 from marcsim.experiment import _Cell, _cell_config
 from marcsim.montecarlo import (
@@ -163,7 +161,7 @@ def test_df_snr_distribution_is_exponential():
     assert stat < 0.002
 
 
-# -- rate parameters -----------------------------------------------------------
+# -- effective SNRs ------------------------------------------------------------
 
 
 def test_rate_params_unit_example():
@@ -172,32 +170,9 @@ def test_rate_params_unit_example():
     assert gamma_r == pytest.approx(1.0)
 
 
-def test_anc_eta_is_sum_of_reciprocals():
-    cfg = make_config(p_source=2.0, p_relay=2.0)  # gamma_s = 1, gamma_r = 2
-    r = compute_rate_params(cfg)
-    gamma_s, gamma_r = _gammas(cfg)
-    assert gamma_s == pytest.approx(1.0)
-    assert r.eta_relay_path == pytest.approx(1.0 / gamma_s + 1.0 / gamma_r)
-    assert r.eta_relay_path == pytest.approx(1.5)
-
-
-def test_df_eta_single_hop():
-    cfg = make_config(scheme=Scheme.DF_NC, p_relay=2.0, p_source=2.0)
-    r = compute_rate_params(cfg)
-    assert r.eta_relay_path == pytest.approx(1.0 / 2.0)
-
-
 def test_small_kappa_limit():
     cfg = make_config(p_source=1e-9, p_relay=1.0)
     assert _gammas(cfg)[0] == pytest.approx(cfg.p_source, rel=1e-6)
-
-
-def test_bottleneck_rate_doubles_source_side():
-    cfg = make_config(p_source=2.0, p_relay=2.0)  # gamma_s = 1, gamma_r = 2
-    gamma_s, gamma_r = _gammas(cfg)
-    assert bottleneck_rate(cfg) == pytest.approx(2.0 / gamma_s + 1.0 / gamma_r)
-    dfc = make_config(scheme=Scheme.DF_NC, p_relay=2.0, p_source=2.0)
-    assert bottleneck_rate(dfc) == pytest.approx(1.0)
 
 
 # -- selection ------------------------------------------------------------------

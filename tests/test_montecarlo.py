@@ -26,8 +26,8 @@ from oracles import (
     single_link_ser,
 )
 from marcsim import montecarlo
-from marcsim.analytic import BestRelayDistribution, best_cdf
-from marcsim.model import Scheme, SystemConfig, bottleneck_rate
+from marcsim.analytic import BestRelayDistribution, best_cdf, bottleneck_rate
+from marcsim.model import Scheme, SystemConfig
 from marcsim.montecarlo import (
     BATCH_SIZE,
     MAX_ERRORS,
