@@ -176,6 +176,9 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     elif any(b <= a for a, b in zip(s.snr_points_db, s.snr_points_db[1:])):
         errors.append("snr_points_db: must be strictly increasing")
     else:
+        # as floats, so an integer SNR gets the CSV cell, journal key and
+        # config hash of its float
+        s.snr_points_db = [float(snr) for snr in s.snr_points_db]
         for snr in s.snr_points_db:
             try:
                 p_total = _budget(snr)
@@ -409,7 +412,7 @@ def _compute_cell(spec: ExperimentSpec, cell: _Cell, mc) -> tuple[str, str]:
         if cell.scheme is Scheme.ANC:
             flags.append("outage_exp_approx")
 
-    values = [cell.scheme, cell.mod_order, cell.num_relays, float(cell.snr_db)]  # an integer SNR reads 0.0
+    values = [cell.scheme, cell.mod_order, cell.num_relays, cell.snr_db]
     values += [ser_mc, ser_ci, ser_quad, ser_closed, outage_mc, outage_an, config.p_source, config.p_relay]
     return cell.key(), ",".join([*map(_fmt, values), ";".join(flags)])
 

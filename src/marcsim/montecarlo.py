@@ -34,24 +34,28 @@ that keep the float32 metrics finite.
 
 Selection is max-min: the relay maximizing the smaller of the two sources'
 SNRs through it.  Under DF-NC relay j's bottleneck is min(g1_j, g2_j)*gamma_r,
-so selection reads no power, and stage 1 takes one argmax per batch that
-serves every config of its group (``GainBatch.df_sel``).  Under ANC
-``anc_snr`` rises with its first gain, so relay j's bottleneck is
-anc_snr(min(g1_j, g2_j), g_rd_j): one ``anc_snr`` and one argmax per
-config.  The one per-config kernel, ``run_batch``, selects a relay on
-stage 1 and, given the rows' stage-2 record, gathers h1b = sqrt(g1),
-h2b = sqrt(g2)*exp(j*psi) and hrb = sqrt(g_rd) from the selected relay's
-gains, then detects.  No draw depends on selection or on the powers, so the
-configs of a group, one scheme, PSK order and relay count, share them
-(``estimate_group``, common random numbers): each batch is drawn once and
-every config runs ``run_batch`` on row slices of it.  Sweeps and tests run
-this same kernel, and its flags for a row do not depend on the slice the row
-is detected in.  A SER estimate stops at the first trial where both sources
-have ``MAX_ERRORS`` errors, so detection runs only up to the slice holding
-that trial, then selection alone over the rest of the batch if outage is
-asked for; the result does not depend on how the batch was sliced.  For
-fixed gains every relay's bottleneck SNR rises with the budget, so a group's
-outage estimates are nonincreasing in SNR by construction.
+so selection reads no power, and stage 1 selects once per batch for every
+config of its group (``GainBatch.df_sel``, with the selected min(g1, g2) in
+``df_low``).  Under ANC ``anc_snr`` rises with its first gain, so relay j's
+bottleneck is anc_snr(min(g1_j, g2_j), g_rd_j): one ``anc_snr`` per config.
+Both selections and the joint-ML decision end in ``_first_extreme``, which
+loops over a short axis instead of calling numpy's arg-reductions.  The one
+per-config kernel, ``run_batch``, selects a relay on stage 1 and, given the
+rows' stage-2 record, gathers h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and
+hrb = sqrt(g_rd) from the selected relay's gains, then detects.  No draw
+depends on selection or on the powers, so the configs of a group, one
+scheme, PSK order and relay count, share them (``estimate_group``, common
+random numbers): each batch is drawn once and every config runs
+``run_batch`` on row slices of it.  Sweeps and tests run this same kernel,
+and its flags for a row do not depend on the slice the row is detected in.
+A SER estimate stops at the first trial where both sources have
+``MAX_ERRORS`` errors, so detection runs only up to the slice holding that
+trial; the result does not depend on how the batch was sliced.  Outage reads
+only the best bottleneck SNR, the value ``run_batch`` returns with its
+relay, so it is counted once per config and batch over all rows, without
+the relay index and before detection.  For fixed gains every relay's
+bottleneck SNR rises with the budget, so a group's outage estimates are
+nonincreasing in SNR by construction.
 
 This is exact in distribution, not an approximation.  A Rayleigh coefficient
 is sqrt(gain) times an independent uniform phase.  The noise is circular and
@@ -126,6 +130,19 @@ _DETECT_BYTES = 40
 # times a squared PSK distance (at most 4), and float32 ends at 3.4e38, so
 # 1e30 W leaves the gains of a draw eight decades (|h|^2 up to about 8e7).
 _MAX_POWER = 1e30
+
+# Longest axis that _first_extreme reduces by a loop over its entries; a
+# longer one goes to numpy's arg-reduction and a gather.  Timed under the
+# CLI's malloc policy on a 2-core x86-64 box, medians: over (16,384, N)
+# float64 columns the loop took 40, 128 and 343 us at N = 2, 5, 10 against
+# 297, 481 and 684 us for np.argmax and the gather, still won at N = 12-14,
+# and lost at N = 16 (1.7 against 0.9 ms: strided columns); over the
+# (M, rows) float32 detection metric at 2^15 elements it took 47, 66 and
+# 92 us at M = 2, 4, 8 against 384, 241 and 156 us for np.argmin and the
+# gather, and tied at M = 16 (121 against 115 us).  So every figure's relay
+# count (at most 10) and every PSK order below 16 loops.  At most 127: the
+# loop's index is int8.
+_SHORT_AXIS = 10
 
 _Z95 = 1.959963984540054
 
@@ -211,26 +228,74 @@ class GainBatch:
     g_s2_r: np.ndarray          # source 2 -> relay j, (B, N)
     g_r_d: np.ndarray | None    # relay j -> destination, (B, N); None under DF-NC
     df_sel: np.ndarray | None   # DF-NC's selected relay, (B,); None under ANC
+    df_low: np.ndarray | None = None  # DF-NC's selected min(g1, g2), (B,); None under ANC
 
     def __post_init__(self):
         shape = np.shape(self.g_s1_r)
         if np.shape(self.g_s2_r) != shape or (self.g_r_d is not None and np.shape(self.g_r_d) != shape):
             raise ValueError("per-relay gain arrays must have equal shapes")
-        if self.df_sel is not None and np.shape(self.df_sel) != shape[:-1]:
-            raise ValueError(f"df_sel must have the gains' row shape {shape[:-1]}, not {np.shape(self.df_sel)}")
+        for name in ("df_sel", "df_low"):
+            got = np.shape(getattr(self, name))
+            if getattr(self, name) is not None and got != shape[:-1]:
+                raise ValueError(f"{name} must have the gains' row shape {shape[:-1]}, not {got}")
+
+
+def _first_extreme(a, axis=-1, *, lowest=False, index=True, pick=None):
+    """(index, value) of the first maximum (``lowest``: minimum) of the 2-D
+    array ``a``, which holds no NaN, along ``axis``, as numpy's
+    arg-reduction and a gather give them: ties go to the lowest index.  The
+    index is None unless ``index`` asks for it, and ``pick``, an integer
+    array of a's shape, replaces the value by its own element at the index.
+
+    Up to ``_SHORT_AXIS`` entries a loop keeps the running extreme, which a
+    strict comparison moves, and updates the rest by arithmetic, not masked
+    writes: the index is the largest k at which entry k moved the extreme,
+    and ``pick`` adds moved * (pick[k] - its value)."""
+    n = a.shape[axis]
+    if n == 0:
+        raise ValueError("attempt to get the extreme of an empty axis")
+    if n > _SHORT_AXIS:
+        if not index and pick is None:
+            return None, (np.min if lowest else np.max)(a, axis=axis)
+        at = np.expand_dims((np.argmin if lowest else np.argmax)(a, axis=axis), axis)
+        got = np.take_along_axis(a if pick is None else pick, at, axis).squeeze(axis)
+        return at.squeeze(axis) if index else None, got
+    a = a if axis == 0 else a.T  # entry k is a[k]
+    beats, keep = (np.less, np.minimum) if lowest else (np.greater, np.maximum)
+    best = a[0].copy()
+    if not index and pick is None:  # the extreme alone
+        for k in range(1, n):
+            keep(best, a[k], out=best)
+        return None, best
+    # an int8 index (k < _SHORT_AXIS) moves an eighth of the bytes of an intp one
+    idx, moved, step = np.zeros(best.shape, np.int8), np.empty(best.shape, bool), np.empty(best.shape, np.int8)
+    picks = None if pick is None else (pick if axis == 0 else pick.T)
+    got = None if picks is None else picks[0].copy()
+    for k in range(1, n):
+        beats(a[k], best, out=moved)
+        np.multiply(moved, np.int8(k), out=step)  # k rises: the last k that moved the extreme is the largest
+        np.maximum(idx, step, out=idx)
+        if got is not None:
+            diff = picks[k] - got
+            diff *= moved
+            got += diff
+        keep(best, a[k], out=best)
+    return idx.astype(np.intp) if index else None, best if got is None else got
 
 
 def _df_select(g_s1_r, g_s2_r):
     """DF-NC's max-min selection over the last (relay) axis, ties toward the
-    lowest index.  Rounding is monotone, so min(g1_j*gamma_r, g2_j*gamma_r)
-    is min(g1_j, g2_j)*gamma_r exactly, and the relay is the same at every
-    power split."""
-    return np.argmax(np.minimum(g_s1_r, g_s2_r), axis=-1)
+    lowest index, and the selected relay's min(g1, g2).  Rounding is
+    monotone, so min(g1_j*gamma_r, g2_j*gamma_r) is min(g1_j, g2_j)*gamma_r
+    exactly, and the relay is the same at every power split."""
+    return _first_extreme(np.minimum(g_s1_r, g_s2_r))
 
 
 # Bytes per (row, relay) element that a stage-1 batch and its relay selection
 # hold at their peak: the float64 gains g1, g2 and, under ANC, g_rd, plus
-# min(g1, g2) and, under ANC, anc_snr's SNR and denominator.
+# min(g1, g2) and, under ANC, anc_snr's denominator (the SNR overwrites the
+# min).  ANC's 48 still counts a separate SNR array, as before the SNR was
+# computed in place, so the relay cap that validate_spec derives stays put.
 _STAGE1_BYTES = {Scheme.ANC: 48, Scheme.DF_NC: 24}
 
 
@@ -244,19 +309,20 @@ def sample_gains(config: SystemConfig, rng: np.random.Generator, size: int) -> G
     g2 = rng.standard_exponential(shape)
     if config.scheme is Scheme.ANC:
         return GainBatch(g1, g2, rng.standard_exponential(shape), None)
-    return GainBatch(g1, g2, None, _df_select(g1, g2))
+    return GainBatch(g1, g2, None, *_df_select(g1, g2))
 
 
-def anc_snr(gain_sr_sq, gain_rd_sq, gamma_s: float, gamma_r: float):
+def anc_snr(gain_sr_sq, gain_rd_sq, gamma_s: float, gamma_r: float, out=None):
     """End-to-end SNR of one amplified relay path, elementwise:
     gamma_s*a * gamma_r*c / (gamma_s*a + gamma_r*c + 1).  It rises with
     either gain, so min over two sources' paths through one relay is the
-    path SNR of the smaller source->relay gain.
+    path SNR of the smaller source->relay gain.  ``out``, if given, receives
+    the SNR and may be ``gain_sr_sq`` itself.
 
     The denominator is >= 1, so a zero gain on either hop gives SNR 0
     without a division hazard.
     """
-    snr = np.multiply(gain_sr_sq, gamma_s)  # gamma_s*a, read by both terms
+    snr = np.multiply(gain_sr_sq, gamma_s, out=out)  # gamma_s*a, read by both terms
     den = np.multiply(gain_rd_sq, gamma_r)
     den += snr
     den += 1.0
@@ -391,8 +457,7 @@ def _joint_ml(const, slots, nc=None):
         mu -= nc[0]
         d = _add_sq_abs(mu, d)
     del mu
-    i = np.argmin(d, axis=0)
-    return i, j[i, np.arange(j.shape[1])]
+    return _first_extreme(d, axis=0, lowest=True, pick=j)
 
 
 def _decide(config: SystemConfig, relay_links, stage2: _Stage2):
@@ -424,24 +489,22 @@ def _decide(config: SystemConfig, relay_links, stage2: _Stage2):
     return _joint_ml(const, [slot1], nc=(y2, g))
 
 
-def _select(config: SystemConfig, gb: GainBatch):
+def _select(config: SystemConfig, gb: GainBatch, index: bool = True):
     """Max-min relay selection at the config's powers: the relay maximizing
-    min(SNR from source 1, SNR from source 2), ties toward the lowest index,
-    and that bottleneck SNR.  Under DF-NC the relay is the batch's
-    ``df_sel`` and its bottleneck min(g1, g2) * gamma_r; under ANC relay j's
-    bottleneck is anc_snr(min(g1_j, g2_j), g_rd_j)."""
+    min(SNR from source 1, SNR from source 2), ties toward the lowest index
+    (None unless ``index`` asks for it), and that bottleneck SNR.  Under
+    DF-NC the relay is the batch's ``df_sel`` and its bottleneck
+    ``df_low`` * gamma_r; under ANC relay j's bottleneck is
+    anc_snr(min(g1_j, g2_j), g_rd_j)."""
     gamma_s, gamma_r = _gammas(config)
-    rows = np.arange(len(gb.g_s1_r))
     if config.scheme is Scheme.DF_NC:
-        sel = gb.df_sel
-        if sel is None:
-            raise ValueError("a DF-NC GainBatch needs df_sel, the relay that sample_gains selects")
-        return sel, np.minimum(gb.g_s1_r[rows, sel], gb.g_s2_r[rows, sel]) * gamma_r
+        if gb.df_sel is None or gb.df_low is None:
+            raise ValueError("a DF-NC GainBatch needs df_sel and df_low: sample_gains' relay and its min(g1, g2)")
+        return gb.df_sel if index else None, gb.df_low * gamma_r
     if gb.g_r_d is None:
         raise ValueError("an ANC GainBatch needs g_r_d, the relay->destination gains that selection reads")
-    bottleneck = anc_snr(np.minimum(gb.g_s1_r, gb.g_s2_r), gb.g_r_d, gamma_s, gamma_r)
-    sel = np.argmax(bottleneck, axis=-1)
-    return sel, bottleneck[rows, sel]
+    low = np.minimum(gb.g_s1_r, gb.g_s2_r)
+    return _first_extreme(anc_snr(low, gb.g_r_d, gamma_s, gamma_r, low), index=index)  # in place: one (B, N) fewer
 
 
 def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
@@ -466,7 +529,7 @@ def _rows(gb: GainBatch, stage2, lo: int, hi: int):
     def cut(a):
         return None if a is None else a[lo:hi]
 
-    gains = GainBatch(cut(gb.g_s1_r), cut(gb.g_s2_r), cut(gb.g_r_d), cut(gb.df_sel))
+    gains = GainBatch(cut(gb.g_s1_r), cut(gb.g_s2_r), cut(gb.g_r_d), cut(gb.df_sel), cut(gb.df_low))
     return gains, None if stage2 is None else _Stage2(*map(cut, stage2))
 
 
@@ -519,11 +582,11 @@ def estimate_group(
     stop, the first trial T at which both sources have ``max_errors`` errors
     (None: no stop) or ``trials``, and both sources report them over T
     trials; it counts outages (selected-relay SNR below ``gamma_th``) over
-    all ``trials``.  In each batch it runs ``run_batch`` on consecutive row
-    slices up to the one holding T, then once without stage 2 over the rest,
-    if outage is asked for.  No draw depends on selection, the powers, the
-    other configs or the slicing, so each estimate is bit for bit the one
-    its config gets alone."""
+    all ``trials``.  In each batch it counts outages once, over every row,
+    from the best bottleneck SNR alone, then runs ``run_batch`` on
+    consecutive row slices up to the one holding T.  No draw depends on
+    selection, the powers, the other configs or the slicing, so each
+    estimate is bit for bit the one its config gets alone."""
     if len({(c.scheme, c.mod_order, c.num_relays) for c in configs}) != 1:
         raise ValueError("a group needs one or more configs, all of one scheme, PSK order and relay count")
     if gamma_th is not None and not gamma_th >= 0:  # NaN fails the comparison too
@@ -539,6 +602,8 @@ def estimate_group(
         stage2 = _stage2_buffers(configs[0], size) if any(counting) else None
         drawn = 0  # rows of stage 2 drawn so far
         for k in range(n):
+            if gamma_th is not None:
+                below[k] += int(np.count_nonzero(_select(configs[k], gb, index=False)[1] < gamma_th))
             lo = 0
             while counting[k] and lo < size:
                 hi = lo + _next_slice(done[k], err1[k], err2[k], max_errors, min(size - lo, cap))
@@ -546,19 +611,15 @@ def estimate_group(
                     end = next((e for e in _STAGE2_CHUNKS if drawn < e < size), size)
                     _draw_stage2(configs[0], stage2, drawn, end, rng)
                     drawn = end
-                e1, e2, _, best = run_batch(configs[k], *_rows(gb, stage2, lo, hi))
+                e1, e2 = run_batch(configs[k], *_rows(gb, stage2, lo, hi))[:2]
                 stop = None if max_errors is None else _stop_row(e1, e2, max_errors - err1[k], max_errors - err2[k])
                 counting[k] = stop is None
                 used = hi - lo if stop is None else stop
                 err1[k] += int(np.count_nonzero(e1[:used]))
                 err2[k] += int(np.count_nonzero(e2[:used]))
                 done[k] += used
-                if gamma_th is not None:
-                    below[k] += int(np.count_nonzero(best < gamma_th))
-                del e1, e2, best  # free this slice's arrays before the next runs
+                del e1, e2  # free this slice's arrays before the next runs
                 lo = hi
-            if gamma_th is not None and lo < size:  # past the stop, select only
-                below[k] += int(np.count_nonzero(run_batch(configs[k], *_rows(gb, None, lo, size))[3] < gamma_th))
         del gb, stage2  # free this batch before the next is drawn
         if not any(counting) and gamma_th is None:
             break

@@ -245,7 +245,7 @@ def gain_batch(config: SystemConfig, g_s1_r, g_s2_r, g_r_d=None) -> GainBatch:
     helper, not an oracle."""
     if config.scheme is Scheme.ANC:
         return GainBatch(g_s1_r, g_s2_r, g_r_d, None)
-    return GainBatch(g_s1_r, g_s2_r, None, _df_select(g_s1_r, g_s2_r))
+    return GainBatch(g_s1_r, g_s2_r, None, *_df_select(g_s1_r, g_s2_r))
 
 
 def brute_force_run_batch(config: SystemConfig, gb, stage2):

@@ -207,18 +207,27 @@ def test_fig5_rows_have_allocations(tmp_path):
         assert float(r.split(",")[10]) > 0 and float(r.split(",")[11]) > 0
 
 
-def test_integer_snr_points_read_as_floats_in_the_csv(tmp_path):
-    # a library caller may pass integer SNRs: the CSV writes them as floats,
-    # the same bytes as float SNRs give, while the journal keys them as given
+def test_integer_snr_points_read_as_floats_in_the_csv(tmp_path, monkeypatch):
+    # a library caller may pass integer SNRs: validate_spec turns them into
+    # floats, so the CSV, the journal keys and the config hash are those of
+    # float SNRs, and a run resumed with the other form reuses the journal
     spec = small_spec(tmp_path, snr_points_db=[0, 10], output_path=str(tmp_path / "int.csv"))
+    floats = dataclasses.replace(spec, snr_points_db=[0.0, 10.0])
+    assert validate_spec(spec).spec.snr_points_db == [0.0, 10.0]
+    assert spec_to_text(validate_spec(spec).spec) == spec_to_text(validate_spec(floats).spec)
     run_experiment(spec)
     rows = Path(spec.output_path).read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["0.0", "10.0"]
     journal = Path(spec.output_path + ".journal").read_text().splitlines()[1:]
-    assert [line.split("\t")[0].split(";")[3] for line in journal] == ["snr=0", "snr=10"]
-    floats = small_spec(tmp_path, snr_points_db=[0.0, 10.0], output_path=str(tmp_path / "float.csv"))
+    assert [line.split("\t")[0].split(";")[3] for line in journal] == ["snr=0.0", "snr=10.0"]
+    written = [Path(spec.output_path + ext).read_bytes() for ext in ("", ".meta", ".journal")]
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("the float spec recomputed a cell that the integer spec journaled")
+
+    monkeypatch.setattr(experiment, "estimate_group", recomputed)
     run_experiment(floats)
-    assert Path(floats.output_path).read_bytes() == Path(spec.output_path).read_bytes()
+    assert [Path(spec.output_path + ext).read_bytes() for ext in ("", ".meta", ".journal")] == written
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -439,18 +448,30 @@ FIG3_ROWS = [
 @pytest.mark.parametrize("figure", ["fig3", "fig4"])
 def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
     # every row comes from run_batch, the kernel that the brute-force and
-    # noiseless tests check: each config's calls take consecutive rows of
-    # its group's draws from trial 0, detecting (with stage 2, drawn chunk
-    # by chunk after stage 1) on SER figures up to the slice that holds its
-    # stop, and selecting only (without stage 2) over every trial on outage
-    # figures
-    calls, groups = {}, []
-    kernel, estimator = montecarlo.run_batch, experiment.estimate_group
+    # noiseless tests check, or from its selection-bottleneck SNR: each
+    # config's calls take consecutive rows of its group's draws from trial
+    # 0, detecting (with stage 2, drawn chunk by chunk after stage 1) on SER
+    # figures up to the slice that holds its stop, and, on outage figures,
+    # counting outage from the bottleneck alone (no kernel call, no relay
+    # index) over every trial, once per batch; a DF-NC group selects its
+    # relays once per batch for all of its configs
+    calls, groups, df_selections = {}, [], [0]
+    kernel, select, df_select, estimator = (
+        montecarlo.run_batch, montecarlo._select, montecarlo._df_select, experiment.estimate_group
+    )
 
     def counted(config, gb, stage2=None):
-        phase = None if stage2 is None else stage2[0].copy()
-        calls.setdefault(config, []).append((phase, gb.g_s1_r.copy()))
+        calls.setdefault(config, []).append((stage2[0].copy(), gb.g_s1_r.copy()))
         return kernel(config, gb, stage2)
+
+    def selected(config, gb, index=True):
+        if not index:
+            calls.setdefault(config, []).append((None, gb.g_s1_r.copy()))
+        return select(config, gb, index)
+
+    def df_selected(g_s1_r, g_s2_r):
+        df_selections[0] += 1
+        return df_select(g_s1_r, g_s2_r)
 
     def recorded(configs, trials, seed, **kw):
         estimates = estimator(configs, trials, seed, **kw)
@@ -458,6 +479,8 @@ def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
         return estimates
 
     monkeypatch.setattr(montecarlo, "run_batch", counted)
+    monkeypatch.setattr(montecarlo, "_select", selected)
+    monkeypatch.setattr(montecarlo, "_df_select", df_selected)
     monkeypatch.setattr(experiment, "estimate_group", recorded)
     if figure == "fig3":
         spec = ExperimentSpec(
@@ -471,6 +494,9 @@ def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
         rows = run_experiment(spec).rows
         assert [row for row in rows if row.split(",")[3] == repr(spec.snr_points_db[0])] == FIRST_SNR_ROWS
     assert sum(len(configs) for configs, *_ in groups) == len(rows) == len(calls)
+    df_batches = sum(math.ceil(trials / montecarlo.BATCH_SIZE) for configs, trials, *_ in groups
+                     if configs[0].scheme is Scheme.DF_NC)
+    assert df_selections[0] == df_batches > 0
     for configs, trials, seed, estimates in groups:
         gains, phases = [], []
         for rng, size in montecarlo._batches(seed, trials):
@@ -480,6 +506,8 @@ def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
         for config, (ser, _) in zip(configs, estimates):
             detected = {phase is not None for phase, _ in calls[config]}
             assert detected == {figure == "fig3"}
+            if ser is None:
+                assert len(calls[config]) == math.ceil(trials / montecarlo.BATCH_SIZE)
             blocks = [block for _, block in calls[config]]
             covered = sum(len(block) for block in blocks)
             assert np.array_equal(np.concatenate(blocks), gains[:covered])

@@ -135,6 +135,15 @@ def test_anc_snr_monotone_in_gains(a, da, c, dc):
     assert anc_snr(a, c + dc, 2.0, 3.0) >= base - 1e-15
 
 
+def test_anc_snr_in_place_has_the_same_bits():
+    # the ANC selection writes the SNR over its min(g1, g2) temporary
+    rng = np.random.default_rng(3)
+    a, c = rng.standard_exponential((2, 64, 5))
+    want = anc_snr(a, c, 2.0, 3.0)
+    out = a.copy()
+    assert anc_snr(out, c, 2.0, 3.0, out) is out and out.tobytes() == want.tobytes()
+
+
 def df_snr(gain_sq, gamma_r):
     # DF per-relay SNR through the kernel, elementwise over the gains: one
     # relay per round, both sources' links at that gain, gamma_r = p_relay
@@ -232,6 +241,23 @@ def test_df_selection_of_another_shape_rejected(shape):
     with pytest.raises(ValueError, match="df_sel"):
         GainBatch(g, g, None, np.zeros(shape, np.intp))
     assert GainBatch(g, g, None, np.zeros(4, np.intp)).df_sel.shape == (4,)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (4, 1), ()], ids=["one", "more-rows", "column", "scalar"])
+def test_df_selected_minimum_of_another_shape_rejected(shape):
+    # the selected relay's min(g1, g2) is the DF-NC bottleneck of each row,
+    # so it has the selection's shape too
+    g = np.ones((4, 2))
+    with pytest.raises(ValueError, match="df_low"):
+        GainBatch(g, g, None, np.zeros(4, np.intp), np.zeros(shape))
+    assert GainBatch(g, g, None, np.zeros(4, np.intp), np.zeros(4)).df_low.shape == (4,)
+
+
+def test_df_batch_without_its_selected_minimum_rejected():
+    cfg = make_config(scheme=Scheme.DF_NC)
+    g = np.ones((4, 2))
+    with pytest.raises(ValueError, match="df_low"):
+        run_batch(cfg, GainBatch(g, g, None, np.zeros(4, np.intp)))
 
 
 def test_anc_batch_without_its_destination_gains_rejected():

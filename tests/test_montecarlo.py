@@ -108,6 +108,53 @@ def test_selection_reads_only_stage_one(scheme):
     assert np.array_equal(sel, full[2]) and np.array_equal(best, full[3])
 
 
+@pytest.mark.parametrize("length", [1, 2, montecarlo._SHORT_AXIS, montecarlo._SHORT_AXIS + 1, 64])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("values", ["random", "integer"])
+def test_first_extreme_matches_numpy_bit_for_bit(values, dtype, length):
+    # the short-axis loop and its fallback past _SHORT_AXIS against numpy's
+    # arg-reduction plus a gather, both extremes, along the last axis (the
+    # relays of a (rows, N) batch) and the first (the M hypotheses of an
+    # (M, rows) metric, with a picked integer array); integer values force
+    # ties, which go to the lowest index
+    rng = np.random.default_rng(length)
+    a = rng.integers(-3, 4, (500, length)) if values == "integer" else rng.standard_normal((500, length))
+    a = a.astype(dtype)
+    if values == "integer" and length > 1:
+        top = a == a.max(axis=1, keepdims=True)
+        assert (top.sum(axis=1) > 1).mean() > 0.1
+    pick = rng.integers(0, 1 << 40, a.shape)
+    for lowest, arg in ((False, np.argmax), (True, np.argmin)):
+        for x, p, axis in ((a, pick, -1), (a.T, pick.T, 0)):
+            want = np.expand_dims(arg(x, axis=axis), axis)
+            values_at, picks_at = (np.take_along_axis(y, want, axis).squeeze(axis) for y in (x, p))
+            idx, got = montecarlo._first_extreme(x, axis, lowest=lowest)
+            assert idx.tobytes() == want.squeeze(axis).tobytes() and got.tobytes() == values_at.tobytes()
+            none, got = montecarlo._first_extreme(x, axis, lowest=lowest, index=False)
+            assert none is None and got.tobytes() == values_at.tobytes()
+            idx, got = montecarlo._first_extreme(x, axis, lowest=lowest, pick=p)
+            assert idx.tobytes() == want.squeeze(axis).tobytes() and got.tobytes() == picks_at.tobytes()
+
+
+@pytest.mark.parametrize("length", [2, montecarlo._SHORT_AXIS, montecarlo._SHORT_AXIS + 1])
+def test_first_extreme_ties_go_to_the_lowest_index(length):
+    a = np.zeros((3, length))
+    a[1, 1:] = 1.0  # the first of several maxima
+    a[2, 0] = -1.0  # every later entry ties for the maximum
+    idx, best = montecarlo._first_extreme(a)
+    assert idx.tolist() == [0, 1, 1] and best.tolist() == [0.0, 1.0, 0.0]
+    idx, low = montecarlo._first_extreme(a, lowest=True)
+    assert idx.tolist() == [0, 0, 0] and low.tolist() == [0.0, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("shape, axis", [((4, 0), -1), ((0, 4), 0)])
+def test_first_extreme_rejects_an_empty_axis(shape, axis):
+    # as np.argmax and np.argmin do
+    for index in (True, False):
+        with pytest.raises(ValueError):
+            montecarlo._first_extreme(np.empty(shape), axis, index=index)
+
+
 @pytest.mark.parametrize("gains", ["exponential", "integer"])
 @pytest.mark.parametrize("num_relays", [1, 2, 5, 10, 64])
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
@@ -137,11 +184,39 @@ def test_selection_matches_the_max_min_oracle_bit_for_bit(scheme, num_relays, ga
             assert sel.tobytes() == want_sel.tobytes() and best.tobytes() == want_best.tobytes()
 
 
+@pytest.mark.parametrize("gains", ["exponential", "integer"])
+@pytest.mark.parametrize("num_relays", [1, 2, 5, 10, 64])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_outage_count_matches_run_batch_bit_for_bit(scheme, num_relays, gains):
+    # estimate_group counts a batch's outages from the best bottleneck SNR
+    # alone, with no relay index; it is run_batch's selection-bottleneck SNR
+    # bit for bit, so each count is the one run_batch's SNRs give, at
+    # thresholds on, between and around the SNRs; same gains, budgets and
+    # splits as the max-min oracle test above
+    rng = np.random.default_rng(100 + num_relays)
+    shape = (2048, num_relays)
+    if gains == "integer":
+        g1, g2, g_rd = (rng.integers(0, 4, shape).astype(float) for _ in range(3))
+    else:
+        g1, g2, g_rd = (rng.standard_exponential(shape) for _ in range(3))
+    gb = gain_batch(anc_config(scheme=scheme, num_relays=num_relays), g1, g2, g_rd)
+    for p_total in np.logspace(-3, 6, 10):
+        for relay_share in (1.0 / 3.0, 0.02, 0.98):
+            p_relay = relay_share * p_total
+            cfg = anc_config(scheme=scheme, num_relays=num_relays, p_source=(p_total - p_relay) / 2, p_relay=p_relay)
+            sel, best = montecarlo._select(cfg, gb, index=False)
+            want = run_batch(cfg, gb)[3]
+            assert sel is None and best.tobytes() == want.tobytes()
+            for gamma_th in (0.0, *np.quantile(want, [0.1, 0.5, 0.9]), want[0], np.inf):
+                assert np.count_nonzero(best < gamma_th) == np.count_nonzero(want < gamma_th)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_selection_is_shared_across_a_group(monkeypatch, scheme):
-    # DF-NC's selection reads no power: one argmax per batch serves every
-    # config of its group.  An ANC config's bottleneck is one anc_snr per
-    # kernel call, over the smaller of the two source->relay gains
+    # DF-NC's selection reads no power: one selection per batch serves every
+    # config of its group.  An ANC config's bottleneck is one anc_snr, over
+    # the smaller of the two source->relay gains, per kernel call and per
+    # batch's outage count, which calls no kernel
     counts = {}
 
     def spy(name):
@@ -163,17 +238,20 @@ def test_selection_is_shared_across_a_group(monkeypatch, scheme):
     # a fig4 group (outage only) at its default SNR axis, over three batches
     fig4 = [config_at_snr_db(anc_config(scheme=scheme, num_relays=5), 2.5 * k) for k in range(11)]
     _, got = run(fig4, 2 * BATCH_SIZE + 5, ser=False, gamma_th=1.0)
-    assert got["run_batch"] == 3 * len(fig4)
-    # a SER group whose configs all stop early, in the first of three batches
+    assert got["run_batch"] == 0
+    # a SER group whose configs all stop early, in the first of three
+    # batches, without and with outage
     low_snr = [config_at_snr_db(anc_config(scheme=scheme), snr) for snr in (0.0, 2.5, 5.0)]
     estimates, got_ser = run(low_snr, 3 * BATCH_SIZE)
     assert all(pair[0].trials < BATCH_SIZE for pair, _ in estimates)
     assert got_ser["run_batch"] > len(low_snr)  # some config detects in several slices
-    for counted, batches in ((got, 3), (got_ser, 1)):
+    _, got_both = run(low_snr, 3 * BATCH_SIZE, gamma_th=1.0)
+    assert got_both["run_batch"] == got_ser["run_batch"]
+    for counted, batches, outage_counts in ((got, 3, 3 * len(fig4)), (got_ser, 1, 0), (got_both, 3, 3 * len(low_snr))):
         if scheme is Scheme.DF_NC:
             assert counted["_df_select"] == batches and counted["anc_snr"] == 0
         else:
-            assert counted["anc_snr"] == counted["run_batch"] and counted["_df_select"] == 0
+            assert counted["anc_snr"] == counted["run_batch"] + outage_counts and counted["_df_select"] == 0
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
@@ -487,9 +565,10 @@ def test_kernel_calls_per_batch(monkeypatch):
     # detection slices are few and large, and do not follow the stage-2
     # chunks: a config that runs to the cap detects in at most two calls in
     # its first batch (the probe, then the rest) and in one call in each
-    # later batch; a config that has stopped selects in one call over the
-    # rest of each batch when outage is asked for, and makes none otherwise
-    calls, kernel, sampler = [], montecarlo.run_batch, montecarlo.sample_gains
+    # later batch, and a config that has stopped makes none; when outage is
+    # asked for, each config counts it in one selection over the whole
+    # batch, with no relay index and no kernel call, and detects as without
+    calls, kernel, select, sampler = [], montecarlo.run_batch, montecarlo._select, montecarlo.sample_gains
     batch = [-1]
 
     def sample(config, rng, size):
@@ -497,29 +576,39 @@ def test_kernel_calls_per_batch(monkeypatch):
         return sampler(config, rng, size)
 
     def counted(config, gb, stage2=None):
-        calls.append((config, batch[0], stage2 is not None, len(gb.g_s1_r)))
+        calls.append((config, batch[0], "detect" if stage2 is not None else "select", len(gb.g_s1_r)))
         return kernel(config, gb, stage2)
+
+    def selected(config, gb, index=True):
+        if not index:
+            calls.append((config, batch[0], "outage", len(gb.g_s1_r)))
+        return select(config, gb, index)
 
     monkeypatch.setattr(montecarlo, "sample_gains", sample)
     monkeypatch.setattr(montecarlo, "run_batch", counted)
+    monkeypatch.setattr(montecarlo, "_select", selected)
     early, capped = (config_at_snr_db(anc_config(), snr) for snr in (0.0, 25.0))
     trials = 3 * BATCH_SIZE + 5
     sizes = [BATCH_SIZE] * 3 + [5]
 
-    def rows(config, b, detect):
-        return [n for c, at, det, n in calls if c == config and at == b and det == detect]
+    def rows(config, b, kind):
+        return [n for c, at, how, n in calls if c == config and at == b and how == kind]
 
+    detections = []
     for gamma_th in (1.0, None):
         calls.clear()
         batch[0] = -1
         (stopped, _), (full, _) = estimate_group([early, capped], trials, seed=4, gamma_th=gamma_th)
         assert stopped[0].trials < BATCH_SIZE and full[0].trials == trials
+        detections.append([call for call in calls if call[2] == "detect"])
         for b, size in enumerate(sizes):
-            assert 1 <= len(rows(capped, b, True)) <= (2 if b == 0 else 1)
-            assert sum(rows(capped, b, True)) == size and rows(capped, b, False) == []
-            detected = sum(rows(early, b, True))
-            assert (detected > 0) == (b == 0)
-            assert rows(early, b, False) == ([size - detected] if gamma_th is not None else [])
+            assert 1 <= len(rows(capped, b, "detect")) <= (2 if b == 0 else 1)
+            assert sum(rows(capped, b, "detect")) == size
+            assert (sum(rows(early, b, "detect")) > 0) == (b == 0)
+            for config in (early, capped):
+                assert rows(config, b, "select") == []
+                assert rows(config, b, "outage") == ([size] if gamma_th is not None else [])
+    assert detections[0] == detections[1]
 
     # 16-PSK detects at most 2,048 rows (2^15 PSK-point elements) per call,
     # however far a config runs
