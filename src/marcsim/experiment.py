@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import numbers
 import os
 import sys
 from typing import NamedTuple
@@ -128,7 +129,7 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     warnings: list[str] = []
     s = dataclasses.replace(spec)
 
-    if s.figure not in _FIGURES:
+    if not isinstance(s.figure, str) or s.figure not in _FIGURES:
         errors.append(f"figure: unknown value {s.figure!r}, expected one of {tuple(_FIGURES)}")
         return ValidationResult(s, errors, warnings)
 
@@ -154,7 +155,9 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
     # by up to max_n C(N, n)*n, which must stay finite; outage reads one rate
     rate_scale = 1.0
     n_max = None  # the largest relay count, once relay_counts is valid
-    if not s.relay_counts:
+    if not isinstance(s.relay_counts, list):
+        errors.append(f"relay_counts: must be a list, got {s.relay_counts!r}")
+    elif not s.relay_counts:
         errors.append("relay_counts: must be nonempty")
     elif any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in s.relay_counts):
         errors.append(f"relay_counts: entries must be integers >= 1, got {s.relay_counts!r}")
@@ -169,9 +172,11 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
         n_max = max(s.relay_counts)
         if fig.ser:
             rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
-    if not s.snr_points_db:
+    if not isinstance(s.snr_points_db, list):
+        errors.append(f"snr_points_db: must be a list, got {s.snr_points_db!r}")
+    elif not s.snr_points_db:
         errors.append("snr_points_db: must be nonempty")
-    elif any(isinstance(v, bool) or not math.isfinite(v) for v in s.snr_points_db):
+    elif not all(_is_real(v) and math.isfinite(v) for v in s.snr_points_db):
         errors.append(f"snr_points_db: entries must be finite numbers, got {s.snr_points_db!r}")
     elif any(b <= a for a, b in zip(s.snr_points_db, s.snr_points_db[1:])):
         errors.append("snr_points_db: must be strictly increasing")
@@ -201,7 +206,9 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
             except (OverflowError, ValueError) as exc:
                 errors.append(f"snr_points_db: {snr!r} dB gives a split outside the model's range ({exc})")
                 break
-    if not s.mod_orders:
+    if not isinstance(s.mod_orders, list):
+        errors.append(f"mod_orders: must be a list, got {s.mod_orders!r}")
+    elif not s.mod_orders:
         errors.append("mod_orders: must be nonempty")
     elif any(not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0 for m in s.mod_orders):
         errors.append(f"mod_orders: entries must be powers of two >= 2, got {s.mod_orders!r}")
@@ -213,7 +220,9 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
             f"for one detection call, over the budget of {_MEMORY_BUDGET} bytes"
         )
     gain_bytes = None  # the most bytes per stage-1 gain element, once schemes is valid
-    if not s.schemes:
+    if not isinstance(s.schemes, list):
+        errors.append(f"schemes: must be a list, got {s.schemes!r}")
+    elif not s.schemes:
         errors.append("schemes: must be nonempty")
     elif not all(isinstance(x, Scheme) for x in s.schemes):
         errors.append(f"schemes: entries must be Scheme members, got {s.schemes!r}")
@@ -236,14 +245,21 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
                 )
     if isinstance(s.seed, bool) or not isinstance(s.seed, int) or s.seed < 0:
         errors.append(f"seed: must be a nonnegative integer, got {s.seed!r}")
-    if isinstance(s.gamma_th, bool) or not (math.isfinite(s.gamma_th) and s.gamma_th >= 0):
+    if not (_is_real(s.gamma_th) and math.isfinite(s.gamma_th) and s.gamma_th >= 0):
         errors.append(f"gamma_th: must be a finite nonnegative number, got {s.gamma_th!r}")
-    if not s.output_path:
+    if not isinstance(s.output_path, str):
+        errors.append(f"output_path: must be a string, got {s.output_path!r}")
+    elif not s.output_path:
         errors.append("output_path: must be nonempty")
     elif not os.path.basename(s.output_path) or os.path.isdir(s.output_path):
         errors.append(f"output_path: must name a file, not a directory, got {s.output_path!r}")
 
     return ValidationResult(s, errors, warnings)
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number; bool, an int subclass, is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _budget(snr_db: float) -> float:

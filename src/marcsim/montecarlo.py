@@ -38,24 +38,26 @@ so selection reads no power, and stage 1 selects once per batch for every
 config of its group (``GainBatch.df_sel``, with the selected min(g1, g2) in
 ``df_low``).  Under ANC ``anc_snr`` rises with its first gain, so relay j's
 bottleneck is anc_snr(min(g1_j, g2_j), g_rd_j): one ``anc_snr`` per config.
-Both selections and the joint-ML decision end in ``_first_extreme``, which
-loops over a short axis instead of calling numpy's arg-reductions.  The one
-per-config kernel, ``run_batch``, selects a relay on stage 1 and, given the
-rows' stage-2 record, gathers h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and
-hrb = sqrt(g_rd) from the selected relay's gains, then detects.  No draw
-depends on selection or on the powers, so the configs of a group, one
-scheme, PSK order and relay count, share them (``estimate_group``, common
-random numbers): each batch is drawn once and every config runs
-``run_batch`` on row slices of it.  Sweeps and tests run this same kernel,
-and its flags for a row do not depend on the slice the row is detected in.
-A SER estimate stops at the first trial where both sources have
-``MAX_ERRORS`` errors, so detection runs only up to the slice holding that
-trial; the result does not depend on how the batch was sliced.  Outage reads
-only the best bottleneck SNR, the value ``run_batch`` returns with its
-relay, so it is counted once per config and batch over all rows, without
-the relay index and before detection.  For fixed gains every relay's
-bottleneck SNR rises with the budget, so a group's outage estimates are
-nonincreasing in SNR by construction.
+``_select`` is the one selection: at a config's powers it returns the
+relay and its bottleneck SNR, or the SNR alone.  Selection and the joint-ML
+decision end in ``_first_extreme``, which loops over a short axis instead
+of calling numpy's arg-reductions.  The one detection kernel, ``run_batch``,
+takes ``_select``'s relay and the rows' stage-2 record, gathers
+h1b = sqrt(g1), h2b = sqrt(g2)*exp(j*psi) and hrb = sqrt(g_rd) from the
+selected relay's gains, and detects.  No draw depends on selection or on
+the powers, so the configs of a group, one scheme, PSK order and relay
+count, share them (``estimate_group``, common random numbers): each batch
+is drawn once and every config runs ``run_batch`` on row slices of it.
+Sweeps and tests run this same kernel, and its flags for a row do not
+depend on the slice the row is detected in.  A SER estimate stops at the
+first trial where both sources have ``MAX_ERRORS`` errors, so detection
+runs only up to the slice holding that trial; the result does not depend
+on how the batch was sliced.  Outage reads only the best bottleneck SNR,
+``_select``'s value without the relay, so it is counted once per config and
+batch over all rows, before detection; ``sample_best_snr`` returns the same
+values.  For fixed gains every relay's bottleneck SNR rises with the
+budget, so a group's outage estimates are nonincreasing in SNR by
+construction.
 
 This is exact in distribution, not an approximation.  A Rayleigh coefficient
 is sqrt(gain) times an independent uniform phase.  The noise is circular and
@@ -70,7 +72,8 @@ alpha = -arg h1b and beta = -arg hrb the one phase left is that of h2b
 relative to h1b, uniform and independent of the gains.
 
 Randomness is counter-based: trial t always belongs to batch t // BATCH_SIZE,
-and batch b draws from Philox(seed) jumped b times: stage 1 first, then the
+and batch b draws from the Philox stream of key seed at counter
+(0, 0, b, 0), which is Philox(seed) jumped b times: stage 1 first, then the
 stage-2 chunks in row order.  A draw is fixed by its place in that stream,
 and the chunk bounds are constants, so a result depends only on
 (config, seed, trials) no matter how work is scheduled or sliced.
@@ -190,12 +193,12 @@ def relay_normalization(config: SystemConfig) -> float:
 
 def _batches(seed: int, trials: int):
     """Iterator of (rng, size), one per batch of ``trials``: trial t belongs
-    to batch t // BATCH_SIZE, and batch b draws from Philox(seed) jumped b
-    times."""
+    to batch t // BATCH_SIZE, and batch b draws from Philox(seed) at counter
+    (0, 0, b, 0), where ``.jumped(b)`` would put it (each jump adds 2^128)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return (
-        (np.random.Generator(np.random.Philox(key=seed).jumped(b)), min(BATCH_SIZE, trials - start))
+        (np.random.Generator(np.random.Philox(key=seed, counter=(0, 0, b, 0))), min(BATCH_SIZE, trials - start))
         for b, start in enumerate(range(0, trials, BATCH_SIZE))
     )
 
@@ -294,8 +297,8 @@ def _df_select(g_s1_r, g_s2_r):
 # Bytes per (row, relay) element that a stage-1 batch and its relay selection
 # hold at their peak: the float64 gains g1, g2 and, under ANC, g_rd, plus
 # min(g1, g2) and, under ANC, anc_snr's denominator (the SNR overwrites the
-# min).  ANC's 48 still counts a separate SNR array, as before the SNR was
-# computed in place, so the relay cap that validate_spec derives stays put.
+# min).  ANC's 48 counts one (B, N) float64 array more than its selection
+# holds, and is kept so that validate_spec's relay cap does not move.
 _STAGE1_BYTES = {Scheme.ANC: 48, Scheme.DF_NC: 24}
 
 
@@ -507,30 +510,25 @@ def _select(config: SystemConfig, gb: GainBatch, index: bool = True):
     return _first_extreme(anc_snr(low, gb.g_r_d, gamma_s, gamma_r, low), index=index)  # in place: one (B, N) fewer
 
 
-def run_batch(config: SystemConfig, gb: GainBatch, stage2=None):
-    """The per-config kernel, one vectorized batch of protocol rounds: select
-    a relay on the stage-1 gains ``gb`` and, given the rows' ``_Stage2``
-    record, gather the selected relay's links and detect.  Returns
-    per-trial source-1 and source-2 error flags (None without ``stage2``),
-    the selected relay index and the selection-bottleneck SNR.  Under DF-NC
-    relay decoding errors propagate into the forwarded symbol; there is no
-    genie."""
-    sel, best = _select(config, gb)
-    if stage2 is None:
-        return None, None, sel, best
-    k1, k2 = _decide(config, _selected_links(gb, sel, stage2), stage2)
-    return k1 != stage2.i1, k2 != stage2.i2, sel, best
+def run_batch(config: SystemConfig, gb: GainBatch, stage2: _Stage2):
+    """The detection kernel, one vectorized batch of protocol rounds: on the
+    relay that ``_select`` picks from the stage-1 gains ``gb``, gather its
+    links and detect the rows of the ``_Stage2`` record.  Returns per-trial
+    source-1 and source-2 error flags.  Under DF-NC relay decoding errors
+    propagate into the forwarded symbol; there is no genie."""
+    k1, k2 = _decide(config, _selected_links(gb, _select(config, gb)[0], stage2), stage2)
+    return k1 != stage2.i1, k2 != stage2.i2
 
 
-def _rows(gb: GainBatch, stage2, lo: int, hi: int):
-    """Rows lo:hi of a batch's stage-1 gains and stage-2 record (None stays
-    None), as views."""
+def _rows(gb: GainBatch, stage2: _Stage2, lo: int, hi: int):
+    """Rows lo:hi of a batch's stage-1 gains and stage-2 record (None fields
+    stay None), as views."""
 
     def cut(a):
         return None if a is None else a[lo:hi]
 
     gains = GainBatch(cut(gb.g_s1_r), cut(gb.g_s2_r), cut(gb.g_r_d), cut(gb.df_sel), cut(gb.df_low))
-    return gains, None if stage2 is None else _Stage2(*map(cut, stage2))
+    return gains, _Stage2(*map(cut, stage2))
 
 
 def _next_slice(done: int, err1: int, err2: int, max_errors: int | None, rest: int) -> int:
@@ -611,7 +609,7 @@ def estimate_group(
                     end = next((e for e in _STAGE2_CHUNKS if drawn < e < size), size)
                     _draw_stage2(configs[0], stage2, drawn, end, rng)
                     drawn = end
-                e1, e2 = run_batch(configs[k], *_rows(gb, stage2, lo, hi))[:2]
+                e1, e2 = run_batch(configs[k], *_rows(gb, stage2, lo, hi))
                 stop = None if max_errors is None else _stop_row(e1, e2, max_errors - err1[k], max_errors - err2[k])
                 counting[k] = stop is None
                 used = hi - lo if stop is None else stop
@@ -644,9 +642,9 @@ def estimate_ser(
 
 def sample_best_snr(config: SystemConfig, trials: int, seed: int) -> np.ndarray:
     """Selection-bottleneck SNR of the chosen relay for ``trials`` fading
-    draws (no symbols are transmitted)."""
-    batches = _batches(seed, trials)
-    return np.concatenate([run_batch(config, sample_gains(config, rng, size))[3] for rng, size in batches])
+    draws (no symbols are transmitted), from the call that counts outage."""
+    gains = (sample_gains(config, rng, size) for rng, size in _batches(seed, trials))
+    return np.concatenate([_select(config, gb, index=False)[1] for gb in gains])
 
 
 def estimate_outage(config: SystemConfig, gamma_th: float, trials: int, seed: int) -> float:

@@ -3,9 +3,10 @@
 Everything here is derived from first principles (exact distributions,
 brute-force detectors) and never calls the code paths it is used to check.
 The brute-force detectors that are compared with ``montecarlo.run_batch``
-reuse its sampling, so that both decide on the same draws, and select with
-``max_min_selection``, which forms both sources' per-relay SNRs the way the
-package did before it selected on one bottleneck per scheme.  The
+and ``montecarlo._select`` reuse their sampling, so that both decide on the
+same draws, and select with ``max_min_selection``, which forms both
+sources' per-relay SNRs the way the package did before it selected on one
+bottleneck per scheme.  The
 full-phase sampler draws every link as a complex Gaussian, the way the
 package did before it drew gains first; it is the reference for the
 gain-first sampler and feeds ``max_min_selection`` and the package's own
@@ -251,7 +252,8 @@ def gain_batch(config: SystemConfig, g_s1_r, g_s2_r, g_r_d=None) -> GainBatch:
 def brute_force_run_batch(config: SystemConfig, gb, stage2):
     """``montecarlo.run_batch`` with ``max_min_selection`` for the selection
     and ``brute_force_decide`` for the detection, on the same stage-1 gains
-    and stage-2 draws."""
+    and stage-2 draws: both sources' error flags, then the oracle's relay and
+    bottleneck SNR."""
     sel, best = max_min_selection(config, gb)
     k1, k2 = brute_force_decide(config, _selected_links(gb, sel, stage2), stage2)
     return k1 != stage2.i1, k2 != stage2.i2, sel, best
@@ -324,7 +326,8 @@ def full_phase_run_batch(config: SystemConfig, cg: ComplexGains, symbols: _Stage
     """``montecarlo.run_batch`` on full-phase coefficients and the symbols
     and noises of ``draw_symbols``: ``max_min_selection`` reads |h|^2, and
     the selected relay's and the direct coefficients reach the detector with
-    their phases as drawn."""
+    their phases as drawn.  Returns both sources' error flags, then the
+    relay and its bottleneck SNR."""
     gb = GainBatch(np.abs(cg.h_s1_r) ** 2, np.abs(cg.h_s2_r) ** 2, np.abs(cg.h_r_d) ** 2, None)
     sel, best = max_min_selection(config, gb)
     rows = np.arange(sel.shape[0])

@@ -53,7 +53,7 @@ from marcsim.analytic import (
 from marcsim.discrepancy import collect_all
 from marcsim.experiment import ExperimentSpec, run_experiment
 from marcsim.model import Scheme, SystemConfig
-from marcsim.montecarlo import BATCH_SIZE, estimate_ser, run_batch, sample_best_snr, sample_gains
+from marcsim.montecarlo import BATCH_SIZE, _select, estimate_ser, run_batch, sample_best_snr, sample_gains
 from marcsim.power import (
     PowerSplit,
     numeric_allocation,
@@ -162,8 +162,8 @@ def test_criterion_3b_kernel_matches_exact_single_user_laws(scheme, mod_order, n
             gains = gain_batch(config, gains.g_s1_r, np.zeros_like(gains.g_s1_r), gains.g_r_d)
             stage2 = draw_stage2(config, BATCH_SIZE, rng)
             stage2 = stage2._replace(h_s2_d=np.zeros_like(stage2.h_s2_d))
-            e1, _, sel, _ = run_batch(config, gains, stage2)
-            assert not sel.any()
+            e1, _ = run_batch(config, gains, stage2)
+            assert not _select(config, gains)[0].any()
             errors += int(np.count_nonzero(e1))
         trials = batches * BATCH_SIZE
         ref = anc_single_user_ser(config) if scheme is Scheme.ANC else direct_link_ser(config)

@@ -87,6 +87,33 @@ def test_bool_counts_rejected():
     assert any("snr_points_db" in e for e in res.errors)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gamma_th", "1"),
+        ("snr_points_db", ["a"]),
+        ("output_path", 3),
+        ("figure", ["x"]),
+        ("relay_counts", 3),
+        ("snr_points_db", np.array([0.0, 10.0])),
+        ("relay_counts", np.array([1, 2])),
+        ("schemes", Scheme.ANC),
+        ("mod_orders", 2),
+    ],
+    ids=["str-gamma", "str-snr", "int-path", "list-figure", "int-relays", "array-snr", "array-relays",
+         "scheme-not-list", "int-mod-orders"],
+)
+def test_mistyped_field_is_one_error_naming_it(tmp_path, field, value):
+    # validate_spec never raises: a library caller's value of the wrong type
+    # is one error that names its field, and run_experiment raises
+    # SpecValidationError for it before it writes anything
+    spec = ExperimentSpec(**{"output_path": str(tmp_path / "x.csv"), field: value})
+    assert [e.split(":")[0] for e in validate_spec(spec).errors] == [field]
+    with pytest.raises(SpecValidationError, match=field):
+        run_experiment(spec)
+    assert os.listdir(tmp_path) == []
+
+
 def test_huge_trials_warn_but_valid():
     res = validate_spec(ExperimentSpec(figure="fig4", trials=10**12))
     assert res.ok
@@ -448,7 +475,8 @@ FIG3_ROWS = [
 @pytest.mark.parametrize("figure", ["fig3", "fig4"])
 def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
     # every row comes from run_batch, the kernel that the brute-force and
-    # noiseless tests check, or from its selection-bottleneck SNR: each
+    # noiseless tests check, or from _select's bottleneck SNR, which the
+    # max-min oracle and the exact-law tests check: each
     # config's calls take consecutive rows of its group's draws from trial
     # 0, detecting (with stage 2, drawn chunk by chunk after stage 1) on SER
     # figures up to the slice that holds its stop, and, on outage figures,
@@ -460,7 +488,7 @@ def test_sweeps_run_the_tested_kernel(tmp_path, monkeypatch, figure):
         montecarlo.run_batch, montecarlo._select, montecarlo._df_select, experiment.estimate_group
     )
 
-    def counted(config, gb, stage2=None):
+    def counted(config, gb, stage2):
         calls.setdefault(config, []).append((stage2[0].copy(), gb.g_s1_r.copy()))
         return kernel(config, gb, stage2)
 

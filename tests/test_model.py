@@ -15,9 +15,9 @@ from marcsim.model import (
 from marcsim.experiment import _Cell, _cell_config
 from marcsim.montecarlo import (
     GainBatch,
+    _select,
     _selected_links,
     anc_snr,
-    run_batch,
     sample_gains,
 )
 
@@ -77,7 +77,7 @@ def test_df_draws_destination_gain_after_selection():
     cfg = make_config(scheme=Scheme.DF_NC, num_relays=3)
     g = sample_gains(cfg, np.random.default_rng(0), 8)
     assert g.g_r_d is None
-    sel = run_batch(cfg, g)[2]
+    sel = _select(cfg, g)[0]
     hrb = _selected_links(g, sel, draw_stage2(cfg, 8, np.random.default_rng(1)))[2]
     assert hrb.shape == (8,) and np.all(hrb > 0)
 
@@ -145,11 +145,11 @@ def test_anc_snr_in_place_has_the_same_bits():
 
 
 def df_snr(gain_sq, gamma_r):
-    # DF per-relay SNR through the kernel, elementwise over the gains: one
+    # DF per-relay SNR through the selection, elementwise over the gains: one
     # relay per round, both sources' links at that gain, gamma_r = p_relay
     cfg = make_config(num_relays=1, scheme=Scheme.DF_NC, p_source=gamma_r, p_relay=gamma_r)
     g = np.asarray(gain_sq, dtype=float).reshape(-1, 1)
-    snr = run_batch(cfg, gain_batch(cfg, g, g))[3]
+    snr = _select(cfg, gain_batch(cfg, g, g))[1]
     return snr if np.ndim(gain_sq) else float(snr[0])
 
 
@@ -188,11 +188,11 @@ def test_small_kappa_limit():
 
 
 def select_relay(s1, s2):
-    # the kernel's max-min selection of one round whose relay j has SNR s1[j]
+    # the package's max-min selection of one round whose relay j has SNR s1[j]
     # from source 1 and s2[j] from source 2: DF-NC at gamma_r = 1, where the
-    # SNRs are the source->relay gains (the kernel reads N off the gains)
+    # SNRs are the source->relay gains (selection reads N off the gains)
     cfg = make_config(num_relays=1, scheme=Scheme.DF_NC, p_source=1.0, p_relay=1.0)
-    sel, best = run_batch(cfg, gain_batch(cfg, np.array([s1], float), np.array([s2], float)))[2:]
+    sel, best = _select(cfg, gain_batch(cfg, np.array([s1], float), np.array([s2], float)))
     return int(sel[0]), float(best[0])
 
 
@@ -230,13 +230,13 @@ def test_df_batch_without_its_selection_rejected():
     cfg = make_config(scheme=Scheme.DF_NC)
     g = np.ones((4, 2))
     with pytest.raises(ValueError, match="df_sel"):
-        run_batch(cfg, GainBatch(g, g, None, None))
+        _select(cfg, GainBatch(g, g, None, None))
 
 
 @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1), ()], ids=["one", "more-rows", "column", "scalar"])
 def test_df_selection_of_another_shape_rejected(shape):
     # a selection of one row would broadcast: every row would read relay
-    # df_sel[0], and the kernel would return a selection of shape (1,)
+    # df_sel[0], and selection would return a relay array of shape (1,)
     g = np.ones((4, 2))
     with pytest.raises(ValueError, match="df_sel"):
         GainBatch(g, g, None, np.zeros(shape, np.intp))
@@ -257,16 +257,16 @@ def test_df_batch_without_its_selected_minimum_rejected():
     cfg = make_config(scheme=Scheme.DF_NC)
     g = np.ones((4, 2))
     with pytest.raises(ValueError, match="df_low"):
-        run_batch(cfg, GainBatch(g, g, None, np.zeros(4, np.intp)))
+        _select(cfg, GainBatch(g, g, None, np.zeros(4, np.intp)))
 
 
 def test_anc_batch_without_its_destination_gains_rejected():
-    # ANC selection reads the relay->destination gains; without them the
-    # kernel names what is missing, rather than failing inside anc_snr
+    # ANC selection reads the relay->destination gains; without them
+    # selection names what is missing, rather than failing inside anc_snr
     cfg = make_config(scheme=Scheme.ANC)
     g = np.ones((4, 2))
     with pytest.raises(ValueError, match="g_r_d"):
-        run_batch(cfg, GainBatch(g, g, None, None))
+        _select(cfg, GainBatch(g, g, None, None))
 
 
 @settings(max_examples=200)

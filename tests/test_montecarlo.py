@@ -44,6 +44,7 @@ from marcsim.montecarlo import (
     _complex_gaussian,
     _decide,
     _joint_ml,
+    _select,
     _selected_links,
 )
 
@@ -97,17 +98,6 @@ def test_trial_deterministic():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
-def test_selection_reads_only_stage_one(scheme):
-    # without stage 2 the kernel selects on the same gains and detects nothing
-    cfg = anc_config(scheme=scheme, num_relays=3)
-    gains = sample_gains(cfg, np.random.default_rng(5), 64)
-    e1, e2, sel, best = run_batch(cfg, gains)
-    assert e1 is None and e2 is None
-    full = run_batch(cfg, gains, draw_stage2(cfg, 64, np.random.default_rng(9)))
-    assert np.array_equal(sel, full[2]) and np.array_equal(best, full[3])
-
-
 @pytest.mark.parametrize("length", [1, 2, montecarlo._SHORT_AXIS, montecarlo._SHORT_AXIS + 1, 64])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("values", ["random", "integer"])
@@ -159,11 +149,14 @@ def test_first_extreme_rejects_an_empty_axis(shape, axis):
 @pytest.mark.parametrize("num_relays", [1, 2, 5, 10, 64])
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_selection_matches_the_max_min_oracle_bit_for_bit(scheme, num_relays, gains):
-    # the kernel's one bottleneck per scheme (DF-NC's one argmax per batch,
-    # ANC's anc_snr of the smaller source->relay gain) against the argmax of
-    # the smaller of both sources' per-relay SNRs, at budgets from 1e-3 to
-    # 1e6 W at equal and skewed splits; integer gains force ties between
-    # relays, which both break toward the lowest index
+    # the one selection's bottleneck per scheme (DF-NC's one argmax per
+    # batch, ANC's anc_snr of the smaller source->relay gain) against the
+    # argmax of the smaller of both sources' per-relay SNRs, at budgets from
+    # 1e-3 to 1e6 W at equal and skewed splits; integer gains force ties
+    # between relays, which both break toward the lowest index.  Without the
+    # relay index, as outage and sample_best_snr call it, the SNR keeps its
+    # bits, so every outage count is the oracle's at thresholds on, between
+    # and around the SNRs
     rng = np.random.default_rng(num_relays)
     shape = (2048, num_relays)
     if gains == "integer":
@@ -179,36 +172,13 @@ def test_selection_matches_the_max_min_oracle_bit_for_bit(scheme, num_relays, ga
         for relay_share in (1.0 / 3.0, 0.02, 0.98):  # the equal split, then skewed ones
             p_relay = relay_share * p_total
             cfg = anc_config(scheme=scheme, num_relays=num_relays, p_source=(p_total - p_relay) / 2, p_relay=p_relay)
-            sel, best = run_batch(cfg, gb)[2:]
             want_sel, want_best = max_min_selection(cfg, gb)
+            sel, best = _select(cfg, gb)
             assert sel.tobytes() == want_sel.tobytes() and best.tobytes() == want_best.tobytes()
-
-
-@pytest.mark.parametrize("gains", ["exponential", "integer"])
-@pytest.mark.parametrize("num_relays", [1, 2, 5, 10, 64])
-@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
-def test_outage_count_matches_run_batch_bit_for_bit(scheme, num_relays, gains):
-    # estimate_group counts a batch's outages from the best bottleneck SNR
-    # alone, with no relay index; it is run_batch's selection-bottleneck SNR
-    # bit for bit, so each count is the one run_batch's SNRs give, at
-    # thresholds on, between and around the SNRs; same gains, budgets and
-    # splits as the max-min oracle test above
-    rng = np.random.default_rng(100 + num_relays)
-    shape = (2048, num_relays)
-    if gains == "integer":
-        g1, g2, g_rd = (rng.integers(0, 4, shape).astype(float) for _ in range(3))
-    else:
-        g1, g2, g_rd = (rng.standard_exponential(shape) for _ in range(3))
-    gb = gain_batch(anc_config(scheme=scheme, num_relays=num_relays), g1, g2, g_rd)
-    for p_total in np.logspace(-3, 6, 10):
-        for relay_share in (1.0 / 3.0, 0.02, 0.98):
-            p_relay = relay_share * p_total
-            cfg = anc_config(scheme=scheme, num_relays=num_relays, p_source=(p_total - p_relay) / 2, p_relay=p_relay)
-            sel, best = montecarlo._select(cfg, gb, index=False)
-            want = run_batch(cfg, gb)[3]
-            assert sel is None and best.tobytes() == want.tobytes()
-            for gamma_th in (0.0, *np.quantile(want, [0.1, 0.5, 0.9]), want[0], np.inf):
-                assert np.count_nonzero(best < gamma_th) == np.count_nonzero(want < gamma_th)
+            sel, best = _select(cfg, gb, index=False)
+            assert sel is None and best.tobytes() == want_best.tobytes()
+            for gamma_th in (0.0, *np.quantile(want_best, [0.1, 0.5, 0.9]), want_best[0], np.inf):
+                assert np.count_nonzero(best < gamma_th) == np.count_nonzero(want_best < gamma_th)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
@@ -258,9 +228,10 @@ def test_selection_is_shared_across_a_group(monkeypatch, scheme):
 def test_noiseless_detection_is_exact(scheme):
     cfg = anc_config(scheme=scheme, p_source=1e30, p_relay=1e30, num_relays=2)
     rng = np.random.default_rng(77)
-    e1, e2, selected, _ = run_batch(cfg, sample_gains(cfg, rng, 50), draw_stage2(cfg, 50, rng))
+    gains = sample_gains(cfg, rng, 50)
+    e1, e2 = run_batch(cfg, gains, draw_stage2(cfg, 50, rng))
     assert not e1.any() and not e2.any()
-    assert np.all(selected < cfg.num_relays)
+    assert np.all(_select(cfg, gains)[0] < cfg.num_relays)
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 30.0])
@@ -268,10 +239,11 @@ def test_noiseless_detection_is_exact(scheme):
 @pytest.mark.parametrize("mod_order", [2, 4, 8, 16])
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_joint_ml_matches_brute_force(scheme, mod_order, num_relays, snr_db):
-    # the O(M) slicer against the scoring of all M^2 pairs, on shared draws
+    # the O(M) slicer against the scoring of all M^2 pairs, on shared draws,
+    # and the selection that the kernel detects on against the oracle's
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), snr_db)
     gains = sample_gains(cfg, np.random.default_rng(mod_order + num_relays), 4096)
-    got = run_batch(cfg, gains, draw_stage2(cfg, 4096, np.random.default_rng(31)))
+    got = (*run_batch(cfg, gains, draw_stage2(cfg, 4096, np.random.default_rng(31))), *_select(cfg, gains))
     want = brute_force_run_batch(cfg, gains, draw_stage2(cfg, 4096, np.random.default_rng(31)))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -301,7 +273,7 @@ def test_silent_source_ties_to_symbol_zero(scheme, mod_order):
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order), 20.0)
     size = 512
     gains = sample_gains(cfg, np.random.default_rng(61), size)
-    sel = run_batch(cfg, gains)[2]
+    sel = _select(cfg, gains)[0]
     stage2 = draw_stage2(cfg, size, np.random.default_rng(62))
     h1b, h2b, hrb = _selected_links(gains, sel, stage2)
     h2b = np.zeros_like(h2b)
@@ -369,7 +341,8 @@ def wilson_interval(count: int, trials: int, z: float = 4.5):
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
 def test_gain_first_sampler_matches_full_phase_oracle(scheme, mod_order, num_relays):
     # the same rounds in law: outage of the selected-relay SNR at three
-    # thresholds, and both sources' error rates, within z = 4.5 Wilson bounds
+    # thresholds, and both sources' error rates, within z = 4.5 Wilson bounds;
+    # the gain-first side's SNR is the one that outage counts
     cfg = config_at_snr_db(anc_config(scheme=scheme, mod_order=mod_order, num_relays=num_relays), 10.0)
     # quartiles of the DF-NC law (a stand-in for ANC): fixed, mid-range thresholds
     quartiles = np.array([0.25, 0.5, 0.75])
@@ -377,8 +350,12 @@ def test_gain_first_sampler_matches_full_phase_oracle(scheme, mod_order, num_rel
     batches = 4
     trials = batches * BATCH_SIZE
     counts = []
+
+    def gain_first_run(config, gains, stage2):
+        return (*run_batch(config, gains, stage2), *_select(config, gains, index=False))
+
     for stream, (sample, rest, run) in enumerate(
-        [(sample_gains, draw_stage2, run_batch), (full_phase_gains, draw_symbols, full_phase_run_batch)]
+        [(sample_gains, draw_stage2, gain_first_run), (full_phase_gains, draw_symbols, full_phase_run_batch)]
     ):
         tally = np.zeros(5, dtype=np.int64)
         for b in range(batches):
@@ -423,7 +400,7 @@ def whole_batch_flags(cfg, trials, seed):
     """Both sources' error flags of every trial, from run_batch on whole
     batches of the estimator's draws."""
     flags = [
-        run_batch(cfg, sample_gains(cfg, rng, size), chunked_stage2(cfg, size, rng))[:2]
+        run_batch(cfg, sample_gains(cfg, rng, size), chunked_stage2(cfg, size, rng))
         for rng, size in _batches(seed, trials)
     ]
     return np.concatenate([f[0] for f in flags]), np.concatenate([f[1] for f in flags])
@@ -484,6 +461,18 @@ def test_early_exit_stops_at_the_exact_trial(scheme, rows):
     assert counts(estimate_ser(cfg, trials, seed, max_errors=stop)) == exact_stop(e1, e2, stop)
     full = counts(estimate_ser(cfg, trials, seed, max_errors=None))
     assert full == (int(e1.sum()), int(e2.sum()), trials)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**63 + 5])
+def test_batches_draw_the_jumped_philox_streams(seed):
+    # batch b's generator starts at counter (0, 0, b, 0), where b jumps of
+    # Philox(seed) put it: the stream that every recorded result was drawn on
+    trials = 7 * BATCH_SIZE + 3
+    for b, (rng, size) in enumerate(_batches(seed, trials)):
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+        assert rng.standard_exponential(1000).tobytes() == jumped.standard_exponential(1000).tobytes()
+        assert size == (BATCH_SIZE if b < 7 else 3)
+    assert b == 7
 
 
 def test_complex_gaussian_fills_in_place_with_the_reference_bits():
@@ -567,7 +556,7 @@ def test_kernel_calls_per_batch(monkeypatch):
     # its first batch (the probe, then the rest) and in one call in each
     # later batch, and a config that has stopped makes none; when outage is
     # asked for, each config counts it in one selection over the whole
-    # batch, with no relay index and no kernel call, and detects as without
+    # batch, with no relay index, and detects as without
     calls, kernel, select, sampler = [], montecarlo.run_batch, montecarlo._select, montecarlo.sample_gains
     batch = [-1]
 
@@ -575,8 +564,8 @@ def test_kernel_calls_per_batch(monkeypatch):
         batch[0] += 1
         return sampler(config, rng, size)
 
-    def counted(config, gb, stage2=None):
-        calls.append((config, batch[0], "detect" if stage2 is not None else "select", len(gb.g_s1_r)))
+    def counted(config, gb, stage2):
+        calls.append((config, batch[0], "detect", len(gb.g_s1_r)))
         return kernel(config, gb, stage2)
 
     def selected(config, gb, index=True):
@@ -606,7 +595,6 @@ def test_kernel_calls_per_batch(monkeypatch):
             assert sum(rows(capped, b, "detect")) == size
             assert (sum(rows(early, b, "detect")) > 0) == (b == 0)
             for config in (early, capped):
-                assert rows(config, b, "select") == []
                 assert rows(config, b, "outage") == ([size] if gamma_th is not None else [])
     assert detections[0] == detections[1]
 
@@ -626,9 +614,8 @@ def test_detection_calls_stay_within_the_element_budget(monkeypatch, mod_order):
     # at BPSK)
     rows, kernel = [], montecarlo.run_batch
 
-    def counted(config, gb, stage2=None):
-        if stage2 is not None:
-            rows.append(len(gb.g_s1_r))
+    def counted(config, gb, stage2):
+        rows.append(len(gb.g_s1_r))
         return kernel(config, gb, stage2)
 
     monkeypatch.setattr(montecarlo, "run_batch", counted)
