@@ -153,10 +153,7 @@ def test_selection_matches_the_max_min_oracle_bit_for_bit(scheme, num_relays, ga
     # batch, ANC's anc_snr of the smaller source->relay gain) against the
     # argmax of the smaller of both sources' per-relay SNRs, at budgets from
     # 1e-3 to 1e6 W at equal and skewed splits; integer gains force ties
-    # between relays, which both break toward the lowest index.  Without the
-    # relay index, as outage and sample_best_snr call it, the SNR keeps its
-    # bits, so every outage count is the oracle's at thresholds on, between
-    # and around the SNRs
+    # between relays, which both break toward the lowest index
     rng = np.random.default_rng(num_relays)
     shape = (2048, num_relays)
     if gains == "integer":
@@ -175,10 +172,47 @@ def test_selection_matches_the_max_min_oracle_bit_for_bit(scheme, num_relays, ga
             want_sel, want_best = max_min_selection(cfg, gb)
             sel, best = _select(cfg, gb)
             assert sel.tobytes() == want_sel.tobytes() and best.tobytes() == want_best.tobytes()
-            sel, best = _select(cfg, gb, index=False)
-            assert sel is None and best.tobytes() == want_best.tobytes()
-            for gamma_th in (0.0, *np.quantile(want_best, [0.1, 0.5, 0.9]), want_best[0], np.inf):
-                assert np.count_nonzero(best < gamma_th) == np.count_nonzero(want_best < gamma_th)
+
+
+@pytest.mark.parametrize("gains", ["exponential", "integer"])
+@pytest.mark.parametrize("num_relays", [1, 2, 5, 10, 64])
+@pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
+def test_outage_count_matches_run_batch_bit_for_bit(monkeypatch, scheme, num_relays, gains):
+    # outage and sample_best_snr read the best bottleneck SNR from _select
+    # without the relay index; it is, bit for bit, the oracle's bottleneck of
+    # the relay that run_batch detects on, so each outage count is that
+    # relay's at thresholds on, between and around the SNRs; same gains,
+    # budgets and splits as the max-min oracle test above
+    rng = np.random.default_rng(100 + num_relays)
+    shape = (2048, num_relays)
+    if gains == "integer":
+        g1, g2, g_rd = (rng.integers(0, 4, shape).astype(float) for _ in range(3))
+    else:
+        g1, g2, g_rd = (rng.standard_exponential(shape) for _ in range(3))
+    cfg = anc_config(scheme=scheme, num_relays=num_relays)
+    gb = gain_batch(cfg, g1, g2, g_rd)
+    stage2 = draw_stage2(cfg, shape[0], rng)
+    detected = []
+    links = montecarlo._selected_links
+
+    def spy(gb, sel, stage2):
+        detected.append(sel)
+        return links(gb, sel, stage2)
+
+    monkeypatch.setattr(montecarlo, "_selected_links", spy)
+    rows = np.arange(shape[0])
+    for p_total in np.logspace(-3, 6, 10):
+        for relay_share in (1.0 / 3.0, 0.02, 0.98):
+            p_relay = relay_share * p_total
+            cfg = anc_config(scheme=scheme, num_relays=num_relays, p_source=(p_total - p_relay) / 2, p_relay=p_relay)
+            run_batch(cfg, gb, stage2)
+            sel = detected.pop()
+            picked = gain_batch(cfg, *(g[rows, sel][:, None] for g in (g1, g2, g_rd)))
+            want = max_min_selection(cfg, picked)[1]
+            none, best = _select(cfg, gb, index=False)
+            assert none is None and best.tobytes() == want.tobytes()
+            for gamma_th in (0.0, *np.quantile(want, [0.1, 0.5, 0.9]), want[0], np.inf):
+                assert np.count_nonzero(best < gamma_th) == np.count_nonzero(want < gamma_th)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.ANC, Scheme.DF_NC])
