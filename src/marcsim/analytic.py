@@ -109,7 +109,8 @@ def mpsk_g(mod_order: int) -> float:
 
 
 def _float_binom(n: int, k: int) -> float:
-    # multiplicative recurrence, exact in floats for the orders we accept
+    # multiplicative recurrence: exact through n = 10 (every default figure);
+    # from C(11, 5) on a few ulp off, up to 9.0e-16 relative for n <= 64
     out = 1.0
     for i in range(1, k + 1):
         out *= (n - i + 1) / i

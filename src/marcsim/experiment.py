@@ -23,8 +23,8 @@ import dataclasses
 import functools
 import hashlib
 import math
-import numbers
 import os
+import stat
 import sys
 from typing import NamedTuple
 
@@ -40,7 +40,7 @@ from .analytic import (
     ser_inputs,
     ser_quadrature,
 )
-from .model import Scheme, SystemConfig, _gammas
+from .model import Scheme, SystemConfig, _gammas, _is_int, _is_psk_order, _is_real
 from .montecarlo import estimate_group
 from .power import PowerSplit, allocation_edges, numeric_allocation, ser_for_powers
 
@@ -123,67 +123,96 @@ class SpecValidationError(ValueError):
     """run_experiment's error for a spec that validate_spec rejects."""
 
 
+def _is_file_path(path) -> bool:
+    """Whether ``path`` names no directory and its nearest existing ancestor
+    is one, so that makedirs can create the rest: a lookup through a regular
+    file fails with ENOTDIR, and one that stops at a missing name, ENOENT."""
+    if not isinstance(path, str) or not os.path.basename(path):
+        return False
+    try:
+        return not stat.S_ISDIR(os.stat(path).st_mode)
+    except NotADirectoryError:
+        return False
+    except (OSError, ValueError):  # missing, or a failure that makedirs or open reports
+        return True
+
+
+def _list_of(entry, whole=lambda v: len(set(v)) == len(v)):
+    """Rule of a list field: nonempty, every entry passes ``entry``, and the
+    list passes ``whole`` (by default: its entries are distinct)."""
+    return lambda v: isinstance(v, list) and bool(v) and all(map(entry, v)) and whole(v)
+
+
+# Every field's rule, as (predicate, text): a field that fails its predicate
+# gives the one error "<field>: must be <text>, got <value>".
+_RULES = {
+    "figure": (lambda v: isinstance(v, str) and v in _FIGURES, f"one of {tuple(_FIGURES)}"),
+    "snr_points_db": (
+        _list_of(_is_real, lambda v: all(a < b for a, b in zip(v, v[1:]))),
+        "a nonempty, strictly increasing list of finite numbers",
+    ),
+    "relay_counts": (_list_of(lambda n: _is_int(n, 1)), "a nonempty list of distinct integers >= 1"),
+    "mod_orders": (_list_of(_is_psk_order), "a nonempty list of distinct powers of two >= 2"),
+    "schemes": (_list_of(lambda x: isinstance(x, Scheme)), "a nonempty list of distinct Scheme members"),
+    "trials": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "gamma_th": (lambda v: _is_real(v, 0.0), "a finite number >= 0"),
+    "output_path": (
+        _is_file_path, "the path of a file, not a directory, whose nearest existing ancestor is a directory"
+    ),
+}
+
+
+def _broken(spec: ExperimentSpec, fields) -> dict[str, str]:
+    """The error of each of ``fields`` that breaks its rule, by field."""
+    values = {field: getattr(spec, field) for field in fields}
+    return {f: f"{f}: must be {_RULES[f][1]}, got {v!r}" for f, v in values.items() if not _RULES[f][0](v)}
+
+
 def validate_spec(spec: ExperimentSpec) -> ValidationResult:
-    """Fill defaults and collect every violation (never raises)."""
-    errors: list[str] = []
-    warnings: list[str] = []
-    s = dataclasses.replace(spec)
-
-    if not isinstance(s.figure, str) or s.figure not in _FIGURES:
-        errors.append(f"figure: unknown value {s.figure!r}, expected one of {tuple(_FIGURES)}")
-        return ValidationResult(s, errors, warnings)
-
-    fig = _FIGURES[s.figure]
-    if s.schemes is None:
-        s.schemes = list(fig.schemes)
-    if s.mod_orders is None:
-        s.mod_orders = list(fig.mod_orders)
-    if s.relay_counts is None:
-        s.relay_counts = list(fig.relay_counts)
-    if s.trials is None:
-        s.trials = _DEFAULT_TRIALS
-    if s.seed is None:
-        s.seed = _DEFAULT_SEED
-    if s.gamma_th is None:
-        s.gamma_th = _DEFAULT_GAMMA_TH
-    if s.output_path is None:
-        s.output_path = f"results/{s.figure}.csv"
-    if s.snr_points_db is None:
-        s.snr_points_db = list(_DEFAULT_SNR_DB)
+    """Fill defaults and collect every violation (never raises): one error
+    per field that breaks its rule, then the checks that read several
+    fields, on the fields that passed."""
+    if bad := _broken(spec, ["figure"]):  # the defaults depend on the figure
+        return ValidationResult(dataclasses.replace(spec), list(bad.values()), [])
+    fig = _FIGURES[spec.figure]
+    defaults = dict(
+        schemes=list(fig.schemes), mod_orders=list(fig.mod_orders), relay_counts=list(fig.relay_counts),
+        trials=_DEFAULT_TRIALS, seed=_DEFAULT_SEED, gamma_th=_DEFAULT_GAMMA_TH,
+        output_path=f"results/{spec.figure}.csv", snr_points_db=list(_DEFAULT_SNR_DB),
+    )
+    s = dataclasses.replace(spec, **{f: v for f, v in defaults.items() if getattr(spec, f) is None})
+    bad = _broken(s, _RULES)
+    errors = list(bad.values())
+    warnings = []
+    if "trials" not in bad and s.trials > _TRIALS_RUNTIME_WARNING:
+        warnings.append(f"trials: {s.trials} will take a very long time per cell")
 
     # the analytic SER's alternating series over n = 1..N multiplies a rate
     # by up to max_n C(N, n)*n, which must stay finite; outage reads one rate
     rate_scale = 1.0
-    n_max = None  # the largest relay count, once relay_counts is valid
-    if not isinstance(s.relay_counts, list):
-        errors.append(f"relay_counts: must be a list, got {s.relay_counts!r}")
-    elif not s.relay_counts:
-        errors.append("relay_counts: must be nonempty")
-    elif any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in s.relay_counts):
-        errors.append(f"relay_counts: entries must be integers >= 1, got {s.relay_counts!r}")
-    elif len(set(s.relay_counts)) < len(s.relay_counts):
-        errors.append(f"relay_counts: entries must be distinct, got {s.relay_counts!r}")
-    elif fig.ser and max(s.relay_counts) > _MAX_SERIES_ORDER:
-        errors.append(
-            f"relay_counts: SER figures allow at most {_MAX_SERIES_ORDER} relays "
-            f"(the analytic SER's alternating series), got {max(s.relay_counts)}"
-        )
-    else:
+    if "relay_counts" not in bad:
         n_max = max(s.relay_counts)
-        if fig.ser:
-            rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
-    if not isinstance(s.snr_points_db, list):
-        errors.append(f"snr_points_db: must be a list, got {s.snr_points_db!r}")
-    elif not s.snr_points_db:
-        errors.append("snr_points_db: must be nonempty")
-    elif not all(_is_real(v) and math.isfinite(v) for v in s.snr_points_db):
-        errors.append(f"snr_points_db: entries must be finite numbers, got {s.snr_points_db!r}")
-    elif any(b <= a for a, b in zip(s.snr_points_db, s.snr_points_db[1:])):
-        errors.append("snr_points_db: must be strictly increasing")
-    else:
+        if fig.ser and n_max > _MAX_SERIES_ORDER:
+            errors.append(
+                f"relay_counts: SER figures allow at most {_MAX_SERIES_ORDER} relays "
+                f"(the analytic SER's alternating series), got {n_max}"
+            )
+        else:
+            if fig.ser:
+                rate_scale = float(max(math.comb(n_max, n) * n for n in range(1, n_max + 1)))
+            if not bad.keys() & {"schemes", "trials"}:
+                gain_bytes = max(montecarlo._STAGE1_BYTES[x] for x in s.schemes)
+                need = gain_bytes * min(s.trials, montecarlo.BATCH_SIZE) * n_max
+                if need > _MEMORY_BUDGET:
+                    errors.append(
+                        f"relay_counts: {n_max} relays need {need} bytes for one batch of "
+                        f"stage-1 gains and relay selection, over the budget of {_MEMORY_BUDGET} bytes"
+                    )
+    if "snr_points_db" not in bad:
         # as floats, so an integer SNR gets the CSV cell, journal key and
-        # config hash of its float
-        s.snr_points_db = [float(snr) for snr in s.snr_points_db]
+        # config hash of its float, and -0 those of 0
+        s.snr_points_db = [float(snr) + 0.0 for snr in s.snr_points_db]
         for snr in s.snr_points_db:
             try:
                 p_total = _budget(snr)
@@ -206,60 +235,12 @@ def validate_spec(spec: ExperimentSpec) -> ValidationResult:
             except (OverflowError, ValueError) as exc:
                 errors.append(f"snr_points_db: {snr!r} dB gives a split outside the model's range ({exc})")
                 break
-    if not isinstance(s.mod_orders, list):
-        errors.append(f"mod_orders: must be a list, got {s.mod_orders!r}")
-    elif not s.mod_orders:
-        errors.append("mod_orders: must be nonempty")
-    elif any(not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0 for m in s.mod_orders):
-        errors.append(f"mod_orders: entries must be powers of two >= 2, got {s.mod_orders!r}")
-    elif len(set(s.mod_orders)) < len(s.mod_orders):
-        errors.append(f"mod_orders: entries must be distinct, got {s.mod_orders!r}")
-    elif fig.ser and montecarlo._DETECT_BYTES * max(s.mod_orders) > _MEMORY_BUDGET:
+    if "mod_orders" not in bad and fig.ser and montecarlo._DETECT_BYTES * max(s.mod_orders) > _MEMORY_BUDGET:
         errors.append(
             f"mod_orders: {max(s.mod_orders)}-PSK needs {montecarlo._DETECT_BYTES * max(s.mod_orders)} bytes "
             f"for one detection call, over the budget of {_MEMORY_BUDGET} bytes"
         )
-    gain_bytes = None  # the most bytes per stage-1 gain element, once schemes is valid
-    if not isinstance(s.schemes, list):
-        errors.append(f"schemes: must be a list, got {s.schemes!r}")
-    elif not s.schemes:
-        errors.append("schemes: must be nonempty")
-    elif not all(isinstance(x, Scheme) for x in s.schemes):
-        errors.append(f"schemes: entries must be Scheme members, got {s.schemes!r}")
-    elif len(set(s.schemes)) < len(s.schemes):
-        errors.append(f"schemes: entries must be distinct, got {[x.value for x in s.schemes]}")
-    else:
-        gain_bytes = max(montecarlo._STAGE1_BYTES[x] for x in s.schemes)
-    # bool is an int subclass; True must not pass as 1
-    if isinstance(s.trials, bool) or not isinstance(s.trials, int) or s.trials < 1:
-        errors.append(f"trials: must be an integer >= 1, got {s.trials!r}")
-    else:
-        if s.trials > _TRIALS_RUNTIME_WARNING:
-            warnings.append(f"trials: {s.trials} will take a very long time per cell")
-        if n_max is not None and gain_bytes is not None:
-            need = gain_bytes * min(s.trials, montecarlo.BATCH_SIZE) * n_max
-            if need > _MEMORY_BUDGET:
-                errors.append(
-                    f"relay_counts: {n_max} relays need {need} bytes for one batch of "
-                    f"stage-1 gains and relay selection, over the budget of {_MEMORY_BUDGET} bytes"
-                )
-    if isinstance(s.seed, bool) or not isinstance(s.seed, int) or s.seed < 0:
-        errors.append(f"seed: must be a nonnegative integer, got {s.seed!r}")
-    if not (_is_real(s.gamma_th) and math.isfinite(s.gamma_th) and s.gamma_th >= 0):
-        errors.append(f"gamma_th: must be a finite nonnegative number, got {s.gamma_th!r}")
-    if not isinstance(s.output_path, str):
-        errors.append(f"output_path: must be a string, got {s.output_path!r}")
-    elif not s.output_path:
-        errors.append("output_path: must be nonempty")
-    elif not os.path.basename(s.output_path) or os.path.isdir(s.output_path):
-        errors.append(f"output_path: must name a file, not a directory, got {s.output_path!r}")
-
     return ValidationResult(s, errors, warnings)
-
-
-def _is_real(v) -> bool:
-    """Whether ``v`` is a real number; bool, an int subclass, is not."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _budget(snr_db: float) -> float:
@@ -478,8 +459,11 @@ def _load_journal(path: str, config_hash: str) -> tuple[dict[str, str], int]:
     # a last line without its newline is a torn write from an interrupted run
     intact = data.rfind(b"\n") + 1
     done: dict[str, str] = {}
-    for line in data[len(header) : intact].decode("utf-8").splitlines():
-        key, tab, row = line.partition("\t")
+    for raw in data[len(header) : intact].splitlines():
+        try:
+            key, tab, row = raw.decode("utf-8").partition("\t")
+        except UnicodeDecodeError:
+            continue  # a damaged line, like a torn one: its cell is recomputed
         if tab and row.count(",") == CSV_HEADER.count(","):
             done[key] = row
     return done, intact

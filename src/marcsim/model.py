@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 
 __all__ = ["Scheme", "SystemConfig"]
 
@@ -33,9 +34,23 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+# The input rules that a spec and a scenario share.  bool is an int
+# subclass: True must pass neither as 1 nor as 1.0.
+def _is_int(v, least: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _is_real(v, least: float = -math.inf) -> bool:
+    """Whether ``v`` is a finite real number >= ``least``."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) and v >= least
+
+
+def _is_psk_order(m) -> bool:
+    return _is_int(m, 2) and m & (m - 1) == 0
+
+
 def _require_relay_count(num_relays) -> None:
-    # bool is an int subclass; True must not pass as one relay
-    if isinstance(num_relays, bool) or not isinstance(num_relays, int) or num_relays < 1:
+    if not _is_int(num_relays, 1):
         raise ValueError(f"num_relays must be an integer >= 1, got {num_relays!r}")
 
 
@@ -57,9 +72,8 @@ class SystemConfig:
         _require_relay_count(self.num_relays)
         _require_positive("p_source", self.p_source)
         _require_positive("p_relay", self.p_relay)
-        m = self.mod_order
-        if not isinstance(m, int) or m < 2 or (m & (m - 1)) != 0:
-            raise ValueError(f"mod_order must be a power of two >= 2, got {m!r}")
+        if not _is_psk_order(self.mod_order):
+            raise ValueError(f"mod_order must be a power of two >= 2, got {self.mod_order!r}")
         if not isinstance(self.scheme, Scheme):
             raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
 

@@ -87,7 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Scheme, SystemConfig, _gammas
+from .model import Scheme, SystemConfig, _gammas, _is_int
 
 __all__ = [
     "BATCH_SIZE",
@@ -589,7 +589,7 @@ def estimate_group(
         raise ValueError("a group needs one or more configs, all of one scheme, PSK order and relay count")
     if gamma_th is not None and not gamma_th >= 0:  # NaN fails the comparison too
         raise ValueError("gamma_th must be nonnegative")
-    if max_errors is not None and (isinstance(max_errors, bool) or not isinstance(max_errors, int) or max_errors < 1):
+    if max_errors is not None and not _is_int(max_errors, 1):
         raise ValueError(f"max_errors must be None or an integer >= 1, got {max_errors!r}")
     n = len(configs)
     cap = max(1, _DETECT_ELEMENTS // configs[0].mod_order)  # rows of one detection call

@@ -102,6 +102,13 @@ def test_series_rejects_large_order():
     assert 0.0 < best_cdf(BestRelayDistribution(200, 1.0), 5.0) < 1.0
 
 
+def test_series_binomials_are_exact_through_ten_relays():
+    # every default figure has N <= 10, where the float recurrence is exact
+    for n in range(11):
+        for k in range(n + 1):
+            assert analytic._float_binom(n, k) == math.comb(n, k), (n, k)
+
+
 @settings(max_examples=200)
 @given(
     n=st.integers(1, 30),

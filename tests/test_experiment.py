@@ -235,13 +235,15 @@ def test_fig5_rows_have_allocations(tmp_path):
 
 
 def test_integer_snr_points_read_as_floats_in_the_csv(tmp_path, monkeypatch):
-    # a library caller may pass integer SNRs: validate_spec turns them into
-    # floats, so the CSV, the journal keys and the config hash are those of
-    # float SNRs, and a run resumed with the other form reuses the journal
+    # a library caller may pass integer SNRs, and --snr=-0 gives -0.0:
+    # validate_spec turns them into the floats 0.0 and 10.0, so the CSV, the
+    # journal keys and the config hash are those of float SNRs, and a run
+    # resumed with another form reuses the journal
     spec = small_spec(tmp_path, snr_points_db=[0, 10], output_path=str(tmp_path / "int.csv"))
-    floats = dataclasses.replace(spec, snr_points_db=[0.0, 10.0])
-    assert validate_spec(spec).spec.snr_points_db == [0.0, 10.0]
-    assert spec_to_text(validate_spec(spec).spec) == spec_to_text(validate_spec(floats).spec)
+    others = [dataclasses.replace(spec, snr_points_db=snrs) for snrs in ([0.0, 10.0], [-0.0, 10.0])]
+    assert repr(validate_spec(spec).spec.snr_points_db) == "[0.0, 10.0]"
+    for other in others:
+        assert spec_to_text(validate_spec(spec).spec) == spec_to_text(validate_spec(other).spec)
     run_experiment(spec)
     rows = Path(spec.output_path).read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["0.0", "10.0"]
@@ -253,8 +255,9 @@ def test_integer_snr_points_read_as_floats_in_the_csv(tmp_path, monkeypatch):
         raise AssertionError("the float spec recomputed a cell that the integer spec journaled")
 
     monkeypatch.setattr(experiment, "estimate_group", recomputed)
-    run_experiment(floats)
-    assert [Path(spec.output_path + ext).read_bytes() for ext in ("", ".meta", ".journal")] == written
+    for other in others:
+        run_experiment(other)
+        assert [Path(spec.output_path + ext).read_bytes() for ext in ("", ".meta", ".journal")] == written
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -754,6 +757,25 @@ def test_torn_journal_resumes_to_original_bytes(tmp_path, monkeypatch):
     assert Path(spec.output_path).read_bytes() == csv_first
 
 
+def test_undecodable_journal_lines_are_recomputed(tmp_path, monkeypatch):
+    # a line that is not UTF-8 is skipped like a torn one: garbage appended
+    # to a finished journal costs nothing, and a damaged row is recomputed
+    out = tmp_path / "out.csv"
+    argv = ["--figure", "custom", "--scheme", "anc", "--relays", "2", "--snr", "5,10", "--trials", "4000",
+            "--seed", "7", "--out", str(out)]
+    assert main(argv) == 0
+    csv_first = out.read_bytes()
+    journal = Path(str(out) + ".journal")
+    header, first, second = journal.read_bytes().splitlines(keepends=True)
+    for body, recomputed in ((first + second + b"\xff\xfe garbage\n", 0), (b"\xff" + first[1:] + second, 1)):
+        journal.write_bytes(header + body)
+        out.unlink()
+        calls = count_computed_cells(monkeypatch)
+        assert main(argv) == 0
+        assert len(calls) == recomputed
+        assert out.read_bytes() == csv_first
+
+
 def test_failed_replace_keeps_previous_csv(tmp_path, monkeypatch):
     spec = small_spec(tmp_path)
     run_experiment(spec)
@@ -904,15 +926,21 @@ def test_cli_validation_failure(tmp_path, capsys, flags, field):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("trailing_sep", [False, True], ids=["existing-dir", "trailing-sep"])
-def test_cli_rejects_a_directory_output_path(tmp_path, capsys, trailing_sep):
-    out = str(tmp_path / "new") + os.sep if trailing_sep else str(tmp_path)
+@pytest.mark.parametrize(
+    "tail",
+    [os.sep.join(parts) for parts in ([""], ["", "new", ""], ["", "file", "x.csv"], ["", "file", "sub", "x.csv"])],
+    ids=["existing-dir", "trailing-sep", "under-a-file", "deep-under-a-file"],
+)
+def test_cli_rejects_a_directory_output_path(tmp_path, capsys, tail):
+    # a directory, or a path that makedirs cannot create: a file stands on it
+    (tmp_path / "file").write_text("not a directory")
     code = main(["--figure", "custom", "--scheme", "df", "--relays", "1", "--snr", "10",
-                 "--trials", "1000", "--out", out])
+                 "--trials", "1000", "--out", str(tmp_path) + tail])
     assert code == 1
     assert "output_path" in capsys.readouterr().err
     # rejected before any cell runs: no journal, and no directory made
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == ["file"]
+    assert (tmp_path / "file").read_text() == "not a directory"
     assert not os.path.exists(str(tmp_path) + ".journal")
 
 
@@ -1083,10 +1111,10 @@ def test_cli_refuses_a_negative_analytic_ser(tmp_path, capsys):
 
 
 def test_cli_runtime_failure_exit_code(tmp_path):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("not a directory")
+    # a valid spec whose journal cannot be opened: a directory stands there
+    (tmp_path / "out.csv.journal").mkdir()
     code = main(
         ["--figure", "custom", "--scheme", "df", "--relays", "1", "--snr", "10",
-         "--trials", "1000", "--out", str(blocker / "out.csv")]
+         "--trials", "1000", "--out", str(tmp_path / "out.csv")]
     )
     assert code == 2
